@@ -190,6 +190,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         "scan": scan,
         "pa": [group.degree, order, facts.minimal_degree],
     }
+    pa = None
     sharp_k = _sharp_k_for(group.degree, order)
     if sharp_k is not None and order <= 10000:
         pa = group_to_pa(group, facts)
@@ -198,7 +199,8 @@ def cmd_group(args: argparse.Namespace) -> int:
         )
     print(json.dumps(info))
     if args.emit:
-        pa = group_to_pa(group, facts if facts.exact else None)
+        if pa is None:
+            pa = group_to_pa(group, facts)
         write_pa(pa, args.emit)
         print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
     return 0
@@ -231,7 +233,8 @@ PUBLISHED_GROUP_BOUNDS = (
 )
 
 # Full pairwise verification beyond this row count is the slow tier; with
-# --skip-slow those rows downgrade to seeded sampling.
+# --skip-slow those fraction rows downgrade to seeded sampling.  Group rows
+# are always exact.
 _SLOW_VERIFY_ROWS = 30000
 
 
@@ -257,33 +260,18 @@ def _sfp_bound_record(
 
 
 def _group_bound_record(
-    name: str, degree: int, published_d: int, published_size: int, skip_slow: bool
+    name: str, degree: int, published_d: int, published_size: int
 ) -> tuple[BoundRecord, bool]:
-    group = make_named(name)
-    order = group_order(group)
-    if name == "mathieu24":
-        facts = minimal_degree(group, mode="sampled", trials=10**5, seed=0)
-        verification = "SAMPLED"
-        ok = facts.minimal_degree >= published_d
-        d = published_d
-    elif name == "mathieu23" and skip_slow:
-        verification = "ORDER_ONLY"
-        ok = True
-        d = published_d
-    else:
-        facts = minimal_degree(group, mode="exact")
-        verification = "FULL"
-        ok = facts.minimal_degree == published_d
-        d = facts.minimal_degree
+    facts = minimal_degree(make_named(name), mode="exact")
     record = BoundRecord(
         n=degree,
-        d=d,
-        size=order,
+        d=facts.minimal_degree,
+        size=facts.order,
         construction=f"group:{name}",
-        verification=verification,
+        verification="FULL",
         paper_value=published_size,
     )
-    return record, ok
+    return record, facts.minimal_degree == published_d
 
 
 def reproduce_bounds(
@@ -296,7 +284,7 @@ def reproduce_bounds(
         records.append(record)
         all_ok = all_ok and ok and record.match
     for name, degree, published_d, published_size in PUBLISHED_GROUP_BOUNDS:
-        record, ok = _group_bound_record(name, degree, published_d, published_size, skip_slow)
+        record, ok = _group_bound_record(name, degree, published_d, published_size)
         records.append(record)
         all_ok = all_ok and ok and record.match
     return records, all_ok

@@ -1,15 +1,24 @@
-"""Permutation groups as arrays: closure, order via a stabilizer chain,
-minimal degree, and the named constructions used for the group-based arrays.
+"""Permutation groups as arrays: order, minimal degree and element listing
+through a stabilizer chain, and the named constructions used for the
+group-based arrays.
 
 The stabilizer chain is a deterministic Schreier-Sims build: base points are
 taken from an optional hint, then by smallest moved point; orbits are BFS in
 point order.  That makes orders, stabilizer generators, and element
-enumeration reproducible run to run.
+enumeration reproducible run to run.  The chain is the only code that lists
+group elements: each element is one product of coset representatives, one
+per level, so nothing is deduplicated (Seress, *Permutation Group
+Algorithms*, 2003).
+
+The exact minimal degree of a t-transitive group with t >= 2 is read off
+the pointwise stabilizer of the first t-1 base points (Dixon and Mortimer,
+*Permutation Groups*, 1996): see `minimal_degree`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,10 +27,18 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .field import Field
-from .pa import PermArray, Permutation, compose, identity, inverse, moved_points
+from .pa import (
+    PermArray,
+    Permutation,
+    compose,
+    identity,
+    inverse,
+    moved_points,
+    row_dtype,
+)
 from .sfp import field_for_order
 
-CLOSURE_CAP = 1 << 24
+#: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
 
 
@@ -158,11 +175,17 @@ class StabilizerChain:
 
     # -- queries -------------------------------------------------------------
 
-    def order(self) -> int:
-        out = 1
-        for orbit in self.orbits:
-            out *= len(orbit)
-        return out
+    def order(self, depth: int = 0) -> int:
+        """Order of the pointwise stabilizer of base[:depth]."""
+        return math.prod(len(orbit) for orbit in self.orbits[depth:])
+
+    def transitivity(self) -> int:
+        """Largest t with orbit sizes n, n-1, ..., n-t+1 >= 2 down the chain;
+        the group is then t-transitive."""
+        t = 0
+        while t < len(self.orbits) and len(self.orbits[t]) == self.degree - t >= 2:
+            t += 1
+        return t
 
     def contains(self, p: Permutation) -> bool:
         return moved_points(self.sift(tuple(p))) == 0
@@ -173,34 +196,32 @@ class StabilizerChain:
             return []
         return self._level_gens(depth)
 
-    def element_chunks(self, max_chunk: int = 1 << 20) -> Iterator[np.ndarray]:
-        """Every group element exactly once, as arrays of image rows.
+    def element_chunks(
+        self, max_chunk: int = 1 << 20, depth: int = 0
+    ) -> Iterator[np.ndarray]:
+        """Every element of the pointwise stabilizer of base[:depth] exactly
+        once, as arrays of image rows.
 
         Elements are coset products down the chain, so no deduplication is
         needed and memory stays bounded by max_chunk rows per yield.
         """
         n = self.degree
-        dtype = np.uint8 if n <= 256 else np.uint16
-        sizes = [len(o) for o in self.orbits]
-        split = len(sizes)
-        inner = 1
-        while split > 0 and inner * sizes[split - 1] <= max_chunk:
-            split -= 1
-            inner *= sizes[split]
-        block = np.arange(n, dtype=dtype)[None, :]
-        for i in range(len(sizes) - 1, split - 1, -1):
-            us = [np.array(self.orbits[i][pt], dtype=dtype) for pt in sorted(self.orbits[i])]
-            block = np.concatenate([u[block] for u in us], axis=0)
-        if split == 0:
-            yield block
-            return
-        outer_transversals = [
-            [np.array(self.orbits[i][pt], dtype=dtype) for pt in sorted(self.orbits[i])]
-            for i in range(split)
+        dtype = row_dtype(n)
+        transversals = [
+            [np.array(orbit[pt], dtype=dtype) for pt in sorted(orbit)]
+            for orbit in self.orbits[depth:]
         ]
-        for combo in itertools.product(*outer_transversals):
-            u = combo[0]
-            for v in combo[1:]:
+        split = len(transversals)
+        inner = 1
+        while split > 0 and inner * len(transversals[split - 1]) <= max_chunk:
+            split -= 1
+            inner *= len(transversals[split])
+        block = np.arange(n, dtype=dtype)[None, :]
+        for us in reversed(transversals[split:]):
+            block = np.concatenate([u[block] for u in us], axis=0)
+        for combo in itertools.product(*transversals[:split]):
+            u = np.arange(n, dtype=dtype)
+            for v in combo:
                 u = u[v]
             yield u[block]
 
@@ -208,29 +229,6 @@ class StabilizerChain:
 def group_order(group: PermGroup) -> int:
     """Exact order from the stabilizer chain, no element materialization."""
     return StabilizerChain(group.degree, group.generators).order()
-
-
-def group_closure(group: PermGroup, cap: int = CLOSURE_CAP) -> np.ndarray:
-    """All elements by breadth-first closure, canonically sorted rows."""
-    n = group.degree
-    dtype = np.uint8 if n <= 256 else np.uint16
-    gens = np.array(group.generators, dtype=np.int64)
-    elements = np.arange(n, dtype=dtype)[None, :]
-    frontier = elements
-    while len(frontier):
-        images = np.concatenate([frontier[:, g] for g in gens], axis=0)
-        images = np.unique(images, axis=0)
-        merged = np.unique(np.concatenate([elements, images], axis=0), axis=0)
-        if len(merged) > cap:
-            raise ValueError(f"closure exceeds cap {cap}")
-        if len(merged) == len(elements):
-            break
-        # New rows = those in merged but absent from elements.
-        keys_old = {row.tobytes() for row in elements}
-        fresh = [row for row in merged if row.tobytes() not in keys_old]
-        frontier = np.array(fresh, dtype=dtype).reshape(len(fresh), n)
-        elements = merged
-    return elements
 
 
 def minimal_degree(
@@ -242,8 +240,15 @@ def minimal_degree(
 ) -> GroupFacts:
     """Minimum number of moved points over nontrivial elements.
 
-    Exact mode enumerates every element through the stabilizer chain;
-    sampled mode walks random generator words and reports an upper bound.
+    Exact mode scans elements through the stabilizer chain.  When the chain
+    shows the group t-transitive with t >= 2 (`StabilizerChain.transitivity`),
+    it scans only H, the pointwise stabilizer of the first t-1 base points.
+    Every element fixing at least t-1 points is conjugate into H, every
+    other element moves at least n-t+2 points, and H is transitive on the
+    n-t+1 >= 2 points it does not fix, so H has an element moving at most
+    n-t+1 points: the minimal degree of H is that of the group.  With t <= 1
+    the whole group is scanned.  EXACT_SCAN_CAP bounds the elements scanned.
+    Sampled mode walks random generator words and reports an upper bound.
     """
     if chain is None:
         chain = StabilizerChain(group.degree, group.generators)
@@ -252,11 +257,15 @@ def minimal_degree(
     if order == 1:
         raise ValueError("trivial group has no minimal degree")
     if mode == "exact":
-        if order > EXACT_SCAN_CAP:
-            raise ValueError(f"order {order} exceeds exact-scan cap {EXACT_SCAN_CAP}")
+        depth = max(chain.transitivity() - 1, 0)
+        scanned = chain.order(depth)
+        if scanned > EXACT_SCAN_CAP:
+            raise ValueError(
+                f"{scanned} elements to scan exceed exact-scan cap {EXACT_SCAN_CAP}"
+            )
         ref = np.arange(n)
         best = n + 1
-        for block in chain.element_chunks():
+        for block in chain.element_chunks(depth=depth):
             movedcounts = (block != ref).sum(axis=1)
             nz = movedcounts[movedcounts > 0]
             if len(nz):
@@ -278,22 +287,22 @@ def minimal_degree(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def group_to_pa(
-    group: PermGroup,
-    facts: Optional[GroupFacts] = None,
-    cap: int = CLOSURE_CAP,
-) -> PermArray:
+def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArray:
     """Materialize the group as a permutation array with distance = minimal
-    degree (computed exactly when not supplied)."""
-    rows = group_closure(group, cap=cap)
+    degree (computed exactly when not supplied or not exact).
+
+    Rows are the chain's elements in lexicographic order.  An order above
+    EXACT_SCAN_CAP is refused before any row is built.
+    """
+    chain = StabilizerChain(group.degree, group.generators)
+    order = chain.order()
+    if order > EXACT_SCAN_CAP:
+        raise ValueError(f"order {order} exceeds row cap {EXACT_SCAN_CAP}")
     if facts is None or not facts.exact:
-        facts = minimal_degree(group, mode="exact")
-    if len(rows) != facts.order:
-        raise AssertionError(
-            f"closure size {len(rows)} disagrees with chain order {facts.order}"
-        )
+        facts = minimal_degree(group, mode="exact", chain=chain)
+    rows = np.concatenate(list(chain.element_chunks()))
     return PermArray(
-        rows,
+        rows[np.lexsort(rows.T[::-1])],
         claimed_distance=facts.minimal_degree,
         provenance=f"group:{group.name or 'anonymous'}",
     )

@@ -41,6 +41,11 @@ def moved_points(p: Sequence[int]) -> int:
     return sum(1 for i, j in enumerate(p) if i != j)
 
 
+def row_dtype(n: int) -> type:
+    """Smallest unsigned dtype that holds the points 0..n-1 of a row."""
+    return np.uint8 if n <= 256 else np.uint16
+
+
 def is_permutation(p: Sequence[int]) -> bool:
     return sorted(p) == list(range(len(p)))
 
@@ -71,7 +76,7 @@ class PermArray:
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
         n = arr.shape[1]
-        dtype = np.uint8 if n <= 256 else np.uint16
+        dtype = row_dtype(n)
         arr = arr.astype(dtype, copy=True)
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fracpoly import FracPoly
-from .pa import PermArray, Permutation
+from .pa import PermArray, Permutation, row_dtype
 from .sfp import SfpQuery, SfpResult, Variant, _eval_rows, enumerate_fast
 
 
@@ -175,7 +175,8 @@ def build_pa(
             vals = row.tolist()
             roots = [beta for beta in range(q) if vals[beta] == q]
             rows.append(_complete_q1(q, vals, bool(roots), roots[0] if roots else None))
-    arr = np.array(rows, dtype=np.uint8).reshape(len(rows), query.length())
+    n = query.length()
+    arr = np.array(rows, dtype=row_dtype(n)).reshape(len(rows), n)
     return PermArray(
         arr,
         claimed_distance=query.distance(),

@@ -28,9 +28,11 @@ import numpy as np
 from .field import Field
 from .fracpoly import FracPoly, ValueProfile, value_count
 from .parallel import map_blocks, resolve_workers
-from .poly import Poly, gcd
+from .poly import Degree, Poly, gcd
 
 ORACLE_PAIR_CAP = 10**9
+#: Largest field order the int16 kernels hold, pole sentinel q included.
+MAX_Q = int(np.iinfo(np.int16).max)
 _CHUNK_PAIR_BUDGET = 1 << 19
 
 #: Offset pairs admitted by the length-(q+1) maximization, in tie-break order.
@@ -75,6 +77,8 @@ class SfpQuery:
 
     def __post_init__(self) -> None:
         q, s, t, a, b = self.field.q, self.s, self.t, self.a, self.b
+        if q > MAX_Q:
+            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_Q}")
         if s < 0 or t < 0:
             raise ValueError("degree budgets must be non-negative")
         if s + t > q - 2:
@@ -140,28 +144,36 @@ class SfpResult:
 # -- membership ---------------------------------------------------------------
 
 
-def _profile_member_q(prof: ValueProfile, q: int, s: int, t: int) -> bool:
-    if not (prof.num_deg <= s and prof.den_deg <= t):
-        return False
-    return q - prof.v <= min(s - prof.num_deg, t - prof.den_deg)
+def slack(
+    num_deg: Degree,
+    den_deg: Degree,
+    has_pole: bool,
+    variant: Variant,
+    s: int,
+    t: int,
+    a: int = 0,
+    b: int = 0,
+) -> int:
+    """Largest q - v a fraction of these exact degrees may have and still be
+    a member for budgets (s, t) and offsets (a, b); -1 when the degrees
+    exceed the budgets.  See the module docstring for the rule."""
+    bonus = 0
+    if variant is Variant.Q_PLUS_1:
+        if has_pole:
+            bonus = 1
+        else:
+            s, t = s + a, t + b
+    if num_deg > s or den_deg > t:
+        return -1
+    return min(s - num_deg, t - den_deg) + bonus
 
 
-def _profile_member_q1(
-    prof: ValueProfile, q: int, s: int, t: int, a: int, b: int
-) -> bool:
-    if prof.has_pole:
-        if not (prof.num_deg <= s and prof.den_deg <= t):
-            return False
-        return q - prof.v <= min(s - prof.num_deg, t - prof.den_deg) + 1
-    if not (prof.num_deg <= s + a and prof.den_deg <= t + b):
-        return False
-    return q - prof.v <= min(s + a - prof.num_deg, t + b - prof.den_deg)
-
-
-def _profile_member(prof: ValueProfile, query: SfpQuery) -> bool:
-    if query.variant is Variant.Q:
-        return _profile_member_q(prof, query.q, query.s, query.t)
-    return _profile_member_q1(prof, query.q, query.s, query.t, query.a, query.b)
+def _query_slack(
+    num_deg: Degree, den_deg: Degree, has_pole: bool, query: SfpQuery
+) -> int:
+    return slack(
+        num_deg, den_deg, has_pole, query.variant, query.s, query.t, query.a, query.b
+    )
 
 
 def member_q(
@@ -169,7 +181,9 @@ def member_q(
 ) -> bool:
     """Length-q membership for budgets (s, t)."""
     prof = profile if profile is not None else value_count(phi)
-    return _profile_member_q(prof, phi.field.q, s, t)
+    return phi.field.q - prof.v <= slack(
+        prof.num_deg, prof.den_deg, prof.has_pole, Variant.Q, s, t
+    )
 
 
 def member_q1(
@@ -182,7 +196,9 @@ def member_q1(
 ) -> bool:
     """Length-(q+1) membership for budgets (s, t) and offsets (a, b)."""
     prof = profile if profile is not None else value_count(phi)
-    return _profile_member_q1(prof, phi.field.q, s, t, a, b)
+    return phi.field.q - prof.v <= slack(
+        prof.num_deg, prof.den_deg, prof.has_pole, Variant.Q_PLUS_1, s, t, a, b
+    )
 
 
 def is_member(
@@ -240,13 +256,7 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
             values = {
                 F.mul(fv, gi) for fv, gi in zip(fvals, ginv) if gi is not None
             }
-            prof = ValueProfile(
-                v=len(values),
-                has_pole=has_pole,
-                num_deg=f.degree,
-                den_deg=g.degree,
-            )
-            if not _profile_member(prof, query):
+            if q - len(values) > _query_slack(f.degree, g.degree, has_pole, query):
                 continue
             if g.degree > 0 and gcd(f, g).degree != 0:
                 continue
@@ -274,36 +284,17 @@ class _OrbitRecord:
 
 
 def _accepts(rec: _OrbitRecord, query: SfpQuery) -> bool:
-    s2, t2, q = rec.num_deg, rec.den_deg, query.q
-    s, t = query.s, query.t
-    if query.variant is Variant.Q:
-        return s2 <= s and t2 <= t and rec.m <= min(s - s2, t - t2)
-    if rec.has_pole:
-        return s2 <= s and t2 <= t and rec.m <= min(s - s2, t - t2) + 1
-    sa, tb = s + query.a, t + query.b
-    return s2 <= sa and t2 <= tb and rec.m <= min(sa - s2, tb - t2)
+    return rec.m <= _query_slack(rec.num_deg, rec.den_deg, rec.has_pole, query)
 
 
 def _block_thresholds(
     queries: Sequence[SfpQuery], s2: int, t2: int
 ) -> tuple[int, int]:
     """Most permissive (pole, no-pole) slack over all queries for one block."""
-    thr_pole = -1
-    thr_nopole = -1
-    for qq in queries:
-        s, t = qq.s, qq.t
-        if qq.variant is Variant.Q:
-            if s2 <= s and t2 <= t:
-                thr = min(s - s2, t - t2)
-                thr_pole = max(thr_pole, thr)
-                thr_nopole = max(thr_nopole, thr)
-        else:
-            if s2 <= s and t2 <= t:
-                thr_pole = max(thr_pole, min(s - s2, t - t2) + 1)
-            sa, tb = s + qq.a, t + qq.b
-            if s2 <= sa and t2 <= tb:
-                thr_nopole = max(thr_nopole, min(sa - s2, tb - t2))
-    return thr_pole, thr_nopole
+    return (
+        max(_query_slack(s2, t2, True, qq) for qq in queries),
+        max(_query_slack(s2, t2, False, qq) for qq in queries),
+    )
 
 
 def _normalized_num_block(field: Field, s2: int) -> np.ndarray:

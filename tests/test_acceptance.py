@@ -183,12 +183,21 @@ def test_criterion_5_m22_exact_scan():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_5_m23_exact_scan():
     facts = minimal_degree(make_named("mathieu23"), "exact")
     ok = report(
-        "criterion 5: degree-23 exact minimal degree (slow tier)",
+        "criterion 5: degree-23 exact minimal degree",
         facts.minimal_degree == 16,
+        f"min degree={facts.minimal_degree}",
+    )
+    assert ok
+
+
+def test_criterion_5_m24_exact_scan():
+    facts = minimal_degree(make_named("mathieu24"), "exact")
+    ok = report(
+        "criterion 5: degree-24 exact minimal degree",
+        facts.minimal_degree == 16 and facts.exact,
         f"min degree={facts.minimal_degree}",
     )
     assert ok

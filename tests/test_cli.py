@@ -52,6 +52,17 @@ def test_sfp_usage_errors():
     assert run_cli("sfp", "--q", "7", "--k", "9")[0] == 2  # k too large
 
 
+def test_sfp_supported_field_orders():
+    # 32749 is the largest prime the int16 kernels hold; 32768 = 2**15 is
+    # the first order past them.
+    code, out, _ = run_cli("sfp", "--q", "32749", "--s", "0", "--t", "0")
+    assert code == 0 and json.loads(out)["count"] == 0
+    for q in ("32768", "32771"):
+        code, out, err = run_cli("sfp", "--q", q, "--s", "1", "--t", "0")
+        assert code == 2 and out == ""
+        assert "exceeds the supported maximum 32767" in err
+
+
 def test_verify_pass_and_fail(tmp_path):
     good = tmp_path / "good.txt"
     run_cli("sfp", "--q", "7", "--s", "1", "--t", "0", "--emit", str(good))
@@ -128,6 +139,18 @@ def test_group_sampled_scan_flag():
     assert info["minimal_degree"] >= 16
 
 
+def test_group_exact_scan_mathieu24(tmp_path):
+    code, out, _ = run_cli("group", "--name", "mathieu24", "--scan", "exact")
+    assert code == 0
+    info = json.loads(out)
+    assert (info["minimal_degree"], info["scan"]) == (16, "exact")
+    # Emission is refused before any row is built.
+    code, _, err = run_cli(
+        "group", "--name", "mathieu24", "--emit", str(tmp_path / "m24.txt")
+    )
+    assert code == 2 and "row cap" in err
+
+
 def test_emitted_file_reparses_byte_exact(tmp_path):
     from paforge.pa import format_pa
 
@@ -169,9 +192,11 @@ def test_bounds_skip_slow(tmp_path):
     assert len(lines) == 10  # header + nine reproductions
     for line in lines[1:]:
         assert line.endswith(",yes")
-    # Slow rows downgraded as advertised.
-    assert any("SAMPLED" in line for line in lines[1:])
-    assert any("ORDER_ONLY" in line for line in lines[1:])
+    # Slow fraction rows are downgraded to sampling; group rows stay exact.
+    assert any("SAMPLED" in line for line in lines[1:7])
+    for line in lines[7:]:
+        assert line.split(",")[3].startswith("group:")
+        assert line.split(",")[4] == "FULL"
     sizes = {}
     for line in lines[1:]:
         n, d, size = line.split(",")[:3]

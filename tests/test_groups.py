@@ -1,5 +1,6 @@
-"""Groups: closure, stabilizer-chain orders, minimal degree, named
-constructions, and the embedded sporadic generator data."""
+"""Groups: stabilizer-chain orders and element listing, minimal degree,
+named constructions, and the embedded sporadic generator data.  A
+breadth-first closure kept here is the independent oracle for the chain."""
 
 import math
 import random
@@ -11,7 +12,6 @@ from paforge.groups import (
     PermGroup,
     StabilizerChain,
     fixity,
-    group_closure,
     group_order,
     group_to_pa,
     make_named,
@@ -24,8 +24,38 @@ from paforge.pa import (
     identity,
     inverse,
     is_sharply_k_transitive,
+    row_dtype,
     sharpness_matches_distance,
 )
+
+
+def group_closure(group):
+    """All elements by breadth-first closure, canonically sorted rows."""
+    n = group.degree
+    dtype = row_dtype(n)
+    gens = np.array(group.generators, dtype=np.int64)
+    elements = np.arange(n, dtype=dtype)[None, :]
+    frontier = elements
+    while len(frontier):
+        images = np.concatenate([frontier[:, g] for g in gens], axis=0)
+        images = np.unique(images, axis=0)
+        merged = np.unique(np.concatenate([elements, images], axis=0), axis=0)
+        if len(merged) == len(elements):
+            break
+        # New rows = those in merged but absent from elements.
+        keys_old = {row.tobytes() for row in elements}
+        fresh = [row for row in merged if row.tobytes() not in keys_old]
+        frontier = np.array(fresh, dtype=dtype).reshape(len(fresh), n)
+        elements = merged
+    return elements
+
+
+def whole_chain_min_degree(group):
+    """Minimal degree by scanning every element the chain lists."""
+    chain = StabilizerChain(group.degree, group.generators)
+    ref = np.arange(group.degree)
+    moved = np.concatenate([(b != ref).sum(axis=1) for b in chain.element_chunks()])
+    return int(moved[moved > 0].min())
 
 
 def test_cyclic_closure():
@@ -42,9 +72,27 @@ def test_agl1_closure_size():
     assert (rows == np.unique(rows, axis=0)).all()
 
 
-def test_closure_cap():
-    with pytest.raises(ValueError):
-        group_closure(make_named("sym", m=8), cap=1000)
+def test_closure_cap(monkeypatch):
+    # sym(11) has order 39916800 > 2**24: refused before any row is listed.
+    def no_listing(*args, **kwargs):
+        raise AssertionError("rows were materialized")
+
+    monkeypatch.setattr(StabilizerChain, "element_chunks", no_listing)
+    with pytest.raises(ValueError, match="row cap"):
+        group_to_pa(make_named("sym", m=11))
+
+
+def test_group_to_pa_rows_match_closure():
+    for name, params in [
+        ("agl1", {"q": 5}),
+        ("agl1", {"q": 8}),
+        ("pgl2", {"q": 7}),
+        ("sym", {"m": 5}),
+        ("sym_pairs", {"m": 5}),
+        ("agl", {"d": 2, "q": 3}),
+    ]:
+        grp = make_named(name, **params)
+        assert np.array_equal(group_to_pa(grp).rows, group_closure(grp))
 
 
 def test_group_order_s4():
@@ -202,14 +250,56 @@ def test_mathieu22_exact_scan():
 
 
 def test_mathieu22_closure_matches_order():
-    rows = group_closure(make_named("mathieu22"))
+    grp = make_named("mathieu22")
+    rows = group_closure(grp)
     assert len(rows) == 443520
+    assert np.array_equal(group_to_pa(grp).rows, rows)
 
 
-@pytest.mark.slow
 def test_mathieu23_exact_scan():
     facts = minimal_degree(make_named("mathieu23"), "exact")
     assert facts.minimal_degree == 16
+
+
+def test_mathieu24_exact_scan():
+    facts = minimal_degree(make_named("mathieu24"), "exact")
+    assert (facts.order, facts.minimal_degree, facts.exact) == (244823040, 16, True)
+
+
+def test_transitivity_from_chain():
+    for name, params, t in [
+        ("mathieu22", {}, 3),
+        ("mathieu23", {}, 4),
+        ("mathieu24", {}, 5),
+        ("pgl2", {"q": 7}, 3),
+        ("agl1", {"q": 9}, 2),
+        ("sym_pairs", {"m": 6}, 1),
+    ]:
+        grp = make_named(name, **params)
+        assert StabilizerChain(grp.degree, grp.generators).transitivity() == t
+
+
+def test_reduced_exact_scan_matches_whole_chain_scan():
+    for name, params in [
+        ("mathieu22", {}),
+        ("pgl2", {"q": 7}),
+        ("sym", {"m": 6}),
+        ("agl1", {"q": 9}),
+        ("sym_pairs", {"m": 6}),
+        ("agl", {"d": 2, "q": 3}),
+    ]:
+        grp = make_named(name, **params)
+        assert minimal_degree(grp).minimal_degree == whole_chain_min_degree(grp)
+    # Random two-generator groups: intransitive, transitive, and (11 of
+    # these 20) at least 2-transitive, where the reduced scan is taken.
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randrange(3, 8)
+        gens = tuple(tuple(rng.sample(range(n), n)) for _ in range(2))
+        if all(g == identity(n) for g in gens):
+            continue
+        grp = PermGroup(n, gens)
+        assert minimal_degree(grp).minimal_degree == whole_chain_min_degree(grp)
 
 
 def test_mathieu24_sampled_scan():
@@ -256,6 +346,7 @@ def test_minimal_degree_matches_closure_scan():
             if any(i != int(j) for i, j in enumerate(row))
         )
         assert minimal_degree(grp).minimal_degree == brute
+        assert whole_chain_min_degree(grp) == brute
 
 
 def test_load_generator_file(tmp_path):

@@ -1,11 +1,14 @@
 """Completion rules and assembled arrays: forced points, bijectivity,
 distance guarantees, determinism."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from paforge.field import Field
 from paforge.fracpoly import make, value_count
-from paforge.pa import exact_min_distance, format_pa, min_distance
+from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
 from paforge.pam import assign_q, assign_q1, build_pa, build_q1_pam, build_q_pam
 from paforge.poly import Poly
 from paforge.sfp import (
@@ -99,6 +102,21 @@ def test_batched_build_matches_single_builders():
         build = build_q_pam if query.variant is Variant.Q else build_q1_pam
         for idx, phi in enumerate(result.members):
             assert pa.row(idx) == build(phi)
+
+
+@pytest.mark.parametrize(
+    "q,variant", [(256, Variant.Q), (256, Variant.Q_PLUS_1), (257, Variant.Q)]
+)
+def test_batched_build_at_row_dtype_edge(q, variant):
+    # Row length q or q+1 crosses 256, where rows move from uint8 to uint16.
+    query = SfpQuery(field_for_order(q), variant, 1, 0)
+    result = enumerate_fast(query)
+    sample = dataclasses.replace(result, members=result.members[::4099])
+    pa = build_pa(query, result=sample)
+    assert pa.rows.dtype == row_dtype(query.length())
+    build = build_q_pam if variant is Variant.Q else build_q1_pam
+    for idx, phi in enumerate(sample.members):
+        assert pa.row(idx) == build(phi)
 
 
 def test_rows_are_bijections_and_distinct():

@@ -20,6 +20,7 @@ from paforge.sfp import (
     member_q,
     member_q1,
     pp_count,
+    slack,
 )
 
 F5 = Field(5)
@@ -66,6 +67,14 @@ def test_member_q1_examples():
     assert member_q1(frac(F5, (0, 1)), 1, 0, 0, 0)
     assert member_q1(frac(F5, (1,), (0, 1)), 1, 1, 0, 0)  # pole slack
     assert not member_q1(frac(F5, (0, 0, 1)), 1, 1, 1, -1)
+
+
+def test_slack_rule():
+    assert slack(1, 1, False, Variant.Q, 2, 2) == 1
+    assert slack(3, 0, False, Variant.Q, 2, 2) == -1  # numerator over budget
+    assert slack(1, 1, True, Variant.Q_PLUS_1, 2, 2) == 2  # pole absorbs one
+    assert slack(1, 1, False, Variant.Q_PLUS_1, 2, 2, 1, -1) == 0  # budgets (3, 1)
+    assert slack(2, 2, False, Variant.Q_PLUS_1, 2, 2, 1, -1) == -1
 
 
 def test_member_rejects_zero_numerator():
