@@ -272,6 +272,8 @@ def minimal_degree(
                 best = min(best, int(nz.min()))
         return GroupFacts(order=order, minimal_degree=best, exact=True)
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"sampled scan needs trials >= 1, got {trials}")
         import random
 
         rng = random.Random(seed)

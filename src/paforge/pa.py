@@ -8,7 +8,7 @@ import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -77,14 +77,15 @@ class PermArray:
             raise ValueError("rows must form a 2-D array")
         n = arr.shape[1]
         dtype = row_dtype(n)
-        arr = arr.astype(dtype, copy=True)
+        arr = arr.astype(dtype, order="C", copy=True)
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
         ref = np.arange(n, dtype=dtype)
         if not (np.sort(arr, axis=1) == ref).all():
             raise ValueError("some row is not a permutation")
-        if len(np.unique(arr, axis=0)) != arr.shape[0]:
+        whole_rows = arr.view(np.dtype((np.void, arr.itemsize * n))).ravel()
+        if len(np.unique(whole_rows)) != arr.shape[0]:
             raise ValueError("rows must be pairwise distinct")
         self.rows = arr
         self.n = n
@@ -292,14 +293,27 @@ def sharpness_matches_distance(pa: PermArray, k: int) -> bool:
 # -- file format -------------------------------------------------------------
 
 
-def format_pa(pa: PermArray) -> str:
+_FORMAT_BLOCK_ROWS = 1 << 14
+
+
+def _text_pieces(pa: PermArray) -> Iterator[str]:
+    """The text format in pieces, one block of rows at a time."""
     inf = str(pa.n - 1) if pa.infinity else "none"
-    head = (
+    yield (
         f"PA n={pa.n} M={pa.M} d={pa.claimed_distance} "
-        f"inf={inf} provenance={pa.provenance}"
+        f"inf={inf} provenance={pa.provenance}\n"
     )
-    body = "\n".join(" ".join(str(int(x)) for x in row) for row in pa.rows)
-    return head + "\n" + body + "\n"
+    template = " ".join(["%d"] * pa.n)
+    for lo in range(0, pa.M, _FORMAT_BLOCK_ROWS):
+        block = pa.rows[lo : lo + _FORMAT_BLOCK_ROWS].tolist()
+        if lo:
+            yield "\n"
+        yield "\n".join([template % tuple(r) for r in block])
+    yield "\n"
+
+
+def format_pa(pa: PermArray) -> str:
+    return "".join(_text_pieces(pa))
 
 
 def pa_to_json(pa: PermArray) -> str:
@@ -320,7 +334,8 @@ def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
     if path.suffix == ".json":
         path.write_text(pa_to_json(pa), encoding="utf-8")
     else:
-        path.write_text(format_pa(pa), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(_text_pieces(pa))
 
 
 def _parse_header(line: str) -> dict[str, str]:

@@ -9,7 +9,6 @@ no root, and otherwise the smallest root is sent to the extra point.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .fracpoly import FracPoly
 from .pa import PermArray, Permutation, row_dtype
-from .sfp import SfpQuery, SfpResult, Variant, _eval_rows, enumerate_fast
+from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,18 @@ class PamAssignment:
             raise ValueError("forced and filled counts must cover the domain")
 
 
-def _value_row(phi: FracPoly) -> tuple[list[int], bool, Optional[int]]:
-    """Per-point values with q as the pole sentinel, plus pole bookkeeping."""
+def _value_row(phi: FracPoly) -> list[int]:
+    """Per-point values, with q as the pole sentinel."""
     F = phi.field
     q = F.q
     vals: list[int] = []
-    min_root: Optional[int] = None
     for alpha in range(q):
         gv = phi.den.eval(alpha)
         if gv == 0:
-            if min_root is None:
-                min_root = alpha
             vals.append(q)
         else:
             vals.append(F.mul(phi.num.eval(alpha), F.inv(gv)))
-    return vals, min_root is not None, min_root
+    return vals
 
 
 def _complete_q(q: int, vals: Sequence[int]) -> Permutation:
@@ -73,13 +69,11 @@ def _complete_q(q: int, vals: Sequence[int]) -> Permutation:
     return tuple(images)
 
 
-def _complete_q1(
-    q: int, vals: Sequence[int], has_pole: bool, min_root: Optional[int]
-) -> Permutation:
+def _complete_q1(q: int, vals: Sequence[int]) -> Permutation:
     inf = q
     images = [-1] * (q + 1)
-    if has_pole:
-        images[min_root] = inf
+    if q in vals:
+        images[vals.index(q)] = inf  # smallest root
     else:
         images[inf] = inf
     taken = [False] * q
@@ -100,7 +94,7 @@ def _complete_q1(
 def assign_q(phi: FracPoly) -> PamAssignment:
     """Complete a fraction to a permutation of GF(q), with bookkeeping."""
     q = phi.field.q
-    vals, _, _ = _value_row(phi)
+    vals = _value_row(phi)
     images = _complete_q(q, vals)
     forced = len({v for v in vals if v < q})
     return PamAssignment(phi, images, forced, q - forced)
@@ -109,8 +103,8 @@ def assign_q(phi: FracPoly) -> PamAssignment:
 def assign_q1(phi: FracPoly) -> PamAssignment:
     """Complete a fraction to a permutation of GF(q) plus an extra point."""
     q = phi.field.q
-    vals, has_pole, min_root = _value_row(phi)
-    images = _complete_q1(q, vals, has_pole, min_root)
+    vals = _value_row(phi)
+    images = _complete_q1(q, vals)
     forced = len({v for v in vals if v < q}) + 1  # extra-point rule
     return PamAssignment(phi, images, forced, q + 1 - forced)
 
@@ -125,33 +119,6 @@ def build_q1_pam(phi: FracPoly) -> Permutation:
     return assign_q1(phi).images
 
 
-def _batched_value_rows(
-    query: SfpQuery, members: Sequence[FracPoly]
-) -> np.ndarray:
-    """Value rows for every member (pole sentinel q), in member order."""
-    F = query.field
-    q = F.q
-    inv_tab = np.zeros(q, dtype=np.int16)
-    for a in range(1, q):
-        inv_tab[a] = F.inv(a)
-    out = np.empty((len(members), q), dtype=np.int16)
-    groups: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for idx, phi in enumerate(members):
-        groups[(int(phi.num.degree), int(phi.den.degree))].append(idx)
-    for (s2, t2), idxs in groups.items():
-        fc = np.array([members[i].num.coeffs for i in idxs], dtype=np.int16)
-        gc = np.array([members[i].den.coeffs for i in idxs], dtype=np.int16)
-        fvals = _eval_rows(F, fc)
-        gvals = _eval_rows(F, gc)
-        if F.k == 1:
-            ratio = ((fvals.astype(np.int32) * inv_tab[gvals]) % F.p).astype(np.int16)
-        else:
-            ratio = F.tables()["mul"][fvals, inv_tab[gvals]]
-        ratio[gvals == 0] = q
-        out[idxs] = ratio
-    return out
-
-
 def build_pa(
     query: SfpQuery,
     result: Optional[SfpResult] = None,
@@ -164,17 +131,8 @@ def build_pa(
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
-    q = query.q
-    value_rows = _batched_value_rows(query, result.members)
-    rows = []
-    if query.variant is Variant.Q:
-        for row in value_rows:
-            rows.append(_complete_q(q, row.tolist()))
-    else:
-        for row in value_rows:
-            vals = row.tolist()
-            roots = [beta for beta in range(q) if vals[beta] == q]
-            rows.append(_complete_q1(q, vals, bool(roots), roots[0] if roots else None))
+    complete = _complete_q if query.variant is Variant.Q else _complete_q1
+    rows = [complete(query.q, vals) for vals in result.values().tolist()]
     n = query.length()
     arr = np.array(rows, dtype=row_dtype(n)).reshape(len(rows), n)
     return PermArray(

@@ -10,7 +10,7 @@ and otherwise shifts the budgets to (s + a, t + b).
 Two enumerators are provided: a brute-force oracle over all coefficient
 tuples, and a fast scan that visits one normalized representative per
 scale-and-shift orbit and expands orbits by linear coefficient transforms.
-Both return identical, canonically sorted member sets.
+Both return the same canonically sorted coefficient rows (`SfpResult.rows`).
 """
 
 from __future__ import annotations
@@ -117,13 +117,38 @@ class SfpQuery:
 
 @dataclass(frozen=True)
 class SfpResult:
-    """Canonically sorted members of one cell plus its distance guarantee."""
+    """Canonically sorted members of one cell plus its distance guarantee.
+
+    Each row of `rows` is one member's coefficients, den then num, ascending
+    and padded with -1 to the query's den and num widths (`_row_widths`), so
+    lexicographic row order is `FracPoly.sort_key` order.
+    """
 
     query: SfpQuery
-    members: tuple[FracPoly, ...]
+    rows: np.ndarray
     count: int
     guaranteed_distance: int
     elapsed: float
+
+    @property
+    def members(self) -> tuple[FracPoly, ...]:
+        """The rows as `FracPoly` objects, built on each access."""
+        F = self.query.field
+        dw, _ = _row_widths(self.query)
+        out = []
+        for row in self.rows.tolist():
+            den = Poly(F, tuple(c for c in row[:dw] if c >= 0))
+            num = Poly(F, tuple(c for c in row[dw:] if c >= 0))
+            out.append(FracPoly(num, den))
+        return tuple(out)
+
+    def values(self) -> np.ndarray:
+        """Each member's value at every point of GF(q), q at the poles."""
+        F = self.query.field
+        dw, _ = _row_widths(self.query)
+        coeffs = np.maximum(self.rows, 0)  # padding evaluates as zero coefficients
+        num, den = coeffs[:, dw:], coeffs[:, :dw]
+        return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
     def manifest(self, tool_version: str = "") -> dict:
         qq = self.query
@@ -139,6 +164,23 @@ class SfpResult:
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
             "tool_version": tool_version,
         }
+
+
+def _row_widths(query: SfpQuery) -> tuple[int, int]:
+    """Den and num columns of a result row: one past each degree budget."""
+    return query.t + max(query.b, 0) + 1, query.s + max(query.a, 0) + 1
+
+
+def _pad_rows(query: SfpQuery, pieces: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """Stack (den degree, exact den||num rows) pieces into -1 padded rows."""
+    dw, nw = _row_widths(query)
+    rows = np.full((sum(len(r) for _, r in pieces), dw + nw), -1, np.int16)
+    at = 0
+    for dg, r in pieces:
+        rows[at : at + len(r), : dg + 1] = r[:, : dg + 1]
+        rows[at : at + len(r), dw : dw + r.shape[1] - dg - 1] = r[:, dg + 1 :]
+        at += len(r)
+    return rows
 
 
 # -- membership ---------------------------------------------------------------
@@ -262,9 +304,12 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
                 continue
             members.append(FracPoly(f, g))
     members.sort(key=FracPoly.sort_key)
+    rows = _pad_rows(
+        query,
+        [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
+    )
     return SfpResult(
-        query, tuple(members), len(members), query.distance(),
-        time.perf_counter() - started,
+        query, rows, len(rows), query.distance(), time.perf_counter() - started
     )
 
 
@@ -279,8 +324,7 @@ class _OrbitRecord:
     den_deg: int
     m: int  # q - v
     has_pole: bool
-    size: int
-    member_rows: Optional[np.ndarray]  # (size, den_deg+1 + num_deg+1), den first
+    member_rows: np.ndarray  # (orbit size, den_deg+1 + num_deg+1), den first
 
 
 def _accepts(rec: _OrbitRecord, query: SfpQuery) -> bool:
@@ -341,6 +385,26 @@ def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
     for i in range(coeffs.shape[1] - 1, -1, -1):
         vals = add[mul[vals, alphas[None, :]], coeffs[:, i : i + 1]]
     return vals
+
+
+@lru_cache(maxsize=None)
+def _inv_table(field: Field) -> np.ndarray:
+    """inv[a] = 1/a, with inv[0] = 0."""
+    inv = np.zeros(field.q, dtype=np.int16)
+    for a in range(1, field.q):
+        inv[a] = field.inv(a)
+    return inv
+
+
+def _ratio_rows(field: Field, fvals: np.ndarray, gvals: np.ndarray) -> np.ndarray:
+    """f/g at every point from broadcastable value rows, q at the poles."""
+    ginv = _inv_table(field)[gvals]
+    if field.k == 1:
+        ratio = ((fvals.astype(np.int32) * ginv) % field.p).astype(np.int16)
+    else:
+        ratio = field.tables()["mul"][fvals, ginv]
+    np.copyto(ratio, np.int16(field.q), where=gvals == 0)
+    return ratio
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +475,6 @@ def _scan_block(
     t2: int,
     thr_pole: int,
     thr_nopole: int,
-    keep_rows: bool,
     workers: int,
 ) -> list[_OrbitRecord]:
     """Scan one exact-degree block and return its qualifying orbits."""
@@ -421,43 +484,15 @@ def _scan_block(
     fvals = _eval_rows(field, fblock)
     gvals = _eval_rows(field, gblock)
     pole = (gvals == 0).any(axis=1)
-    inv_tab = np.zeros(q, dtype=np.int16)
-    for aelem in range(1, q):
-        inv_tab[aelem] = field.inv(aelem)
-    ginv = inv_tab[gvals]
 
     nf = len(fblock)
     chunk = max(1, _CHUNK_PAIR_BUDGET // max(nf, 1))
     bounds = [(lo, min(lo + chunk, len(gblock))) for lo in range(0, len(gblock), chunk)]
 
-    if field.k == 1:
-        p = field.p
-
-        def pair_m(lo: int, hi: int) -> np.ndarray:
-            ratio = (
-                fvals[:, None, :].astype(np.int32) * ginv[None, lo:hi, :]
-            ) % p
-            ratio = ratio.astype(np.int16)
-            np.copyto(
-                ratio,
-                np.int16(q),
-                where=np.broadcast_to((gvals[lo:hi] == 0)[None, :, :], ratio.shape),
-            )
-            v = _distinct_counts(ratio) - pole[None, lo:hi]
-            return (q - v).astype(np.int32)
-
-    else:
-        mul = field.tables()["mul"]
-
-        def pair_m(lo: int, hi: int) -> np.ndarray:
-            ratio = mul[fvals[:, None, :], ginv[None, lo:hi, :]]
-            np.copyto(
-                ratio,
-                np.int16(q),
-                where=np.broadcast_to((gvals[lo:hi] == 0)[None, :, :], ratio.shape),
-            )
-            v = _distinct_counts(ratio) - pole[None, lo:hi]
-            return (q - v).astype(np.int32)
+    def pair_m(lo: int, hi: int) -> np.ndarray:
+        ratio = _ratio_rows(field, fvals[:, None, :], gvals[None, lo:hi, :])
+        v = _distinct_counts(ratio) - pole[None, lo:hi]
+        return (q - v).astype(np.int32)
 
     def scan_range(bound: tuple[int, int]) -> list[tuple[int, int, int]]:
         lo, hi = bound
@@ -484,8 +519,7 @@ def _scan_block(
                 den_deg=t2,
                 m=int(m),
                 has_pole=bool(pole[gi]),
-                size=len(rows),
-                member_rows=rows if keep_rows else None,
+                member_rows=rows,
             )
     return [orbits[k] for k in sorted(orbits)]
 
@@ -493,7 +527,6 @@ def _scan_block(
 def _scan_orbits(
     field: Field,
     queries: Sequence[SfpQuery],
-    keep_rows: bool,
     workers: Optional[int] = None,
 ) -> list[_OrbitRecord]:
     """All orbits that any of the queries might count, by exact-degree block."""
@@ -507,33 +540,20 @@ def _scan_orbits(
             if thr_pole < 0 and thr_nopole < 0:
                 continue
             records.extend(
-                _scan_block(field, s2, t2, thr_pole, thr_nopole, keep_rows, nworkers)
+                _scan_block(field, s2, t2, thr_pole, thr_nopole, nworkers)
             )
     return records
 
 
-def _materialize(field: Field, rec: _OrbitRecord) -> list[FracPoly]:
-    dg = rec.den_deg
-    out = []
-    for row in rec.member_rows:
-        den = Poly(field, tuple(int(c) for c in row[: dg + 1]))
-        num = Poly(field, tuple(int(c) for c in row[dg + 1 :]))
-        out.append(FracPoly(num, den))
-    return out
-
-
 def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
-    """Same member set as the oracle, via normalized representatives."""
+    """Same member rows as the oracle, via normalized representatives."""
     started = time.perf_counter()
-    records = _scan_orbits(query.field, [query], keep_rows=True, workers=workers)
-    members: list[FracPoly] = []
-    for rec in records:
-        if _accepts(rec, query):
-            members.extend(_materialize(query.field, rec))
-    members.sort(key=FracPoly.sort_key)
+    records = _scan_orbits(query.field, [query], workers=workers)
+    accepted = [(r.den_deg, r.member_rows) for r in records if _accepts(r, query)]
+    rows = _pad_rows(query, accepted)
+    rows = rows[np.lexsort(rows.T[::-1])]
     return SfpResult(
-        query, tuple(members), len(members), query.distance(),
-        time.perf_counter() - started,
+        query, rows, len(rows), query.distance(), time.perf_counter() - started
     )
 
 
@@ -578,12 +598,9 @@ class BestCount:
 def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
     """All admissible cells with s + t = k (and the three offset choices)."""
     F = field_for_order(q)
-    if variant is Variant.Q:
-        if k > q - 2:
-            raise ValueError(f"k = {k} exceeds q-2 = {q - 2}")
-    else:
-        if k + 1 > q - 2:
-            raise ValueError(f"k+1 = {k + 1} exceeds q-2 = {q - 2}")
+    top = q - 2 if variant is Variant.Q else q - 3  # q+1 cells need k+1 <= q-2
+    if not 0 <= k <= top:
+        raise ValueError(f"k = {k} outside [0, {top}] for variant {variant.value}")
     out = []
     for s in range(0, k + 1):
         t = k - s
@@ -609,12 +626,12 @@ def best_count(
     started = time.perf_counter()
     queries = grid_queries(q, k, variant)
     field = queries[0].field
-    records = _scan_orbits(field, queries, keep_rows=False, workers=workers)
+    records = _scan_orbits(field, queries, workers=workers)
     counts: dict[SfpQuery, int] = {qq: 0 for qq in queries}
     for rec in records:
         for qq in queries:
             if _accepts(rec, qq):
-                counts[qq] += rec.size
+                counts[qq] += len(rec.member_rows)
     def rank(qq: SfpQuery) -> tuple[int, int, int]:
         return (-counts[qq], qq.s, OFFSET_CHOICES.index((qq.a, qq.b)))
     best = min(queries, key=rank)

@@ -1,6 +1,7 @@
 """Command-line behaviors: manifests, emission, verification exit codes,
 reproduction table, determinism across thread counts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,7 @@ def test_sfp_usage_errors():
     assert run_cli("sfp", "--q", "7", "--s", "1")[0] == 2
     assert run_cli("sfp", "--q", "12", "--k", "1")[0] == 2  # not a prime power
     assert run_cli("sfp", "--q", "7", "--k", "9")[0] == 2  # k too large
+    assert run_cli("sfp", "--q", "7", "--k", "-1")[0] == 2  # k negative
 
 
 def test_sfp_supported_field_orders():
@@ -117,6 +119,10 @@ def test_group_command(tmp_path):
 
     assert run_cli("group", "--name", "unknown")[0] == 2
     assert run_cli("group", "--name", "agl1")[0] == 2  # missing parameter
+    code, out, err = run_cli(
+        "group", "--name", "sym", "--m", "5", "--scan", "sampled", "--trials", "0"
+    )
+    assert code == 2 and out == "" and "trials" in err
 
 
 def test_group_mathieu22_facts():
@@ -158,6 +164,22 @@ def test_emitted_file_reparses_byte_exact(tmp_path):
     run_cli("sfp", "--q", "7", "--s", "1", "--t", "1", "--emit", str(path))
     text = path.read_text()
     assert format_pa(read_pa(path)) == text
+
+
+def test_published_rows_emit_pinned_bytes(tmp_path):
+    # Emitted arrays are byte-identical across releases; these digests are
+    # the ones perfbench/expected.json pins for the same rows.
+    for q, k, variant, digest in (
+        ("19", "3", "q", "155dc0b81654842c90482be42b79d7a092a74f2e1a6498acc745eddd6ae94667"),
+        ("17", "3", "q+1", "7d94af0272f769790c2ba3d538986ea22a101c96fb6e86564ceab650eb9b0856"),
+        ("25", "3", "q+1", "499c9cc31b672e75ee347993b4626c9d7f743cf6e8699992b821941f61b1dc31"),
+    ):
+        path = tmp_path / f"sfp-q{q}-k{k}-{variant}.txt"
+        code, _, _ = run_cli(
+            "sfp", "--q", q, "--k", k, "--variant", variant, "--emit", str(path)
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 
 def test_outputs_independent_of_threads(tmp_path):

@@ -161,6 +161,11 @@ def test_sampled_minimal_degree_is_upper_evidence():
     assert sampled.minimal_degree >= exact
 
 
+def test_sampled_scan_needs_a_trial():
+    with pytest.raises(ValueError):
+        minimal_degree(make_named("sym", m=5), "sampled", trials=0)
+
+
 def test_named_group_pa_parameters():
     expectations = [
         ("agl1", {"q": 5}, (5, 20, 4)),

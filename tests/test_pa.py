@@ -1,5 +1,6 @@
 """Permutation arrays: distance, verification modes, files, transitivity."""
 
+import itertools
 import json
 import random
 
@@ -98,6 +99,17 @@ def test_full_verification_affine_example():
 def test_duplicate_rows_rejected():
     with pytest.raises(ValueError):
         PermArray([(0, 1, 2), (0, 1, 2)], claimed_distance=1)
+    # n > 256 stores uint16 rows; rows that differ only past the first
+    # 256 points are distinct, repeated ones are not.
+    ident = list(range(300))
+    swapped = ident[:298] + [299, 298]
+    assert PermArray([ident, swapped], claimed_distance=2).rows.dtype == np.uint16
+    with pytest.raises(ValueError):
+        PermArray([ident, swapped, ident], claimed_distance=2)
+    # A column-major input is checked the same way.
+    cols = np.asfortranarray([(0, 1, 2), (1, 2, 0), (0, 1, 2)])
+    with pytest.raises(ValueError):
+        PermArray(cols, claimed_distance=1)
 
 
 def test_nonpermutation_rejected():
@@ -176,6 +188,19 @@ def test_file_round_trip_byte_exact(tmp_path):
     assert back.claimed_distance == pa.claimed_distance
     assert back.provenance == pa.provenance
     assert np.array_equal(back.rows, pa.rows)
+
+
+def test_text_format_across_row_blocks(tmp_path):
+    # 40320 rows span three formatting blocks; the text must equal the
+    # row-by-row rendering.
+    pa = PermArray(list(itertools.permutations(range(8))), claimed_distance=2)
+    expected = "PA n=8 M=40320 d=2 inf=none provenance=\n" + "\n".join(
+        " ".join(str(x) for x in row) for row in pa.rows.tolist()
+    ) + "\n"
+    assert format_pa(pa) == expected
+    path = tmp_path / "s8.txt"
+    write_pa(pa, path)
+    assert path.read_text() == expected
 
 
 def test_json_round_trip(tmp_path):

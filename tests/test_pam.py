@@ -96,6 +96,11 @@ def test_batched_build_matches_single_builders():
         SfpQuery(F7, Variant.Q, 1, 2),
         SfpQuery(F7, Variant.Q_PLUS_1, 1, 1, 0, 0),
         SfpQuery(F7, Variant.Q_PLUS_1, 2, 1, 1, -1),
+        # Extension fields take the table branch of the ratio kernel.
+        SfpQuery(field_for_order(9), Variant.Q, 1, 2),
+        SfpQuery(field_for_order(9), Variant.Q_PLUS_1, 2, 1, 1, -1),
+        SfpQuery(field_for_order(16), Variant.Q, 2, 1),
+        SfpQuery(field_for_order(16), Variant.Q_PLUS_1, 1, 1, 0, 0),
     ):
         result = enumerate_fast(query)
         pa = build_pa(query, result=result)
@@ -111,7 +116,7 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     # Row length q or q+1 crosses 256, where rows move from uint8 to uint16.
     query = SfpQuery(field_for_order(q), variant, 1, 0)
     result = enumerate_fast(query)
-    sample = dataclasses.replace(result, members=result.members[::4099])
+    sample = dataclasses.replace(result, rows=result.rows[::4099])
     pa = build_pa(query, result=sample)
     assert pa.rows.dtype == row_dtype(query.length())
     build = build_q_pam if variant is Variant.Q else build_q1_pam

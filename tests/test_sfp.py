@@ -303,6 +303,9 @@ def test_grid_queries_and_tie_break():
         best_count(7, 6, Variant.Q)
     with pytest.raises(ValueError):
         best_count(7, 5, Variant.Q_PLUS_1)
+    for variant in Variant:
+        with pytest.raises(ValueError):
+            grid_queries(7, -1, variant)
 
 
 def test_manifest_fields():
