@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnd = sub.add_parser("bounds", help="reproduce the published lower bounds")
     p_bnd.add_argument("--reproduce", action="store_true", help="run everything")
     p_bnd.add_argument("--out", type=str, help="write CSV here instead of stdout")
-    p_bnd.add_argument("--skip-slow", action="store_true")
     p_bnd.add_argument("--threads", type=int, default=None)
     p_bnd.set_defaults(func=cmd_bounds)
 
@@ -232,22 +231,13 @@ PUBLISHED_GROUP_BOUNDS = (
     ("mathieu22", 22, 16, 443520),
 )
 
-# Full pairwise verification beyond this row count is the slow tier; with
-# --skip-slow those fraction rows downgrade to seeded sampling.  Group rows
-# are always exact.
-_SLOW_VERIFY_ROWS = 30000
-
-
 def _sfp_bound_record(
-    q: int, k: int, variant: Variant, published: int, skip_slow: bool, workers
+    q: int, k: int, variant: Variant, published: int, workers
 ) -> tuple[BoundRecord, bool]:
     bc = best_count(q, k, variant, workers=workers)
     query = bc.query()
     pa = build_pa(query, workers=workers)
-    if skip_slow and pa.M > _SLOW_VERIFY_ROWS:
-        report = min_distance(pa, "sampled", sample_pairs=10**6, seed=1, workers=workers)
-    else:
-        report = min_distance(pa, "full", workers=workers)
+    report = min_distance(pa, "full", workers=workers)
     record = BoundRecord(
         n=query.length(),
         d=query.distance(),
@@ -274,13 +264,11 @@ def _group_bound_record(
     return record, facts.minimal_degree == published_d
 
 
-def reproduce_bounds(
-    skip_slow: bool = False, workers: Optional[int] = None
-) -> tuple[list[BoundRecord], bool]:
+def reproduce_bounds(workers: Optional[int] = None) -> tuple[list[BoundRecord], bool]:
     records: list[BoundRecord] = []
     all_ok = True
     for q, k, variant, published in PUBLISHED_SFP_BOUNDS:
-        record, ok = _sfp_bound_record(q, k, variant, published, skip_slow, workers)
+        record, ok = _sfp_bound_record(q, k, variant, published, workers)
         records.append(record)
         all_ok = all_ok and ok and record.match
     for name, degree, published_d, published_size in PUBLISHED_GROUP_BOUNDS:
@@ -302,7 +290,7 @@ def bounds_csv(records: Sequence[BoundRecord]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    records, ok = reproduce_bounds(skip_slow=args.skip_slow, workers=args.threads)
+    records, ok = reproduce_bounds(workers=args.threads)
     text = bounds_csv(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

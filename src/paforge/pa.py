@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .parallel import chunk_ranges, map_blocks, resolve_workers
+from .parallel import map_blocks, resolve_workers
 
 Permutation = tuple[int, ...]
 
@@ -138,41 +138,72 @@ class VerifyReport:
         return json.dumps(payload)
 
 
-def _block_min(rows: np.ndarray, start: int, stop: int, cancel: threading.Event,
-               bail_below: Optional[int]) -> tuple[int, tuple[int, int]]:
-    """Exact min distance over pairs (i, j), start <= i < stop <= j."""
-    best = rows.shape[1] + 1
-    pair = (-1, -1)
-    for i in range(start, stop):
-        if cancel.is_set():
-            break
-        block = rows[i + 1:]
-        if not len(block):
-            continue
-        d = (block != rows[i]).sum(axis=1)
-        j = int(d.argmin())
-        if d[j] < best:
-            best = int(d[j])
-            pair = (i, i + 1 + j)
-            if bail_below is not None and best < bail_below:
-                cancel.set()
-                break
-    return best, pair
+# The FULL scan cuts the pairs i < j into tiles: a band of _TILE_ROWS rows
+# i against a block of _TILE_COLS rows j, the first block starting at j = i0 + 1.
+# _TILE_ROWS <= _TILE_COLS, so only a band's first block holds pairs j <= i.
+_TILE_ROWS = 64
+_TILE_COLS = 8192
 
 
-def _first_violation(rows: np.ndarray, claimed: int) -> tuple[int, int, tuple[int, int]]:
-    """First pair (lex order) with distance < claimed; returns pairs scanned."""
-    checked = 0
-    for i in range(rows.shape[0] - 1):
-        block = rows[i + 1:]
-        d = (block != rows[i]).sum(axis=1)
-        bad = np.nonzero(d < claimed)[0]
-        if len(bad):
-            j = int(bad[0])
-            checked += j + 1
-            return int(d[j]), checked, (i, i + 1 + j)
-        checked += len(block)
-    raise AssertionError("no violation found on replay")
+def _scan_pairs(
+    pa: PermArray, claimed: int, workers: Optional[int]
+) -> tuple[int, tuple[int, int], bool]:
+    """Exact tiled scan of all pairs: (distance, witness, violated).
+
+    With no pair closer than `claimed` (always so for 0) this is the
+    minimum distance and the lex-first pair reaching it; otherwise the
+    lex-first pair closer than `claimed` and its distance.  A tile holds
+    agreement + 1 per pair, summed column by column over the column-major
+    rows, so masked pairs (j <= i) hold 0 and never tie a real pair.
+    Distinct rows agree in at most n - 2 points, so row_dtype(n) holds it
+    (a masked self pair may wrap before the mask zeroes it).
+    """
+    n, M = pa.n, pa.M
+    cols = np.ascontiguousarray(pa.rows.T)
+    dtype = row_dtype(n)
+    limit = n + 1 - claimed
+    tiles = [
+        (band, i0, j0)
+        for band, i0 in enumerate(range(0, M - 1, _TILE_ROWS))
+        for j0 in range(i0 + 1, M, _TILE_COLS)
+    ]
+    # A violation skips only later bands: a later block of the same band may
+    # hold a lex-smaller one.  An unlocked min() can only lose a smaller band,
+    # which skips fewer tiles, never the band of the first violation.
+    first_bad = [M]
+    buffers = threading.local()
+
+    def scan(tile: tuple[int, int, int]) -> Optional[tuple[bool, int, int, int]]:
+        band, i0, j0 = tile
+        if band > first_bad[0]:
+            return None
+        if not hasattr(buffers, "agree"):
+            buffers.agree = np.empty(_TILE_ROWS * _TILE_COLS, dtype)
+            buffers.eq = np.empty(_TILE_ROWS * _TILE_COLS, np.bool_)
+        h, w = min(_TILE_ROWS, M - 1 - i0), min(_TILE_COLS, M - j0)
+        agree = buffers.agree[: h * w].reshape(h, w)
+        eq = buffers.eq[: h * w].reshape(h, w)
+        agree.fill(1)
+        for col in cols:
+            np.equal(col[i0 : i0 + h, None], col[None, j0 : j0 + w], out=eq)
+            agree += eq.view(np.uint8)
+        if j0 == i0 + 1:
+            agree *= np.arange(w)[None, :] >= np.arange(h)[:, None]
+        flat = int(agree.argmax())
+        violated = bool(agree.flat[flat] > limit)
+        if violated:
+            flat = int((agree > limit).argmax())
+            first_bad[0] = min(first_bad[0], band)
+        r, c = divmod(flat, w)
+        return violated, int(agree[r, c]), i0 + r, j0 + c
+
+    found = [t for t in map_blocks(scan, tiles, resolve_workers(workers)) if t]
+    bad = [t for t in found if t[0]]
+    if bad:
+        _, top, i, j = min(bad, key=lambda t: (t[2], t[3]))
+    else:
+        _, top, i, j = min(found, key=lambda t: (-t[1], t[2], t[3]))
+    return n + 1 - top, (i, j), bool(bad)
 
 
 def min_distance(
@@ -194,27 +225,16 @@ def min_distance(
             raise ValueError(
                 f"{total_pairs} pairs exceed the full-verification cap {pair_cap}"
             )
-        nworkers = resolve_workers(workers)
-        cancel = threading.Event()
-        blocks = chunk_ranges(M - 1, nworkers * 4)
-        results = map_blocks(
-            lambda b: _block_min(pa.rows, b[0], b[1], cancel, claimed),
-            blocks,
-            nworkers,
-        )
-        if cancel.is_set():
-            # Deterministic witness: replay sequentially to the first violation.
-            observed, checked, witness = _first_violation(pa.rows, claimed)
+        observed, witness, violated = _scan_pairs(pa, claimed, workers)
+        if violated:
+            i, j = witness
+            checked = i * (M - 1) - i * (i - 1) // 2 + (j - i)
             return VerifyReport("FULL", checked, observed, witness, False, claimed)
-        best, witness = pa.n + 1, (-1, -1)
-        for b, w in results:
-            if b < best:
-                best, witness = b, w
-        if best == 1:
+        if observed == 1:
             raise AssertionError(
                 "observed distance 1: two permutations cannot differ in one point"
             )
-        return VerifyReport("FULL", total_pairs, best, witness, best >= claimed, claimed)
+        return VerifyReport("FULL", total_pairs, observed, witness, True, claimed)
     if mode == "sampled":
         if sample_pairs < 1:
             raise ValueError("sample_pairs must be >= 1")
@@ -243,13 +263,7 @@ def exact_min_distance(pa: PermArray, workers: Optional[int] = None) -> int:
     """True minimum distance (no early exit); convenience over min_distance."""
     if pa.M < 2:
         raise ValueError("need at least two rows to measure a distance")
-    nworkers = resolve_workers(workers)
-    cancel = threading.Event()
-    blocks = chunk_ranges(pa.M - 1, nworkers * 4)
-    results = map_blocks(
-        lambda b: _block_min(pa.rows, b[0], b[1], cancel, None), blocks, nworkers
-    )
-    return min(b for b, _ in results)
+    return _scan_pairs(pa, 0, workers)[0]
 
 
 def _closure_spot_check(pa: PermArray) -> None:

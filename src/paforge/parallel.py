@@ -33,19 +33,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most `parts` contiguous, nonempty ranges."""
-    parts = max(1, min(parts, total)) if total else 0
-    out = []
-    base, extra = divmod(total, parts) if parts else (0, 0)
-    start = 0
-    for i in range(parts):
-        stop = start + base + (1 if i < extra else 0)
-        out.append((start, stop))
-        start = stop
-    return out
-
-
 def map_blocks(fn: Callable[[T], R], blocks: Sequence[T], workers: int) -> list[R]:
     """Apply fn to each block; results returned in block order."""
     if workers <= 1 or len(blocks) <= 1:

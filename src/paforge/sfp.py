@@ -34,6 +34,8 @@ ORACLE_PAIR_CAP = 10**9
 #: Largest field order the int16 kernels hold, pole sentinel q included.
 MAX_Q = int(np.iinfo(np.int16).max)
 _CHUNK_PAIR_BUDGET = 1 << 19
+#: Rows per int64 product in `_eval_rows` on prime fields (10 MB at q = 19).
+_EVAL_CHUNK_ROWS = 1 << 16
 
 #: Offset pairs admitted by the length-(q+1) maximization, in tie-break order.
 OFFSET_CHOICES = ((0, 0), (1, -1), (-1, 1))
@@ -377,7 +379,11 @@ def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
         vand = np.empty((d, q), dtype=np.int64)
         for i in range(d):
             vand[i] = [pow(alpha, i, p) for alpha in range(q)]
-        return ((coeffs.astype(np.int64) @ vand) % p).astype(np.int16)
+        vals = np.empty((coeffs.shape[0], q), dtype=np.int16)
+        for lo in range(0, len(coeffs), _EVAL_CHUNK_ROWS):
+            prod = coeffs[lo : lo + _EVAL_CHUNK_ROWS].astype(np.int64) @ vand
+            vals[lo : lo + len(prod)] = np.remainder(prod, p, out=prod)
+        return vals
     tabs = field.tables()
     mul, add = tabs["mul"], tabs["add"]
     vals = np.zeros((coeffs.shape[0], q), dtype=np.int16)

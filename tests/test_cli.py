@@ -1,6 +1,7 @@
 """Command-line behaviors: manifests, emission, verification exit codes,
 reproduction table, determinism across thread counts."""
 
+import csv
 import hashlib
 import json
 import os
@@ -207,18 +208,19 @@ def test_env_thread_fallback(tmp_path, monkeypatch):
 
 def test_bounds_skip_slow(tmp_path):
     out_path = tmp_path / "bounds.csv"
-    code, _, _ = run_cli("bounds", "--reproduce", "--skip-slow", "--out", str(out_path))
+    code, _, _ = run_cli("bounds", "--reproduce", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "n,d,size,construction,verification,paper_value,match"
     assert len(lines) == 10  # header + nine reproductions
     for line in lines[1:]:
         assert line.endswith(",yes")
-    # Slow fraction rows are downgraded to sampling; group rows stay exact.
-    assert any("SAMPLED" in line for line in lines[1:7])
+    # Every row is proven: fraction rows by FULL pairwise verification,
+    # group rows by the exact minimal degree.
+    for row in csv.reader(lines[1:]):
+        assert row[4] == "FULL"
     for line in lines[7:]:
         assert line.split(",")[3].startswith("group:")
-        assert line.split(",")[4] == "FULL"
     sizes = {}
     for line in lines[1:]:
         n, d, size = line.split(",")[:3]

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from paforge import pa as pa_module
 from paforge.pa import (
     PermArray,
     compose,
@@ -73,7 +74,42 @@ def _random_rows(m, n, seed):
     return sorted(seen)
 
 
-def test_full_matches_bruteforce_reference():
+def _oracle(rows, claimed):
+    """Brute-force FULL report (min_observed, witness, pairs_checked, pass):
+    the lex-first pair closer than `claimed` and the pairs up to it, else
+    the minimum and the lex-first pair reaching it."""
+    rows = np.asarray(rows)
+    best, witness, checked = rows.shape[1] + 1, None, 0
+    for i in range(len(rows) - 1):
+        d = (rows[i + 1:] != rows[i]).sum(axis=1)
+        bad = np.flatnonzero(d < claimed)
+        if len(bad):
+            j = int(bad[0])
+            return int(d[j]), (i, i + 1 + j), checked + j + 1, False
+        checked += len(d)
+        j = int(d.argmin())
+        if d[j] < best:
+            best, witness = int(d[j]), (i, i + 1 + j)
+    return best, witness, checked, True
+
+
+def _report(pa, workers=None):
+    r = min_distance(pa, "full", workers=workers)
+    return r.min_observed, r.witness, r.pairs_checked, r.passed
+
+
+def _shifts(n):
+    """All cyclic shifts of range(n): every pair is at distance n."""
+    return [[(x + s) % n for x in range(n)] for s in range(n)]
+
+
+def _swap(row, a, b):
+    row = list(row)
+    row[a], row[b] = row[b], row[a]
+    return row
+
+
+def test_full_matches_bruteforce_reference(monkeypatch):
     rows = _random_rows(120, 9, seed=2)
     pa = PermArray(rows, claimed_distance=1, provenance="random")
     brute = min(
@@ -87,6 +123,22 @@ def test_full_matches_bruteforce_reference():
     assert report.pairs_checked == 120 * 119 // 2
     i, j = report.witness
     assert hamming_distance(pa.row(i), pa.row(j)) == brute
+    # Cyclic shifts: every distance is n, and no masked pair (j <= i) may
+    # become the witness.  n = 256 is the top of the uint8 accumulator (a
+    # distance-2 pair agrees in 254 points); n = 300 needs uint16.  The
+    # small tiles put many diagonal and partial tiles on the same arrays.
+    for tiles in ((pa_module._TILE_ROWS, pa_module._TILE_COLS), (16, 40)):
+        monkeypatch.setattr(pa_module, "_TILE_ROWS", tiles[0])
+        monkeypatch.setattr(pa_module, "_TILE_COLS", tiles[1])
+        for n in (5, 256, 300):
+            shifts = PermArray(_shifts(n), claimed_distance=n)
+            assert _report(shifts) == (n, (0, 1), n * (n - 1) // 2, True)
+            assert exact_min_distance(shifts) == n
+            near = _shifts(n) + [_swap(range(n), 1, n - 1)]
+            for claimed in (2, 3):
+                pa = PermArray(near, claimed_distance=claimed)
+                assert _report(pa, workers=2) == _oracle(near, claimed)
+            assert _oracle(near, 3)[:2] == (2, (0, n))
 
 
 def test_full_verification_affine_example():
@@ -128,6 +180,14 @@ def test_full_failure_reports_first_witness():
     assert not report.passed
     assert report.witness == (0, 1)
     assert report.min_observed == 2
+    # Band 0 holds a violation in its first column block at i = B - 10 and
+    # the lex-first one in its second block at i = 5; a later band holds
+    # another.  Only bands after the first violating band may be skipped.
+    rows, planted = _tiled_rows(seed=6)
+    for workers in (1, 2, 5):
+        pa = PermArray(rows, claimed_distance=3)
+        assert _report(pa, workers) == _oracle(rows, 3)
+    assert _oracle(rows, 3)[1] == planted[0]
 
 
 def test_sampled_mode_seeded():
@@ -148,11 +208,38 @@ def test_full_pair_cap():
         min_distance(pa, "full", pair_cap=10)
 
 
+def _tiled_rows(seed):
+    """Shuffled random rows of 16 points over three row bands and two column
+    blocks of the FULL scan, with rows j made from rows i by one swap (a
+    distance-2 pair) at the planted (i, j), lex-first first."""
+    B, C = pa_module._TILE_ROWS, pa_module._TILE_COLS
+    rows = _random_rows(C + 3 * B, 16, seed=seed)
+    random.Random(seed).shuffle(rows)
+    planted = [(5, C + 100), (B - 10, B + 10), (2 * B + 3, 2 * B + 10)]
+    for i, j in planted:
+        rows[j] = tuple(_swap(rows[i], 0, 1))
+    return rows, planted
+
+
 def test_workers_do_not_change_result():
     rows = _random_rows(150, 10, seed=5)
     pa = PermArray(rows, claimed_distance=1)
     reports = [min_distance(pa, "full", workers=w) for w in (1, 2, 5)]
     assert len({(r.min_observed, r.witness, r.pairs_checked) for r in reports}) == 1
+    # Random rows over several tiles: the exact minimum and its lex-first
+    # pair, which can sit in a later column block than a pair at larger i.
+    rows, planted = _tiled_rows(seed=7)
+    pa = PermArray(rows, claimed_distance=2)
+    expected = _oracle(rows, 2)
+    assert expected == (2, planted[0], len(rows) * (len(rows) - 1) // 2, True)
+    for workers in (1, 2, 5):
+        assert _report(pa, workers) == expected
+        assert exact_min_distance(pa, workers) == 2
+    shuffled = _random_rows(pa_module._TILE_COLS + 3 * pa_module._TILE_ROWS, 10, seed=8)
+    random.Random(8).shuffle(shuffled)
+    pa = PermArray(shuffled, claimed_distance=1)
+    expected = _oracle(shuffled, 1)
+    assert {_report(pa, workers) for workers in (1, 2, 5)} == {expected}
 
 
 def test_sharply_transitive_examples():

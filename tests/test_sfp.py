@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from paforge import sfp
 from paforge.field import Field
 from paforge.fracpoly import make, value_count
 from paforge.poly import Poly
@@ -112,7 +113,10 @@ def test_fast_members_are_members_and_sorted():
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
-def test_oracle_fast_equivalence_length_q(q):
+def test_oracle_fast_equivalence_length_q(q, monkeypatch):
+    # Prime-field evaluation in chunks of 7 rows: every block larger than
+    # that crosses chunk boundaries.
+    monkeypatch.setattr(sfp, "_EVAL_CHUNK_ROWS", 7)
     F = field_for_order(q)
     for k in range(0, 4):
         for s in range(0, k + 1):
