@@ -252,7 +252,7 @@ class Field:
     # -- dense numpy tables (vector kernels) ------------------------------
 
     def tables(self) -> dict[str, np.ndarray]:
-        """Dense add/mul/inv/neg tables for vectorized evaluation (small q)."""
+        """Dense add/mul tables for vectorized evaluation (small q)."""
         if self.q > DENSE_TABLE_CAP:
             raise ValueError(f"dense tables limited to q <= {DENSE_TABLE_CAP}")
         if self._dense is None:
@@ -263,11 +263,7 @@ class Field:
                 for b in range(q):
                     add[a, b] = self.add(a, b)
                     mul[a, b] = self.mul(a, b)
-            inv = np.zeros(q, dtype=np.int16)
-            for a in range(1, q):
-                inv[a] = self.inv(a)
-            neg = np.array([self.neg(a) for a in range(q)], dtype=np.int16)
-            self._dense = {"add": add, "mul": mul, "inv": inv, "neg": neg}
+            self._dense = {"add": add, "mul": mul}
         return self._dense
 
     # -- identity ----------------------------------------------------------

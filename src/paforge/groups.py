@@ -190,12 +190,6 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         return moved_points(self.sift(tuple(p))) == 0
 
-    def stabilizer_generators(self, depth: int) -> list[Permutation]:
-        """Strong generators of the pointwise stabilizer of base[:depth]."""
-        if depth > len(self.base):
-            return []
-        return self._level_gens(depth)
-
     def element_chunks(
         self, max_chunk: int = 1 << 20, depth: int = 0
     ) -> Iterator[np.ndarray]:

@@ -46,10 +46,6 @@ def row_dtype(n: int) -> type:
     return np.uint8 if n <= 256 else np.uint16
 
 
-def is_permutation(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(len(p)))
-
-
 def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
     """Number of points where two equal-length permutations disagree."""
     if len(p) != len(r):
@@ -387,14 +383,12 @@ def read_pa(path: Union[str, Path]) -> PermArray:
     infinity = head["inf"] != "none"
     if infinity and head["inf"] != str(n - 1):
         raise ValueError(f"unsupported infinity point {head['inf']}")
-    rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        row = [int(tok) for tok in line.split()]
-        if len(row) != n:
-            raise ValueError(f"row of length {len(row)}, expected {n}")
-        rows.append(row)
+    body = lines[1:]
+    if not any(map(str.strip, body)):
+        raise ValueError(f"no rows, header says {m}")
+    rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+    if rows.shape[1] != n:
+        raise ValueError(f"row of length {rows.shape[1]}, expected {n}")
     if len(rows) != m:
         raise ValueError(f"{len(rows)} rows, header says {m}")
     return PermArray(rows, d, provenance=head["provenance"], infinity=infinity)

@@ -54,59 +54,39 @@ def _value_row(phi: FracPoly) -> list[int]:
     return vals
 
 
-def _complete_q(q: int, vals: Sequence[int]) -> Permutation:
-    images = [-1] * q
+def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
+    """Completion of one value row to a permutation of n = q or q + 1 points."""
+    images = [-1] * n
+    if n > q:  # extra point: the smallest root goes to it, else it is fixed
+        images[vals.index(q) if q in vals else q] = q
     taken = [False] * q
     for beta in range(q):
-        v = vals[beta]
+        v = vals[beta]  # a root has v = q, so it is skipped here
         if v < q and not taken[v]:
             images[beta] = v
             taken[v] = True
     spare = iter(v for v in range(q) if not taken[v])
-    for beta in range(q):
+    for beta in range(n):
         if images[beta] < 0:
             images[beta] = next(spare)
     return tuple(images)
 
 
-def _complete_q1(q: int, vals: Sequence[int]) -> Permutation:
-    inf = q
-    images = [-1] * (q + 1)
-    if q in vals:
-        images[vals.index(q)] = inf  # smallest root
-    else:
-        images[inf] = inf
-    taken = [False] * q
-    for beta in range(q):
-        if images[beta] >= 0:
-            continue
-        v = vals[beta]
-        if v < q and not taken[v]:
-            images[beta] = v
-            taken[v] = True
-    spare = iter(v for v in range(q) if not taken[v])
-    for beta in range(q + 1):
-        if images[beta] < 0:
-            images[beta] = next(spare)
-    return tuple(images)
+def _assign(phi: FracPoly, n: int) -> PamAssignment:
+    q = phi.field.q
+    vals = _value_row(phi)
+    forced = len({v for v in vals if v < q}) + n - q  # plus the extra-point rule
+    return PamAssignment(phi, _complete(q, n, vals), forced, n - forced)
 
 
 def assign_q(phi: FracPoly) -> PamAssignment:
     """Complete a fraction to a permutation of GF(q), with bookkeeping."""
-    q = phi.field.q
-    vals = _value_row(phi)
-    images = _complete_q(q, vals)
-    forced = len({v for v in vals if v < q})
-    return PamAssignment(phi, images, forced, q - forced)
+    return _assign(phi, phi.field.q)
 
 
 def assign_q1(phi: FracPoly) -> PamAssignment:
     """Complete a fraction to a permutation of GF(q) plus an extra point."""
-    q = phi.field.q
-    vals = _value_row(phi)
-    images = _complete_q1(q, vals)
-    forced = len({v for v in vals if v < q}) + 1  # extra-point rule
-    return PamAssignment(phi, images, forced, q + 1 - forced)
+    return _assign(phi, phi.field.q + 1)
 
 
 def build_q_pam(phi: FracPoly) -> Permutation:
@@ -131,9 +111,8 @@ def build_pa(
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
-    complete = _complete_q if query.variant is Variant.Q else _complete_q1
-    rows = [complete(query.q, vals) for vals in result.values().tolist()]
     n = query.length()
+    rows = [_complete(query.q, n, vals) for vals in result.values().tolist()]
     arr = np.array(rows, dtype=row_dtype(n)).reshape(len(rows), n)
     return PermArray(
         arr,

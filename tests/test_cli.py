@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from paforge.cli import main
 from paforge.pa import read_pa
 
@@ -91,6 +93,42 @@ def test_verify_pass_and_fail(tmp_path):
     malformed.write_text("PA n=3 M=1 d=1 inf=none provenance=x\n0 1\n")
     assert run_cli("verify", "--in", str(malformed))[0] == 2
     assert run_cli("verify", "--in", str(tmp_path / "missing.txt"))[0] == 2
+
+
+HEAD3 = "PA n=3 M={m} d=2 inf=none provenance=x\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEAD3.format(m=2) + "0 1 2\n",  # fewer rows than the header's M
+        HEAD3.format(m=1) + "0 1 2\n1 2 0\n",  # more rows than M
+        HEAD3.format(m=2) + "0 1 2 3\n1 2 0 3\n",  # every row longer than n
+        HEAD3.format(m=2) + "0 1 2\n1 2\n",  # ragged rows
+        HEAD3.format(m=2) + "0 1 2\n1 x 0\n",  # non-integer token
+        HEAD3.format(m=2) + "0 1 2\n1 2.0 0\n",
+        HEAD3.format(m=1) + "0 1 99999999999999999999\n",  # past int64
+        HEAD3.format(m=0),  # no rows at all
+        HEAD3.format(m=2) + "\n   \n",  # blank lines only
+        "PA n=3 M=1 d=2 inf=none\n0 1 2\n",  # header without provenance
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_verify_rejects_malformed_text(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("malformed input:")
+
+
+def test_verify_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text(HEAD3.format(m=3) + "\n0 1 2\n  \n1 2 0\n\n2 0 1\n\n")
+    code, out, _ = run_cli("verify", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["min_observed"] == 3
+    assert read_pa(path).rows.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 def test_verify_sampled_mode(tmp_path):

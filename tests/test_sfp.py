@@ -2,12 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from paforge import sfp
 from paforge.field import Field
-from paforge.fracpoly import make, value_count
-from paforge.poly import Poly
+from paforge.fracpoly import make, orbit, value_count
+from paforge.poly import Poly, gcd
 from paforge.sfp import (
     OFFSET_CHOICES,
     SfpQuery,
@@ -161,6 +162,39 @@ def test_normalized_blocks_match_predicate():
                 if is_normalized(FracPoly(f, one)):
                     expected.add(f.coeffs)
             assert block == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 256, 257, 1024, 32749])
+def test_ratio_rows_match_field_division(q):
+    F = field_for_order(q)
+    if q <= 27:  # every pair
+        f, g = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    else:  # sampled pairs, with zero numerators and zero denominators among them
+        rng = np.random.default_rng(q)
+        f, g = rng.integers(0, q, size=(2, 4000))
+        f[:50], g[50:100] = 0, 0
+    got = sfp._ratio_rows(F, f.astype(np.int16), g.astype(np.int16))
+    pairs = zip(f.ravel().tolist(), g.ravel().tolist())
+    want = [F.div(a, b) if b else q for a, b in pairs]
+    assert got.dtype == np.int16
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("q, df, dg", [(4, 3, 2), (8, 4, 3), (9, 4, 3), (27, 3, 4)])
+def test_expand_orbit_rows_match_orbit(q, df, dg):
+    # Degrees >= p make binomials C(m+i, i) vanish mod p in the shift.
+    F = field_for_order(q)
+    rng = np.random.default_rng(q)
+    checked = 0
+    while checked < 3:
+        f = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=df)) + (1,))
+        g = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=dg)) + (1,))
+        if gcd(f, g).degree != 0:
+            continue
+        rows = sfp._expand_orbit_rows(F, np.array(f.coeffs), np.array(g.coeffs))
+        want = [m.den.coeffs + m.num.coeffs for m in orbit(make(f, g))]
+        assert [tuple(r) for r in rows.tolist()] == want
+        checked += 1
 
 
 @pytest.mark.parametrize("q", [4, 9])
