@@ -146,7 +146,9 @@ def cmd_sfp(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         pa = read_pa(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+        if pa.M < 2:
+            raise ValueError(f"{pa.M} rows, a distance needs at least two")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     mode = "sampled" if args.mode == "sample" else "full"

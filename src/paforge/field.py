@@ -10,13 +10,13 @@ low-degree-first, so every encoding is reproducible run to run.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 FieldElem = int
 
-ORDER_CAP = 1 << 20
+#: Largest supported order: every field has exp/log tables.
 LOG_TABLE_CAP = 1 << 16
 DENSE_TABLE_CAP = 1 << 10
 
@@ -95,6 +95,16 @@ def _least_irreducible(p: int, k: int) -> Tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 
+def _power(a: int, e: int, mul: Callable[[int, int], int]) -> int:
+    """a^e for e >= 0, by square-and-multiply with the given product."""
+    out = 1
+    for bit in bin(e)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
+    return out
+
+
 class Field:
     """The finite field GF(p^k) with integer-encoded elements.
 
@@ -108,8 +118,8 @@ class Field:
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
         q = p**k
-        if q > ORDER_CAP:
-            raise ValueError(f"field order {q} exceeds cap {ORDER_CAP}")
+        if q > LOG_TABLE_CAP:
+            raise ValueError(f"field order {q} exceeds cap {LOG_TABLE_CAP}")
         self.p = p
         self.k = k
         self.q = q
@@ -117,11 +127,7 @@ class Field:
             _least_irreducible(p, k) if k > 1 else None
         )
         self._pw = [p**i for i in range(k)]
-        self._exp: Optional[list[int]] = None
-        self._log: Optional[list[int]] = None
-        self.primitive: Optional[int] = None
-        if q <= LOG_TABLE_CAP:
-            self._build_log_tables()
+        self._build_log_tables()
         self._dense: Optional[dict[str, np.ndarray]] = None
 
     # -- encoding ---------------------------------------------------------
@@ -171,18 +177,14 @@ class Field:
             return 0
         if self.k == 1:
             return (a * b) % self.p
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -190,13 +192,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return _power(a, e, self.mul)
 
     def scalar_int(self, n: int) -> int:
         """The field element n * 1 (image of an integer under the prime map)."""
@@ -209,45 +205,22 @@ class Field:
         return self.coeffs_to_elem(red)
 
     def _build_log_tables(self) -> None:
-        # Primitive element: least encoding whose order is q-1.
+        # Primitive element: the least encoding g with g^(n/r) != 1 for every
+        # prime r dividing n = q - 1 (1 for q = 2); its powers are the exp table.
         n = self.q - 1
-        factors = set()
-        m, f = n, 2
-        while f * f <= m:
-            while m % f == 0:
-                factors.add(f)
-                m //= f
-            f += 1
-        if m > 1:
-            factors.add(m)
-        raw_pow = self.pow if self.k == 1 else self._pow_raw
-        g = None
-        for cand in range(2, self.q):
-            if all(raw_pow(cand, n // r) != 1 for r in factors):
-                g = cand
+        step = self._mul_raw if self.k > 1 else (lambda a, b: a * b % self.p)
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        self.primitive = 1
+        for g in range(2, self.q):
+            if all(_power(g, n // r, step) != 1 for r in primes):
+                self.primitive = g
                 break
-        if g is None:  # q = 2: unit group is trivial
-            g = 1
-        self.primitive = g
-        exp = [1] * (2 * n if n else 1)
-        log = [0] * self.q
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = (v * g) % self.p if self.k == 1 else self._mul_raw(v, g)
-        for i in range(n, len(exp)):
-            exp[i] = exp[i - n]
-        self._exp, self._log = exp, log
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(step(powers[-1], self.primitive))
+        self._exp, self._log = powers * 2, [0] * self.q
+        for i, v in enumerate(powers):
+            self._log[v] = i
 
     # -- dense numpy tables (vector kernels) ------------------------------
 

@@ -72,6 +72,8 @@ class PermArray:
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
         n = arr.shape[1]
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n):
+            raise ValueError(f"points must be integers in [0, {n})")
         dtype = row_dtype(n)
         arr = arr.astype(dtype, order="C", copy=True)
         arr.setflags(write=False)
@@ -369,26 +371,26 @@ def read_pa(path: Union[str, Path]) -> PermArray:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
-        return PermArray(
-            payload["rows"],
-            payload["d"],
-            provenance=payload.get("provenance", ""),
-            infinity=payload.get("inf") is not None,
-        )
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty PA file")
-    head = _parse_header(lines[0])
-    n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
-    infinity = head["inf"] != "none"
-    if infinity and head["inf"] != str(n - 1):
-        raise ValueError(f"unsupported infinity point {head['inf']}")
-    body = lines[1:]
-    if not any(map(str.strip, body)):
-        raise ValueError(f"no rows, header says {m}")
-    rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
-    if rows.shape[1] != n:
-        raise ValueError(f"row of length {rows.shape[1]}, expected {n}")
+        n, m, d = payload["n"], payload["M"], payload["d"]
+        rows = np.asarray(payload["rows"] or np.empty((0, n), np.int64))
+        infinity = payload.get("inf") is not None
+        provenance = payload.get("provenance", "")
+    else:
+        lines = text.splitlines()
+        if not lines:
+            raise ValueError("empty PA file")
+        head = _parse_header(lines[0])
+        n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
+        infinity = head["inf"] != "none"
+        if infinity and head["inf"] != str(n - 1):
+            raise ValueError(f"unsupported infinity point {head['inf']}")
+        body = [line for line in lines[1:] if line.strip()]
+        rows = np.empty((0, n), np.int64)
+        if body:
+            rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+        provenance = head["provenance"]
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"rows of shape {rows.shape}, expected length {n}")
     if len(rows) != m:
         raise ValueError(f"{len(rows)} rows, header says {m}")
-    return PermArray(rows, d, provenance=head["provenance"], infinity=infinity)
+    return PermArray(rows, d, provenance=provenance, infinity=infinity)

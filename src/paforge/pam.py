@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fracpoly import FracPoly
-from .pa import PermArray, Permutation, row_dtype
+from .pa import PermArray, Permutation
 from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
 
 
@@ -72,6 +72,28 @@ def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
     return tuple(images)
 
 
+def _complete_rows(q: int, n: int, vals: np.ndarray) -> np.ndarray:
+    """`_complete` on every row of an (N, q) value array at once."""
+    N = len(vals)
+    # Each attained value goes to its first preimage: the head of its run
+    # in a stable sort of the row, scattered back through the sort order.
+    order = np.argsort(vals, axis=1, kind="stable")
+    srt = np.take_along_axis(vals, order, axis=1)
+    head = srt < q
+    head[:, 1:] &= srt[:, 1:] != srt[:, :-1]
+    images = np.full((N, n), -1, dtype=np.int16)
+    np.put_along_axis(images[:, :q], order, np.where(head, srt, -1), axis=1)
+    if n > q:  # the first root goes to the extra point, else it is fixed
+        root = vals == q
+        images[np.arange(N), np.where(root.any(axis=1), root.argmax(axis=1), q)] = q
+    taken = np.zeros((N, q + 1), dtype=bool)
+    np.put_along_axis(taken, vals, True, axis=1)
+    # A row has as many holes as spare values; the i-th hole takes the
+    # i-th spare, and both masks are read row by row in ascending order.
+    images[images < 0] = np.nonzero(~taken[:, :q])[1]
+    return images
+
+
 def _assign(phi: FracPoly, n: int) -> PamAssignment:
     q = phi.field.q
     vals = _value_row(phi)
@@ -111,11 +133,8 @@ def build_pa(
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
-    n = query.length()
-    rows = [_complete(query.q, n, vals) for vals in result.values().tolist()]
-    arr = np.array(rows, dtype=row_dtype(n)).reshape(len(rows), n)
     return PermArray(
-        arr,
+        _complete_rows(query.q, query.length(), result.values()),
         claimed_distance=query.distance(),
         provenance=f"sfp:{query.describe()}",
         infinity=query.variant is Variant.Q_PLUS_1,

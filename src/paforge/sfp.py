@@ -25,14 +25,17 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .field import Field
+from .field import DENSE_TABLE_CAP, Field
 from .fracpoly import FracPoly, ValueProfile, value_count
 from .parallel import map_blocks, resolve_workers
 from .poly import Degree, Poly, gcd
 
 ORACLE_PAIR_CAP = 10**9
-#: Largest field order the int16 kernels hold, pole sentinel q included.
+#: The supported field orders: what the int16 kernels hold, pole sentinel q
+#: included, and for extension fields what the dense tables of `_eval_rows`
+#: hold.  `SfpQuery` checks both.
 MAX_Q = int(np.iinfo(np.int16).max)
+MAX_EXT_Q = DENSE_TABLE_CAP
 _CHUNK_PAIR_BUDGET = 1 << 19
 #: Rows per int64 product on the prime-field side of `_eval_rows`, the one
 #: field fork (10 MB at q = 19); the extension side works on int16 tables.
@@ -82,6 +85,9 @@ class SfpQuery:
         q, s, t, a, b = self.field.q, self.s, self.t, self.a, self.b
         if q > MAX_Q:
             raise ValueError(f"field order {q} exceeds the supported maximum {MAX_Q}")
+        if self.field.k > 1 and q > MAX_EXT_Q:
+            msg = f"extension field order {q} exceeds the supported maximum {MAX_EXT_Q}"
+            raise ValueError(msg)
         if s < 0 or t < 0:
             raise ValueError("degree budgets must be non-negative")
         if s + t > q - 2:
@@ -465,10 +471,18 @@ def _scan_block(
     thr_nopole: int,
     workers: int,
 ) -> list[_OrbitRecord]:
-    """Scan one exact-degree block and return its qualifying orbits."""
-    q = field.q
+    """Scan one exact-degree block and return its qualifying orbits.
+
+    Every orbit of f/g under a*f(x+b)/g(x+b) keeps a representative: f is
+    monic, and one shift zeroes f's x^(s2-1) coefficient when p does not
+    divide s2.  Otherwise every shift maps the monic numerator block onto
+    itself, so the shift zeroes g's x^(t2-1) coefficient instead when p does
+    not divide t2.  m and the pole flag are orbit invariants, and orbits are
+    keyed by their least row, so the members do not depend on the choice.
+    """
+    q, p = field.q, field.p
     fblock = _normalized_num_block(field, s2)
-    gblock = _monic_rows(field, t2, t2)
+    gblock = _monic_rows(field, t2, t2 - 1 if s2 % p == 0 and t2 % p else t2)
     fvals = _eval_rows(field, fblock)
     gvals = _eval_rows(field, gblock)
     pole = (gvals == 0).any(axis=1)

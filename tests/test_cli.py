@@ -66,6 +66,13 @@ def test_sfp_supported_field_orders():
         code, out, err = run_cli("sfp", "--q", q, "--s", "1", "--t", "0")
         assert code == 2 and out == ""
         assert "exceeds the supported maximum 32767" in err
+    # Extension fields stop at 1024, checked by the query before any scan.
+    for argv in (("--s", "1", "--t", "0"), ("--k", "1")):
+        code, out, err = run_cli("sfp", "--q", "2048", *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: extension field order 2048 exceeds the supported maximum 1024\n"
+        )
 
 
 def test_verify_pass_and_fail(tmp_path):
@@ -120,6 +127,57 @@ def test_verify_rejects_malformed_text(tmp_path, text):
     code, out, err = run_cli("verify", "--in", str(path))
     assert code == 2 and out == ""
     assert err.startswith("malformed input:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "PA n=3 M=2 d=3 inf=none provenance=x\n256 1 2\n1 2 0\n",  # wraps to 0
+        "PA n=3 M=2 d=3 inf=none provenance=x\n0 1 2\n-1 2 0\n",
+        "PA n=257 M=2 d=2 inf=none provenance=x\n"
+        + " ".join(map(str, range(257)))
+        + "\n"
+        + " ".join(map(str, range(1, 258)))
+        + "\n",
+    ],
+)
+def test_verify_rejects_points_out_of_range(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("malformed input: points must be integers in [0, ")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 3, "M": 2, "d": 3, "rows": [[256, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2, "d": 3, "rows": [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0]]},
+        {"n": 3, "M": 2, "d": 3, "rows": [[0, 1, 2], [1, 2]]},
+        {"n": 3, "M": 3, "d": 3, "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2, "d": "x", "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2, "d": 3},
+    ],
+)
+def test_verify_rejects_malformed_json(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("malformed input:")
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_emitted_empty_array_round_trips(tmp_path, suffix):
+    path = tmp_path / f"empty{suffix}"
+    code, out, _ = run_cli("sfp", "--q", "7", "--s", "0", "--t", "0", "--emit", str(path))
+    assert code == 0 and json.loads(out)["count"] == 0
+    pa = read_pa(path)
+    assert (pa.n, pa.M) == (7, 0)
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == "malformed input: 0 rows, a distance needs at least two\n"
 
 
 def test_verify_skips_blank_lines(tmp_path):

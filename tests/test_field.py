@@ -29,6 +29,10 @@ def test_make_rejects_composite():
 def test_make_rejects_oversize():
     with pytest.raises(ValueError):
         Field(2, 21)
+    # Every field has exp/log tables, so the cap is their limit, 2^16.
+    for p, k in ((2, 17), (65537, 1)):
+        with pytest.raises(ValueError, match="exceeds cap 65536"):
+            Field(p, k)
 
 
 def test_modulus_is_deterministic():

@@ -310,6 +310,35 @@ def test_infinity_header(tmp_path):
     assert read_pa(path).infinity
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize("n", [2, 255, 256, 257])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_written_files_read_back_and_re_emit_byte_exact(tmp_path, suffix, n, m):
+    rng = np.random.default_rng(n)
+    rows = np.array([rng.permutation(n) for _ in range(m)]).reshape(m, n)
+    if m == 2 and n == 2:
+        rows = np.array([[0, 1], [1, 0]])
+    pa = PermArray(rows, claimed_distance=2, provenance="p q", infinity=n > 255)
+    first, second = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+    write_pa(pa, first)
+    back = read_pa(first)
+    write_pa(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (back.n, back.M, back.infinity) == (n, m, n > 255)
+    assert back.rows.dtype == pa.rows.dtype and np.array_equal(back.rows, pa.rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0, 1, 3], [1, 2, 0]], [[0, 1, -1], [1, 2, 0]], [[0, 1, 2], [256, 1, 2]]]
+)
+def test_points_out_of_range_rejected(rows):
+    # Checked before the uint8 cast, which would wrap 256 to 0.
+    with pytest.raises(ValueError, match=r"points must be integers in \[0, 3\)"):
+        PermArray(rows, claimed_distance=2)
+    with pytest.raises(ValueError, match=r"points must be integers in \[0, 3\)"):
+        PermArray([[0.0, 1.0, 2.0]], claimed_distance=2)
+
+
 def test_malformed_files_rejected(tmp_path):
     bad1 = tmp_path / "b1.txt"
     bad1.write_text("not a header\n0 1 2\n")

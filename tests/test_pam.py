@@ -9,6 +9,7 @@ import pytest
 from paforge.field import Field
 from paforge.fracpoly import make, value_count
 from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
+from paforge import pam
 from paforge.pam import assign_q, assign_q1, build_pa, build_q1_pam, build_q_pam
 from paforge.poly import Poly
 from paforge.sfp import (
@@ -122,6 +123,55 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     build = build_q_pam if variant is Variant.Q else build_q1_pam
     for idx, phi in enumerate(sample.members):
         assert pa.row(idx) == build(phi)
+
+
+def _scalar_rows(q, n, vals):
+    return [list(pam._complete(q, n, row)) for row in vals.tolist()]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 19, 25, 256])
+def test_bulk_completion_matches_scalar_reference(q):
+    # Value rows with no root, one root, several roots and only roots, with
+    # repeated values, and permutations (every value attained).
+    rng = np.random.default_rng(q)
+    vals = rng.integers(0, q + 1, size=(300, q))
+    vals[:60] %= q
+    vals[60:120, :: max(2, q // 4)] = q
+    vals[120:140] = rng.integers(0, q, size=(20, 1))
+    vals[140:160] = [rng.permutation(q) for _ in range(20)]
+    vals[160] = q
+    vals = vals.astype(np.int16)
+    roots = (vals == q).sum(axis=1)
+    assert {0, 1, q}.issubset(set(roots.tolist())) and roots.max() >= 2
+    for n in (q, q + 1):
+        assert pam._complete_rows(q, n, vals).tolist() == _scalar_rows(q, n, vals)
+
+
+@pytest.mark.parametrize(
+    "q, cells",
+    [
+        (4, [(1, 1), (2, 0)]),
+        (8, [(1, 2), (2, 1)]),
+        (9, [(1, 2), (2, 1)]),
+        (19, [(1, 1), (0, 2)]),
+        (25, [(1, 1), (0, 2)]),
+        (256, [(1, 0)]),
+    ],
+)
+def test_build_pa_matches_scalar_completion(q, cells):
+    # Both lengths, every row (every 37th at q = 256, where the rows cross
+    # the row_dtype edge: length 256 is uint8, 257 is uint16).
+    F = field_for_order(q)
+    for s, t in cells:
+        for variant in Variant:
+            query = SfpQuery(F, variant, s, t)
+            result = enumerate_fast(query)
+            if q == 256:
+                result = dataclasses.replace(result, rows=result.rows[::37])
+            pa = build_pa(query, result=result)
+            assert pa.rows.dtype == row_dtype(query.length())
+            want = _scalar_rows(q, query.length(), result.values())
+            assert pa.rows.tolist() == want
 
 
 def test_rows_are_bijections_and_distinct():

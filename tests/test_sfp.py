@@ -218,6 +218,76 @@ def test_oracle_fast_equivalence_extension_fields(q):
                     ], f"mismatch at {query.describe()}"
 
 
+@pytest.mark.parametrize(
+    "q, variant, s, t, a, b",
+    [
+        # p | s2 = p > 0 and p does not divide t2 = 1: the denominator
+        # block of block (p, 1) is shift-normalized.
+        (8, Variant.Q, 2, 1, 0, 0),
+        (8, Variant.Q_PLUS_1, 2, 1, 0, 0),
+        (8, Variant.Q_PLUS_1, 2, 1, 1, -1),
+        (9, Variant.Q, 3, 1, 0, 0),
+        (9, Variant.Q_PLUS_1, 3, 1, 0, 0),
+        # p divides both s2 = 2 and t2 = 2: block (2, 2) is scanned whole.
+        (8, Variant.Q, 2, 2, 0, 0),
+        (8, Variant.Q_PLUS_1, 2, 2, 0, 0),
+    ],
+)
+def test_denominator_shift_cells_match_oracle(q, variant, s, t, a, b):
+    query = SfpQuery(field_for_order(q), variant, s, t, a, b)
+    oracle = enumerate_oracle(query)
+    fast = enumerate_fast(query)
+    assert oracle.count > 0
+    assert np.array_equal(oracle.rows, fast.rows)
+
+
+def test_denominator_shift_matches_unreduced_scan(monkeypatch):
+    # q = 27, block (3, 1): past the oracle's reach, so the reference is the
+    # same scan over every monic numerator and denominator, with no shift.
+    query = SfpQuery(field_for_order(27), Variant.Q_PLUS_1, 3, 1, 0, 0)
+    fast = enumerate_fast(query)
+    monic_rows = sfp._monic_rows
+    monkeypatch.setattr(
+        sfp, "_monic_rows", lambda field, deg, free: monic_rows(field, deg, deg)
+    )
+    whole = enumerate_fast(query)
+    assert fast.count > 0
+    assert np.array_equal(fast.rows, whole.rows)
+
+
+@pytest.mark.parametrize(
+    "q, s2, t2", [(4, 2, 1), (4, 2, 2), (4, 0, 2), (8, 2, 1), (8, 2, 2), (9, 3, 1)]
+)
+def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
+    # With thresholds no pair misses, a block's orbits are all its coprime
+    # fractions, whatever the members.  When p divides t2 a shift cannot
+    # change g's x^(t2-1) coefficient, so only a whole block reaches them all.
+    F = field_for_order(q)
+
+    def orbit_rows():
+        records = sfp._scan_block(F, s2, t2, q, q, 1)
+        return np.concatenate([r.member_rows for r in records])
+
+    reduced = orbit_rows()
+    monic_rows = sfp._monic_rows
+    monkeypatch.setattr(
+        sfp, "_monic_rows", lambda field, deg, free: monic_rows(field, deg, deg)
+    )
+    whole = orbit_rows()
+    assert len(np.unique(whole, axis=0)) == len(whole)
+    assert np.array_equal(np.unique(reduced, axis=0), np.unique(whole, axis=0))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_best_count_cells_match_oracle(variant):
+    # Blocks (2, 1) and (0, 1) of GF(8) scan shift-normalized denominators.
+    F = field_for_order(8)
+    bc = best_count(8, 3, variant)
+    for (s, t, a, b), count in bc.cell_counts:
+        oracle = enumerate_oracle(SfpQuery(F, variant, s, t, a, b))
+        assert oracle.count == count, (variant, s, t, a, b)
+
+
 def test_membership_monotone_in_budgets():
     for field in (F5, F7):
         q = field.q
