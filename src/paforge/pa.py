@@ -373,24 +373,23 @@ def read_pa(path: Union[str, Path]) -> PermArray:
         payload = json.loads(text)
         n, m, d = payload["n"], payload["M"], payload["d"]
         rows = np.asarray(payload["rows"] or np.empty((0, n), np.int64))
-        infinity = payload.get("inf") is not None
-        provenance = payload.get("provenance", "")
+        inf, provenance = payload.get("inf"), payload.get("provenance", "")
     else:
         lines = text.splitlines()
         if not lines:
             raise ValueError("empty PA file")
         head = _parse_header(lines[0])
         n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
-        infinity = head["inf"] != "none"
-        if infinity and head["inf"] != str(n - 1):
-            raise ValueError(f"unsupported infinity point {head['inf']}")
+        inf = None if head["inf"] == "none" else head["inf"]
         body = [line for line in lines[1:] if line.strip()]
         rows = np.empty((0, n), np.int64)
         if body:
             rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
         provenance = head["provenance"]
+    if inf is not None and str(inf) != str(n - 1):
+        raise ValueError(f"unsupported infinity point {inf}")
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"rows of shape {rows.shape}, expected length {n}")
     if len(rows) != m:
         raise ValueError(f"{len(rows)} rows, header says {m}")
-    return PermArray(rows, d, provenance=provenance, infinity=infinity)
+    return PermArray(rows, d, provenance=provenance, infinity=inf is not None)

@@ -158,6 +158,7 @@ def test_verify_rejects_points_out_of_range(tmp_path, text):
         {"n": 3, "M": 3, "d": 3, "rows": [[0, 1, 2], [1, 2, 0]]},
         {"n": 3, "M": 2, "d": "x", "rows": [[0, 1, 2], [1, 2, 0]]},
         {"n": 3, "M": 2, "d": 3},
+        {"n": 3, "M": 2, "d": 3, "inf": 0, "rows": [[0, 1, 2], [1, 2, 0]]},
     ],
 )
 def test_verify_rejects_malformed_json(tmp_path, payload):

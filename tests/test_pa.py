@@ -328,17 +328,6 @@ def test_written_files_read_back_and_re_emit_byte_exact(tmp_path, suffix, n, m):
     assert back.rows.dtype == pa.rows.dtype and np.array_equal(back.rows, pa.rows)
 
 
-@pytest.mark.parametrize(
-    "rows", [[[0, 1, 3], [1, 2, 0]], [[0, 1, -1], [1, 2, 0]], [[0, 1, 2], [256, 1, 2]]]
-)
-def test_points_out_of_range_rejected(rows):
-    # Checked before the uint8 cast, which would wrap 256 to 0.
-    with pytest.raises(ValueError, match=r"points must be integers in \[0, 3\)"):
-        PermArray(rows, claimed_distance=2)
-    with pytest.raises(ValueError, match=r"points must be integers in \[0, 3\)"):
-        PermArray([[0.0, 1.0, 2.0]], claimed_distance=2)
-
-
 def test_malformed_files_rejected(tmp_path):
     bad1 = tmp_path / "b1.txt"
     bad1.write_text("not a header\n0 1 2\n")
