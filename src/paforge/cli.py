@@ -27,7 +27,15 @@ from .pa import (
     write_pa,
 )
 from .pam import build_pa
-from .sfp import SfpQuery, Variant, best_count, enumerate_fast, field_for_order
+from .sfp import (
+    SfpQuery,
+    Variant,
+    best_count,
+    check_field_range,
+    enumerate_fast,
+    field_for_order,
+    prime_power,
+)
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,7 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     if explicit == (args.k is not None):
         print("give exactly one of --k or --s/--t", file=sys.stderr)
         return 2
+    check_field_range(*prime_power(args.q))
     field = field_for_order(args.q)
     if explicit:
         query = SfpQuery(field, args.variant, args.s, args.t, args.a, args.b)

@@ -10,9 +10,10 @@ group elements: each element is one product of coset representatives, one
 per level, so nothing is deduplicated (Seress, *Permutation Group
 Algorithms*, 2003).
 
-The exact minimal degree of a t-transitive group with t >= 2 is read off
-the pointwise stabilizer of the first t-1 base points (Dixon and Mortimer,
-*Permutation Groups*, 1996): see `minimal_degree`.
+The exact minimal degree of a t-transitive group is read off the pointwise
+stabilizer of the first t base points, or of the first t-1 when that one is
+trivial (Dixon and Mortimer, *Permutation Groups*, 1996): see
+`minimal_degree`.
 """
 
 from __future__ import annotations
@@ -225,6 +226,14 @@ def group_order(group: PermGroup) -> int:
     return StabilizerChain(group.degree, group.generators).order()
 
 
+def _scan_depth(chain: StabilizerChain) -> int:
+    """Base points fixed by the exact minimal-degree scan: t for a
+    t-transitive group whose t-point stabilizer is nontrivial, else t-1
+    (none for t = 0)."""
+    t = chain.transitivity()
+    return t if chain.order(t) > 1 else max(t - 1, 0)
+
+
 def minimal_degree(
     group: PermGroup,
     mode: str = "exact",
@@ -234,15 +243,20 @@ def minimal_degree(
 ) -> GroupFacts:
     """Minimum number of moved points over nontrivial elements.
 
-    Exact mode scans elements through the stabilizer chain.  When the chain
-    shows the group t-transitive with t >= 2 (`StabilizerChain.transitivity`),
-    it scans only H, the pointwise stabilizer of the first t-1 base points.
-    Every element fixing at least t-1 points is conjugate into H, every
-    other element moves at least n-t+2 points, and H is transitive on the
-    n-t+1 >= 2 points it does not fix, so H has an element moving at most
-    n-t+1 points: the minimal degree of H is that of the group.  With t <= 1
-    the whole group is scanned.  EXACT_SCAN_CAP bounds the elements scanned.
-    Sampled mode walks random generator words and reports an upper bound.
+    Exact mode scans elements through the stabilizer chain.  Let the chain
+    show the group t-transitive (`StabilizerChain.transitivity`) and let K
+    be the pointwise stabilizer of the first t base points.  Every element
+    fixing at least t points is conjugate into K, and every other element
+    moves at least n-t+1 points, more than any element of K moves.  So when
+    K is nontrivial its minimal degree is that of the group, and only K is
+    scanned.  When K is trivial (the group is sharply t-transitive, t >= 1),
+    the scan takes H, the pointwise stabilizer of the first t-1 base points:
+    every element fixing at least t-1 points is conjugate into H, every
+    other one moves at least n-t+2 points, and H is transitive on the
+    n-t+1 >= 2 points it does not fix, so it has an element moving at most
+    n-t+1 points.  With t = 0 the whole group is scanned.  EXACT_SCAN_CAP
+    bounds the elements scanned.  Sampled mode walks random generator words
+    and reports an upper bound.
     """
     if chain is None:
         chain = StabilizerChain(group.degree, group.generators)
@@ -251,7 +265,7 @@ def minimal_degree(
     if order == 1:
         raise ValueError("trivial group has no minimal degree")
     if mode == "exact":
-        depth = max(chain.transitivity() - 1, 0)
+        depth = _scan_depth(chain)
         scanned = chain.order(depth)
         if scanned > EXACT_SCAN_CAP:
             raise ValueError(

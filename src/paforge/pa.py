@@ -308,24 +308,34 @@ def sharpness_matches_distance(pa: PermArray, k: int) -> bool:
 _FORMAT_BLOCK_ROWS = 1 << 14
 
 
-def _text_pieces(pa: PermArray) -> Iterator[str]:
-    """The text format in pieces, one block of rows at a time."""
-    inf = str(pa.n - 1) if pa.infinity else "none"
-    yield (
-        f"PA n={pa.n} M={pa.M} d={pa.claimed_distance} "
+def _text_pieces(pa: PermArray) -> Iterator[bytes]:
+    """The text format in pieces, one block of rows at a time.
+
+    Every token is one of n strings, so a block is gathered from two token
+    tables, `b"%d "` and `b"%d\\n"` for each point, NUL-padded to one
+    width; dropping the padding leaves each row's space-joined decimals.
+    """
+    n = pa.n
+    inf = str(n - 1) if pa.infinity else "none"
+    header = (
+        f"PA n={n} M={pa.M} d={pa.claimed_distance} "
         f"inf={inf} provenance={pa.provenance}\n"
     )
-    template = " ".join(["%d"] * pa.n)
+    yield header.encode("utf-8")
+    width = f"S{len(str(n - 1)) + 1}"
+    spaced = np.array([b"%d " % v for v in range(n)], dtype=width)
+    ended = np.array([b"%d\n" % v for v in range(n)], dtype=width)
     for lo in range(0, pa.M, _FORMAT_BLOCK_ROWS):
-        block = pa.rows[lo : lo + _FORMAT_BLOCK_ROWS].tolist()
-        if lo:
-            yield "\n"
-        yield "\n".join([template % tuple(r) for r in block])
-    yield "\n"
+        block = pa.rows[lo : lo + _FORMAT_BLOCK_ROWS]
+        tokens = spaced[block]
+        tokens[:, -1] = ended[block[:, -1]]
+        yield tokens.tobytes().translate(None, b"\0")
+    if not pa.M:
+        yield b"\n"
 
 
 def format_pa(pa: PermArray) -> str:
-    return "".join(_text_pieces(pa))
+    return b"".join(_text_pieces(pa)).decode("utf-8")
 
 
 def pa_to_json(pa: PermArray) -> str:
@@ -335,7 +345,7 @@ def pa_to_json(pa: PermArray) -> str:
         "d": pa.claimed_distance,
         "inf": pa.n - 1 if pa.infinity else None,
         "provenance": pa.provenance,
-        "rows": [[int(x) for x in row] for row in pa.rows],
+        "rows": pa.rows.tolist(),
     }
     return json.dumps(payload)
 
@@ -346,7 +356,7 @@ def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
     if path.suffix == ".json":
         path.write_text(pa_to_json(pa), encoding="utf-8")
     else:
-        with path.open("w", encoding="utf-8") as fh:
+        with path.open("wb") as fh:
             fh.writelines(_text_pieces(pa))
 
 

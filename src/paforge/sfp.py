@@ -33,7 +33,7 @@ from .poly import Degree, Poly, gcd
 ORACLE_PAIR_CAP = 10**9
 #: The supported field orders: what the int16 kernels hold, pole sentinel q
 #: included, and for extension fields what the dense tables of `_eval_rows`
-#: hold.  `SfpQuery` checks both.
+#: hold.  `check_field_range` declares both.
 MAX_Q = int(np.iinfo(np.int16).max)
 MAX_EXT_Q = DENSE_TABLE_CAP
 _CHUNK_PAIR_BUDGET = 1 << 19
@@ -50,9 +50,8 @@ class Variant(str, Enum):
     Q_PLUS_1 = "q+1"
 
 
-@lru_cache(maxsize=None)
-def field_for_order(q: int) -> Field:
-    """The field of order q (q must be a prime power)."""
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k; ValueError when q is not a prime power."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     p = q
@@ -67,7 +66,24 @@ def field_for_order(q: int) -> Field:
         k += 1
     if m != 1:
         raise ValueError(f"{q} is not a prime power")
-    return Field(p, k)
+    return p, k
+
+
+def check_field_range(p: int, k: int) -> None:
+    """Reject GF(p^k) outside the fraction search's supported range: prime
+    orders up to MAX_Q, extension orders up to MAX_EXT_Q."""
+    q = p**k
+    if q > MAX_Q:
+        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_Q}")
+    if k > 1 and q > MAX_EXT_Q:
+        msg = f"extension field order {q} exceeds the supported maximum {MAX_EXT_Q}"
+        raise ValueError(msg)
+
+
+@lru_cache(maxsize=None)
+def field_for_order(q: int) -> Field:
+    """The field of order q (q must be a prime power)."""
+    return Field(*prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -83,11 +99,7 @@ class SfpQuery:
 
     def __post_init__(self) -> None:
         q, s, t, a, b = self.field.q, self.s, self.t, self.a, self.b
-        if q > MAX_Q:
-            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_Q}")
-        if self.field.k > 1 and q > MAX_EXT_Q:
-            msg = f"extension field order {q} exceeds the supported maximum {MAX_EXT_Q}"
-            raise ValueError(msg)
+        check_field_range(self.field.p, self.field.k)
         if s < 0 or t < 0:
             raise ValueError("degree budgets must be non-negative")
         if s + t > q - 2:
@@ -599,6 +611,7 @@ class BestCount:
 
 def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
     """All admissible cells with s + t = k (and the three offset choices)."""
+    check_field_range(*prime_power(q))
     F = field_for_order(q)
     top = q - 2 if variant is Variant.Q else q - 3  # q+1 cells need k+1 <= q-2
     if not 0 <= k <= top:

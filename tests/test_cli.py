@@ -75,6 +75,26 @@ def test_sfp_supported_field_orders():
         )
 
 
+def test_sfp_range_checked_before_the_field_is_built(monkeypatch):
+    import paforge.cli
+    import paforge.sfp
+
+    def no_field(q):
+        raise AssertionError(f"field of order {q} was built")
+
+    monkeypatch.setattr(paforge.cli, "field_for_order", no_field)
+    monkeypatch.setattr(paforge.sfp, "field_for_order", no_field)
+    for argv, err in [
+        (("--q", "59049", "--k", "1"),
+         "error: field order 59049 exceeds the supported maximum 32767\n"),
+        (("--q", "2048", "--s", "1", "--t", "1"),
+         "error: extension field order 2048 exceeds the supported maximum 1024\n"),
+        (("--q", "2048", "--k", "1", "--variant", "q+1"),
+         "error: extension field order 2048 exceeds the supported maximum 1024\n"),
+    ]:
+        assert run_cli("sfp", *argv) == (2, "", err)
+
+
 def test_verify_pass_and_fail(tmp_path):
     good = tmp_path / "good.txt"
     run_cli("sfp", "--q", "7", "--s", "1", "--t", "0", "--emit", str(good))

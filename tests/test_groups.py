@@ -11,6 +11,7 @@ import pytest
 from paforge.groups import (
     PermGroup,
     StabilizerChain,
+    _scan_depth,
     fixity,
     group_order,
     group_to_pa,
@@ -285,18 +286,27 @@ def test_transitivity_from_chain():
 
 
 def test_reduced_exact_scan_matches_whole_chain_scan():
-    for name, params in [
-        ("mathieu22", {}),
-        ("pgl2", {"q": 7}),
-        ("sym", {"m": 6}),
-        ("agl1", {"q": 9}),
-        ("sym_pairs", {"m": 6}),
-        ("agl", {"d": 2, "q": 3}),
+    # (group, transitivity t, scan depth): t base points are fixed when the
+    # t-point stabilizer K is nontrivial, t-1 when the group is sharply
+    # t-transitive (K = 1), none when the group is intransitive.
+    intransitive = PermGroup(5, ((1, 0, 2, 3, 4), (0, 1, 3, 4, 2)))
+    for grp, t, depth in [
+        (make_named("mathieu22"), 3, 3),
+        (make_named("sym_pairs", m=6), 1, 1),
+        (make_named("sym_pairs", m=8), 1, 1),
+        (make_named("agl", d=3, q=2), 3, 3),
+        (make_named("agl", d=2, q=3), 2, 2),
+        (make_named("pgl2", q=7), 3, 2),
+        (make_named("pgl2", q=8), 3, 2),
+        (make_named("agl1", q=9), 2, 1),
+        (make_named("sym", m=6), 5, 4),
+        (intransitive, 0, 0),
     ]:
-        grp = make_named(name, **params)
+        chain = StabilizerChain(grp.degree, grp.generators)
+        assert (chain.transitivity(), _scan_depth(chain)) == (t, depth)
         assert minimal_degree(grp).minimal_degree == whole_chain_min_degree(grp)
     # Random two-generator groups: intransitive, transitive, and (11 of
-    # these 20) at least 2-transitive, where the reduced scan is taken.
+    # these 20) at least 2-transitive.
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randrange(3, 8)
@@ -305,6 +315,19 @@ def test_reduced_exact_scan_matches_whole_chain_scan():
             continue
         grp = PermGroup(n, gens)
         assert minimal_degree(grp).minimal_degree == whole_chain_min_degree(grp)
+
+
+def test_exact_scan_sizes():
+    # Elements the exact scan visits, out of the group order.
+    for name, params, scanned in [
+        ("mathieu22", {}, 48),
+        ("mathieu23", {}, 48),
+        ("mathieu24", {}, 48),
+        ("sym_pairs", {"m": 10}, 80640),
+    ]:
+        grp = make_named(name, **params)
+        chain = StabilizerChain(grp.degree, grp.generators)
+        assert chain.order(_scan_depth(chain)) == scanned
 
 
 def test_mathieu24_sampled_scan():

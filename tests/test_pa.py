@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -288,6 +289,69 @@ def test_text_format_across_row_blocks(tmp_path):
     path = tmp_path / "s8.txt"
     write_pa(pa, path)
     assert path.read_text() == expected
+
+
+def reference_header(pa):
+    inf = str(pa.n - 1) if pa.infinity else "none"
+    return (
+        f"PA n={pa.n} M={pa.M} d={pa.claimed_distance} "
+        f"inf={inf} provenance={pa.provenance}\n"
+    )
+
+
+def reference_body(rows):
+    """The row-by-row `%` formatter the table-driven writer replaced."""
+    template = " ".join(["%d"] * rows.shape[1])
+    return "\n".join(template % tuple(r) for r in rows.tolist()) + "\n"
+
+
+def distinct_rows(n, m, seed):
+    """m distinct permutations of n points, relabeled at random."""
+    k = min(n, 8)
+    tail = np.array(
+        list(itertools.islice(itertools.permutations(range(k)), m)), dtype=np.int64
+    ).reshape(m, k)
+    rows = np.concatenate([np.broadcast_to(np.arange(k, n), (m, n - k)), tail], axis=1)
+    rng = np.random.default_rng(seed)
+    return rng.permutation(n)[rows][:, rng.permutation(n)]
+
+
+_B = pa_module._FORMAT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (n, m)
+        for n in (2, 10, 11, 100, 101, 255, 256, 257, 1001)
+        for m in (0, 1, 2, _B, _B + 1)
+        if m <= math.factorial(n)
+    ],
+)
+def test_writer_matches_row_by_row_formatter(tmp_path, n, m):
+    rows = distinct_rows(n, m, seed=n + m)
+    body = reference_body(rows)
+    for infinity in (False, True):
+        pa = PermArray(rows, claimed_distance=2, provenance="p", infinity=infinity)
+        expected = reference_header(pa) + body
+        assert format_pa(pa) == expected
+        path = tmp_path / f"{infinity}.txt"
+        write_pa(pa, path)
+        assert path.read_bytes() == expected.encode()
+
+
+def test_json_rows_match_python_ints(tmp_path):
+    # n = 257 stores rows as uint16; the mirror lists them as plain integers.
+    rows = distinct_rows(257, 3, seed=1)
+    pa = PermArray(rows, claimed_distance=2, provenance="p", infinity=True)
+    assert pa.rows.dtype == np.uint16
+    expected = json.dumps({
+        "n": 257, "M": 3, "d": 2, "inf": 256, "provenance": "p",
+        "rows": [[int(x) for x in row] for row in rows],
+    })
+    assert pa_module.pa_to_json(pa) == expected
+    write_pa(pa, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_text() == expected
 
 
 def test_json_round_trip(tmp_path):

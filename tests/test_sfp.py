@@ -40,6 +40,18 @@ def test_field_for_order():
         field_for_order(12)
 
 
+def test_field_range_is_checked_before_any_cell():
+    assert sfp.prime_power(59049) == (3, 10) and sfp.prime_power(32749) == (32749, 1)
+    sfp.check_field_range(32749, 1)
+    sfp.check_field_range(2, 10)
+    with pytest.raises(ValueError, match="field order 32768 exceeds"):
+        sfp.check_field_range(2, 15)
+    # Every q+1 cell rejects GF(2048); the grid says so instead of coming
+    # back empty.
+    with pytest.raises(ValueError, match="extension field order 2048 exceeds"):
+        grid_queries(2048, 1, Variant.Q_PLUS_1)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         SfpQuery(F5, Variant.Q, 2, 2)  # s+t > q-2
