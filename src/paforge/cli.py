@@ -141,7 +141,7 @@ def cmd_sfp(args: argparse.Namespace) -> int:
         manifest = result.manifest(tool_version=__version__)
     else:
         bc = best_count(args.q, args.k, args.variant, workers=args.threads)
-        query = bc.query()
+        query = bc.query
         result = None
         manifest = bc.manifest(tool_version=__version__)
     print(json.dumps(manifest))
@@ -246,7 +246,7 @@ def _sfp_bound_record(
     q: int, k: int, variant: Variant, published: int, workers
 ) -> tuple[BoundRecord, bool]:
     bc = best_count(q, k, variant, workers=workers)
-    query = bc.query()
+    query = bc.query
     pa = build_pa(query, workers=workers)
     report = min_distance(pa, "full", workers=workers)
     record = BoundRecord(

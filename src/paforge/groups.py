@@ -67,7 +67,6 @@ class GroupFacts:
     order: int
     minimal_degree: int
     exact: bool
-    trials: int = 0
 
 
 def fixity(group: PermGroup, facts: GroupFacts) -> Optional[int]:
@@ -293,7 +292,7 @@ def minimal_degree(
             m = moved_points(current)
             if 0 < m < best:
                 best = m
-        return GroupFacts(order=order, minimal_degree=best, exact=False, trials=trials)
+        return GroupFacts(order=order, minimal_degree=best, exact=False)
     raise ValueError(f"unknown mode {mode!r}")
 
 

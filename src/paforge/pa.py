@@ -272,7 +272,7 @@ def _closure_spot_check(pa: PermArray) -> None:
                 raise ValueError("rows are not closed under composition")
 
 
-def is_sharply_k_transitive(pa: PermArray, k: int, check_group: bool = True) -> bool:
+def is_sharply_k_transitive(pa: PermArray, k: int) -> bool:
     """Whether the rows (assumed a group) act sharply k-transitively.
 
     Equivalent by counting to: all k-prefixes of rows are distinct and
@@ -281,7 +281,7 @@ def is_sharply_k_transitive(pa: PermArray, k: int, check_group: bool = True) -> 
     n = pa.n
     if k > n:
         raise ValueError(f"k={k} exceeds degree {n}")
-    if check_group and pa.M <= 360:
+    if pa.M <= 360:
         _closure_spot_check(pa)
     target = math.factorial(n) // math.factorial(n - k)
     if pa.M != target:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class SfpQuery:
 
 @dataclass(frozen=True)
 class SfpResult:
-    """Canonically sorted members of one cell plus its distance guarantee.
+    """Canonically sorted members of one cell.
 
     Each row of `rows` is one member's coefficients, den then num, ascending
     and padded with -1 to the query's den and num widths (`_row_widths`), so
@@ -148,7 +148,6 @@ class SfpResult:
     query: SfpQuery
     rows: np.ndarray
     count: int
-    guaranteed_distance: int
     elapsed: float
 
     @property
@@ -172,19 +171,25 @@ class SfpResult:
         return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
     def manifest(self, tool_version: str = "") -> dict:
-        qq = self.query
-        return {
-            "q": qq.q,
-            "variant": qq.variant.value,
-            "s": qq.s,
-            "t": qq.t,
-            "a": qq.a,
-            "b": qq.b,
-            "count": self.count,
-            "argmax": None,
-            "elapsed_ms": round(self.elapsed * 1000.0, 3),
-            "tool_version": tool_version,
-        }
+        return _manifest(self.query, self.count, None, self.elapsed, tool_version)
+
+
+def _manifest(
+    qq: SfpQuery, count: int, argmax: Optional[dict], elapsed: float, tool_version: str
+) -> dict:
+    """The JSON manifest `paforge sfp` prints for one cell or one grid."""
+    return {
+        "q": qq.q,
+        "variant": qq.variant.value,
+        "s": qq.s,
+        "t": qq.t,
+        "a": qq.a,
+        "b": qq.b,
+        "count": count,
+        "argmax": argmax,
+        "elapsed_ms": round(elapsed * 1000.0, 3),
+        "tool_version": tool_version,
+    }
 
 
 def _row_widths(query: SfpQuery) -> tuple[int, int]:
@@ -329,27 +334,30 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    return SfpResult(
-        query, rows, len(rows), query.distance(), time.perf_counter() - started
-    )
+    return SfpResult(query, rows, len(rows), time.perf_counter() - started)
 
 
 # -- fast scan: normalized representatives + orbit expansion -----------------
 
 
-@dataclass
-class _OrbitRecord:
-    """One orbit of fractions, summarized by its invariants."""
+class _Block(NamedTuple):
+    """The scanned orbits of one exact-degree block, one row per fraction.
 
-    num_deg: int
-    den_deg: int
-    m: int  # q - v
-    has_pole: bool
-    member_rows: np.ndarray  # (orbit size, den_deg+1 + num_deg+1), den first
+    m (= q - v) and the pole flag are orbit invariants; each row carries
+    those of the survivor its orbit was expanded from.
+    """
+
+    s2: int
+    t2: int
+    rows: np.ndarray  # (fractions, t2+1 + s2+1) int16, den first, sorted
+    m: np.ndarray
+    pole: np.ndarray
 
 
-def _accepts(rec: _OrbitRecord, query: SfpQuery) -> bool:
-    return rec.m <= _query_slack(rec.num_deg, rec.den_deg, rec.has_pole, query)
+def _members(block: _Block, query: SfpQuery) -> np.ndarray:
+    """Mask of the block rows that are members of the query's cell."""
+    thr_pole, thr_nopole = _block_thresholds([query], block.s2, block.t2)
+    return block.m <= np.where(block.pole, thr_pole, thr_nopole)
 
 
 def _block_thresholds(
@@ -436,31 +444,55 @@ def _ratio_rows(field: Field, fvals: np.ndarray, gvals: np.ndarray) -> np.ndarra
     return T[A[fvals] + B[gvals]]
 
 
-def _expand_orbit_rows(
-    field: Field, fc: np.ndarray, gc: np.ndarray
-) -> np.ndarray:
-    """All distinct orbit images of one fraction as (den||num) rows, sorted.
+def _shifted(field: Field, c: np.ndarray) -> np.ndarray:
+    """Every shift c(x+beta) of every coefficient row, shape (N, q, width).
 
     Coefficient i of c(x+beta) is the i-th Hasse derivative
-    sum_m C(m+i, i) c_{m+i} x^m at beta, so one `_eval_rows` call shifts c
-    by every beta; scaling by every unit is division by every unit.
+    sum_m C(m+i, i) c_{m+i} x^m at beta, so one `_eval_rows` call shifts
+    every row by every beta.  C(m+i, i) mod p lies in the prime field, and
+    multiplying by it is dividing by its inverse.
     """
+    n, width = c.shape
+    i, m = np.indices((width, width))
+    binom = np.where(m + i < width, np.vectorize(comb)(m + i, i) % field.p, 0)
+    inv = np.array([1] + [field.inv(b) for b in range(1, field.p)], dtype=np.int16)
+    taps = np.where(binom > 0, c[:, np.minimum(m + i, width - 1)], 0).astype(np.int16)
+    hasse = _ratio_rows(field, taps, inv[binom])
+    return _eval_rows(field, hasse.reshape(n * width, width)).reshape(
+        n, width, field.q
+    ).transpose(0, 2, 1)
 
-    def shifted(c: np.ndarray) -> np.ndarray:
-        d = len(c) - 1
-        hasse = np.zeros((d + 1, d + 1), dtype=np.int16)
-        for i in range(d + 1):
-            for m in range(d + 1 - i):
-                hasse[i, m] = field.mul(field.scalar_int(comb(m + i, i)), int(c[m + i]))
-        return _eval_rows(field, hasse).T  # (q, d+1): row beta is c(x+beta)
 
-    q = field.q
-    f_sh, g_sh = shifted(fc), shifted(gc)
-    units = np.arange(1, q, dtype=np.int16)
-    nums = _ratio_rows(field, f_sh[:, None, :], units[None, :, None])
-    dens = np.broadcast_to(g_sh[:, None, :], (q, q - 1, len(gc)))
-    rows = np.concatenate([dens, nums], axis=2).reshape(q * (q - 1), -1)
-    return np.unique(rows, axis=0)
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row, in row order."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    return order[new]
+
+
+def _expand_orbit_rows(
+    field: Field, fc: np.ndarray, gc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, src): the orbits of the fractions fc/gc (monic rows) as sorted,
+    distinct (den||num) rows, and for each row the fraction it came from.
+
+    Monic numerators force the scale 1 between fractions of one orbit, so
+    fractions in one orbit are shifts of each other and share their least
+    row over the q shifts; only the first fraction with each least row is
+    scaled by every unit.  A last lexsort drops the stabilizer's repeats.
+    """
+    q, dw = field.q, gc.shape[1]
+    shifted = np.concatenate([_shifted(field, gc), _shifted(field, fc)], axis=2)
+    least = np.lexsort(shifted.transpose(2, 0, 1)[::-1])[:, 0]
+    kept = _distinct(shifted[np.arange(len(shifted)), least])
+    orbits = np.repeat(shifted[kept, :, None], q - 1, axis=2)  # (kept, q, q-1, w)
+    units = np.arange(1, q, dtype=np.int16)[:, None]
+    orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], units)
+    rows = orbits.reshape(-1, shifted.shape[2])
+    first = _distinct(rows)
+    return rows[first], kept[first // (q * (q - 1))]
 
 
 def _distinct_counts(ratios: np.ndarray) -> np.ndarray:
@@ -482,15 +514,19 @@ def _scan_block(
     thr_pole: int,
     thr_nopole: int,
     workers: int,
-) -> list[_OrbitRecord]:
-    """Scan one exact-degree block and return its qualifying orbits.
+) -> _Block:
+    """Scan one exact-degree block; its rows are the orbits of its survivors.
 
     Every orbit of f/g under a*f(x+b)/g(x+b) keeps a representative: f is
     monic, and one shift zeroes f's x^(s2-1) coefficient when p does not
     divide s2.  Otherwise every shift maps the monic numerator block onto
     itself, so the shift zeroes g's x^(t2-1) coefficient instead when p does
-    not divide t2.  m and the pole flag are orbit invariants, and orbits are
-    keyed by their least row, so the members do not depend on the choice.
+    not divide t2.  Either way each orbit has one survivor.  When p divides
+    both degrees no coefficient pins the shift, the blocks are scanned
+    whole, and all distinct shifts of a survivor survive too: up to q
+    survivors share an orbit, and `_expand_orbit_rows` expands only the
+    first.  m and the pole flag are orbit invariants, so the rows do not
+    depend on which survivor is expanded.
     """
     q, p = field.q, field.p
     fblock = _normalized_num_block(field, s2)
@@ -503,72 +539,47 @@ def _scan_block(
     chunk = max(1, _CHUNK_PAIR_BUDGET // max(nf, 1))
     bounds = [(lo, min(lo + chunk, len(gblock))) for lo in range(0, len(gblock), chunk)]
 
-    def pair_m(lo: int, hi: int) -> np.ndarray:
-        ratio = _ratio_rows(field, fvals[:, None, :], gvals[None, lo:hi, :])
-        v = _distinct_counts(ratio) - pole[None, lo:hi]
-        return (q - v).astype(np.int32)
-
-    def scan_range(bound: tuple[int, int]) -> list[tuple[int, int, int]]:
+    def scan_range(bound: tuple[int, int]) -> tuple[np.ndarray, ...]:
         lo, hi = bound
-        m = pair_m(lo, hi)
-        thr = np.where(pole[None, lo:hi], thr_pole, thr_nopole)
-        fi, gi = np.nonzero(m <= thr)
-        return [(int(f), int(g) + lo, int(m[f, g])) for f, g in zip(fi, gi)]
+        ratio = _ratio_rows(field, fvals[:, None, :], gvals[None, lo:hi, :])
+        m = q - (_distinct_counts(ratio) - pole[None, lo:hi])
+        fi, gi = np.nonzero(m <= np.where(pole[None, lo:hi], thr_pole, thr_nopole))
+        return fi, gi + lo, m[fi, gi]
 
-    survivors: list[tuple[int, int, int]] = []
-    for part in map_blocks(scan_range, bounds, workers):
-        survivors.extend(part)
-
-    # Coprimality, then orbit-level dedup keyed by the minimal orbit row.
-    orbits: dict[bytes, _OrbitRecord] = {}
-    for fi, gi, m in survivors:
-        fc, gc = fblock[fi], gblock[gi]
-        if s2 > 0 and t2 > 0 and not _tuple_gcd_is_one(field, fc, gc):
-            continue
-        rows = _expand_orbit_rows(field, fc, gc)
-        key = rows[0].tobytes()
-        if key not in orbits:
-            orbits[key] = _OrbitRecord(
-                num_deg=s2,
-                den_deg=t2,
-                m=int(m),
-                has_pole=bool(pole[gi]),
-                member_rows=rows,
-            )
-    return [orbits[k] for k in sorted(orbits)]
+    fi, gi, m = map(np.concatenate, zip(*map_blocks(scan_range, bounds, workers)))
+    if s2 > 0 and t2 > 0:
+        coprime = [_tuple_gcd_is_one(field, fblock[f], gblock[g]) for f, g in zip(fi, gi)]
+        fi, gi, m = fi[coprime], gi[coprime], m[coprime]
+    rows, src = _expand_orbit_rows(field, fblock[fi], gblock[gi])
+    return _Block(s2, t2, rows, m[src], pole[gi[src]])
 
 
-def _scan_orbits(
+def _scan_blocks(
     field: Field,
     queries: Sequence[SfpQuery],
     workers: Optional[int] = None,
-) -> list[_OrbitRecord]:
-    """All orbits that any of the queries might count, by exact-degree block."""
+) -> list[_Block]:
+    """Every block that any of the queries might count from."""
     nworkers = resolve_workers(workers)
     smax = max(qq.s + max(qq.a, 0) for qq in queries)
     tmax = max(qq.t + max(qq.b, 0) for qq in queries)
-    records: list[_OrbitRecord] = []
+    blocks: list[_Block] = []
     for s2 in range(smax + 1):
         for t2 in range(tmax + 1):
             thr_pole, thr_nopole = _block_thresholds(queries, s2, t2)
             if thr_pole < 0 and thr_nopole < 0:
                 continue
-            records.extend(
-                _scan_block(field, s2, t2, thr_pole, thr_nopole, nworkers)
-            )
-    return records
+            blocks.append(_scan_block(field, s2, t2, thr_pole, thr_nopole, nworkers))
+    return blocks
 
 
 def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
     """Same member rows as the oracle, via normalized representatives."""
     started = time.perf_counter()
-    records = _scan_orbits(query.field, [query], workers=workers)
-    accepted = [(r.den_deg, r.member_rows) for r in records if _accepts(r, query)]
-    rows = _pad_rows(query, accepted)
+    blocks = _scan_blocks(query.field, [query], workers=workers)
+    rows = _pad_rows(query, [(b.t2, b.rows[_members(b, query)]) for b in blocks])
     rows = rows[np.lexsort(rows.T[::-1])]
-    return SfpResult(
-        query, rows, len(rows), query.distance(), time.perf_counter() - started
-    )
+    return SfpResult(query, rows, len(rows), time.perf_counter() - started)
 
 
 # -- grid maximization --------------------------------------------------------
@@ -578,35 +589,15 @@ def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
 class BestCount:
     """Winning cell of a fixed-budget-total maximization."""
 
-    q: int
-    k: int
-    variant: Variant
+    query: SfpQuery
     count: int
-    s: int
-    t: int
-    a: int
-    b: int
     cell_counts: tuple[tuple[tuple[int, int, int, int], int], ...]
     elapsed: float
 
-    def query(self) -> SfpQuery:
-        return SfpQuery(
-            field_for_order(self.q), self.variant, self.s, self.t, self.a, self.b
-        )
-
     def manifest(self, tool_version: str = "") -> dict:
-        return {
-            "q": self.q,
-            "variant": self.variant.value,
-            "s": self.s,
-            "t": self.t,
-            "a": self.a,
-            "b": self.b,
-            "count": self.count,
-            "argmax": {"s": self.s, "t": self.t, "a": self.a, "b": self.b},
-            "elapsed_ms": round(self.elapsed * 1000.0, 3),
-            "tool_version": tool_version,
-        }
+        qq = self.query
+        argmax = {"s": qq.s, "t": qq.t, "a": qq.a, "b": qq.b}
+        return _manifest(qq, self.count, argmax, self.elapsed, tool_version)
 
 
 def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
@@ -641,22 +632,18 @@ def best_count(
     started = time.perf_counter()
     queries = grid_queries(q, k, variant)
     field = queries[0].field
-    records = _scan_orbits(field, queries, workers=workers)
-    counts: dict[SfpQuery, int] = {qq: 0 for qq in queries}
-    for rec in records:
-        for qq in queries:
-            if _accepts(rec, qq):
-                counts[qq] += len(rec.member_rows)
+    blocks = _scan_blocks(field, queries, workers=workers)
+    counts = {
+        qq: sum(int(np.count_nonzero(_members(b, qq))) for b in blocks)
+        for qq in queries
+    }
     def rank(qq: SfpQuery) -> tuple[int, int, int]:
         return (-counts[qq], qq.s, OFFSET_CHOICES.index((qq.a, qq.b)))
     best = min(queries, key=rank)
     cells = tuple(
         ((qq.s, qq.t, qq.a, qq.b), counts[qq]) for qq in queries
     )
-    return BestCount(
-        q, k, variant, counts[best], best.s, best.t, best.a, best.b,
-        cells, time.perf_counter() - started,
-    )
+    return BestCount(best, counts[best], cells, time.perf_counter() - started)
 
 
 # -- permutation-polynomial baseline ------------------------------------------

@@ -57,7 +57,7 @@ def test_criterion_1_length_q_bounds(k, expected):
     ok = report(
         f"criterion 1: length-19 count, k={k}",
         bc.count == expected,
-        f"count={bc.count}, expected={expected}, argmax=(s={bc.s},t={bc.t})",
+        f"count={bc.count}, expected={expected}, argmax=(s={bc.query.s},t={bc.query.t})",
     )
     assert ok
 
@@ -78,7 +78,6 @@ def test_criterion_2_length_q1_bounds(q, k, expected):
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_2_length_q1_bound_slow_tier():
     bc = best_count(19, 5, Variant.Q_PLUS_1)
     ok = report(
@@ -146,7 +145,6 @@ def test_criterion_4_full_verification_6840():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_4_sampled_verification_123804():
     pa = build_pa(SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1))
     rep = min_distance(pa, "sampled", sample_pairs=10**6, seed=1)

@@ -193,20 +193,39 @@ def test_ratio_rows_match_field_division(q):
 
 
 @pytest.mark.parametrize("q, df, dg", [(4, 3, 2), (8, 4, 3), (9, 4, 3), (27, 3, 4)])
-def test_expand_orbit_rows_match_orbit(q, df, dg):
-    # Degrees >= p make binomials C(m+i, i) vanish mod p in the shift.
+def test_expand_orbit_rows_match_orbit(q, df, dg, monkeypatch):
+    # Degrees >= p make binomials C(m+i, i) vanish mod p in the shift.  One
+    # batched call holds every shift of three coprime fractions, shuffled,
+    # so each orbit arrives up to q times and must be expanded once.
     F = field_for_order(q)
+    ratio_rows, divided = sfp._ratio_rows, []
+
+    def counted(field, fvals, gvals):
+        divided.append(fvals.size)
+        return ratio_rows(field, fvals, gvals)
+
+    monkeypatch.setattr(sfp, "_ratio_rows", counted)
     rng = np.random.default_rng(q)
-    checked = 0
-    while checked < 3:
+    fracs = []
+    while len(fracs) < 3:
         f = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=df)) + (1,))
         g = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=dg)) + (1,))
-        if gcd(f, g).degree != 0:
-            continue
-        rows = sfp._expand_orbit_rows(F, np.array(f.coeffs), np.array(g.coeffs))
-        want = [m.den.coeffs + m.num.coeffs for m in orbit(make(f, g))]
-        assert [tuple(r) for r in rows.tolist()] == want
-        checked += 1
+        if gcd(f, g).degree == 0:
+            fracs.append(make(f, g))
+    orbits = [{m.den.coeffs + m.num.coeffs for m in orbit(phi)} for phi in fracs]
+    batch = [(j, beta) for j in range(len(fracs)) for beta in range(q)]
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    shifts = [(fracs[j].num.shift(beta), fracs[j].den.shift(beta)) for j, beta in batch]
+    rows, src = sfp._expand_orbit_rows(
+        F,
+        np.array([f.coeffs for f, _ in shifts]),
+        np.array([g.coeffs for _, g in shifts]),
+    )
+    got = [tuple(r) for r in rows.tolist()]
+    assert got == sorted(set().union(*orbits))
+    assert all(row in orbits[batch[i][0]] for row, i in zip(got, src.tolist()))
+    # Scaling all 3q inputs by every unit would divide this many entries.
+    assert sum(divided) < len(batch) * q * (q - 1) * (df + 1)
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -274,11 +293,18 @@ def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
     # With thresholds no pair misses, a block's orbits are all its coprime
     # fractions, whatever the members.  When p divides t2 a shift cannot
     # change g's x^(t2-1) coefficient, so only a whole block reaches them all.
+    # Every m passes these thresholds, so each row must carry its own orbit's
+    # m and pole flag, checked against `value_count` on sampled rows.
     F = field_for_order(q)
+    rng = np.random.default_rng(q + s2 + t2)
 
     def orbit_rows():
-        records = sfp._scan_block(F, s2, t2, q, q, 1)
-        return np.concatenate([r.member_rows for r in records])
+        block = sfp._scan_block(F, s2, t2, q, q, 1)
+        for i in rng.choice(len(block.rows), 200):
+            den, num = block.rows[i, : t2 + 1].tolist(), block.rows[i, t2 + 1 :].tolist()
+            prof = value_count(make(Poly.of(F, num), Poly.of(F, den)))
+            assert (block.m[i], block.pole[i]) == (q - prof.v, prof.has_pole)
+        return block.rows
 
     reduced = orbit_rows()
     monic_rows = sfp._monic_rows
@@ -417,7 +443,7 @@ def test_grid_queries_and_tie_break():
     queries = grid_queries(7, 2, Variant.Q_PLUS_1)
     assert all(qq.s + qq.t == 2 for qq in queries)
     bc = best_count(7, 1, Variant.Q)
-    assert (bc.s, bc.t) == (1, 0)  # 42 at (1,0); (0,1) has none
+    assert (bc.query.s, bc.query.t) == (1, 0)  # 42 at (1,0); (0,1) has none
     assert bc.count == 42
     with pytest.raises(ValueError):
         best_count(7, 6, Variant.Q)
