@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .groups import (
     EXACT_SCAN_CAP,
+    check_row_cap,
     group_order,
     group_to_pa,
     make_named,
@@ -186,6 +187,8 @@ def cmd_group(args: argparse.Namespace) -> int:
         print(f"cannot build group: {exc}", file=sys.stderr)
         return 2
     order = group_order(group)
+    if args.emit:
+        check_row_cap(order)
     scan = args.scan
     if scan == "auto":
         scan = "exact" if order <= EXACT_SCAN_CAP else "sampled"

@@ -18,8 +18,10 @@ trivial (Dixon and Mortimer, *Permutation Groups*, 1996): see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -58,6 +60,11 @@ class PermGroup:
         for g in self.generators:
             if len(g) != self.degree or sorted(g) != list(range(self.degree)):
                 raise ValueError("generator is not a permutation of the degree")
+
+    @functools.cached_property
+    def chain(self) -> StabilizerChain:
+        """The stabilizer chain, built on first use and shared by every query."""
+        return StabilizerChain(self.degree, self.generators)
 
 
 @dataclass(frozen=True)
@@ -222,7 +229,13 @@ class StabilizerChain:
 
 def group_order(group: PermGroup) -> int:
     """Exact order from the stabilizer chain, no element materialization."""
-    return StabilizerChain(group.degree, group.generators).order()
+    return group.chain.order()
+
+
+def check_row_cap(order: int) -> None:
+    """Refuse to list a group of more than EXACT_SCAN_CAP elements."""
+    if order > EXACT_SCAN_CAP:
+        raise ValueError(f"order {order} exceeds row cap {EXACT_SCAN_CAP}")
 
 
 def _scan_depth(chain: StabilizerChain) -> int:
@@ -238,7 +251,6 @@ def minimal_degree(
     mode: str = "exact",
     trials: int = 10**5,
     seed: int = 0,
-    chain: Optional[StabilizerChain] = None,
 ) -> GroupFacts:
     """Minimum number of moved points over nontrivial elements.
 
@@ -257,8 +269,7 @@ def minimal_degree(
     bounds the elements scanned.  Sampled mode walks random generator words
     and reports an upper bound.
     """
-    if chain is None:
-        chain = StabilizerChain(group.degree, group.generators)
+    chain = group.chain
     order = chain.order()
     n = group.degree
     if order == 1:
@@ -284,12 +295,14 @@ def minimal_degree(
         import random
 
         rng = random.Random(seed)
-        gens = group.generators
-        current = identity(n)
+        # itemgetter(*g)(current) is compose(current, g); degree >= 2 here,
+        # so it returns a tuple.
+        steps = [operator.itemgetter(*g) for g in group.generators]
+        current = ident = identity(n)
         best = n + 1
         for _ in range(trials):
-            current = compose(current, rng.choice(gens))
-            m = moved_points(current)
+            current = rng.choice(steps)(current)
+            m = sum(map(operator.ne, current, ident))
             if 0 < m < best:
                 best = m
         return GroupFacts(order=order, minimal_degree=best, exact=False)
@@ -303,13 +316,10 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
     Rows are the chain's elements in lexicographic order.  An order above
     EXACT_SCAN_CAP is refused before any row is built.
     """
-    chain = StabilizerChain(group.degree, group.generators)
-    order = chain.order()
-    if order > EXACT_SCAN_CAP:
-        raise ValueError(f"order {order} exceeds row cap {EXACT_SCAN_CAP}")
+    check_row_cap(group_order(group))
     if facts is None or not facts.exact:
-        facts = minimal_degree(group, mode="exact", chain=chain)
-    rows = np.concatenate(list(chain.element_chunks()))
+        facts = minimal_degree(group, mode="exact")
+    rows = np.concatenate(list(group.chain.element_chunks()))
     return PermArray(
         rows[np.lexsort(rows.T[::-1])],
         claimed_distance=facts.minimal_degree,

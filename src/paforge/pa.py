@@ -53,6 +53,27 @@ def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
     return sum(1 for a, b in zip(p, r) if a != b)
 
 
+# Rows per block of the permutation check; bounds its scratch memory.
+_CHECK_ROWS = 1 << 14
+
+
+def _all_permutations(arr: np.ndarray) -> bool:
+    """Whether every row of arr, with entries in [0, n), holds each point
+    once: row i of a block marks cell i*n + x for each entry x, and n marks
+    per row cover all n cells of the row only when no point repeats."""
+    m, n = arr.shape
+    offsets = np.arange(0, min(m, _CHECK_ROWS) * n, n)[:, None]
+    seen = np.empty(offsets.size * n, dtype=bool)
+    for start in range(0, m, _CHECK_ROWS):
+        block = arr[start:start + _CHECK_ROWS]
+        cells = seen[: block.size]
+        cells[:] = False
+        cells[(block + offsets[: len(block)]).ravel()] = True
+        if not cells.all():
+            return False
+    return True
+
+
 class PermArray:
     """A set of permutations of n points with a claimed minimum distance.
 
@@ -79,8 +100,7 @@ class PermArray:
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
-        ref = np.arange(n, dtype=dtype)
-        if not (np.sort(arr, axis=1) == ref).all():
+        if not _all_permutations(arr):
             raise ValueError("some row is not a permutation")
         whole_rows = arr.view(np.dtype((np.void, arr.itemsize * n))).ravel()
         if len(np.unique(whole_rows)) != arr.shape[0]:

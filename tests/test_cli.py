@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from paforge import cli
 from paforge.cli import main
+from paforge.groups import StabilizerChain
 from paforge.pa import read_pa
 
 
@@ -273,6 +275,34 @@ def test_group_exact_scan_mathieu24(tmp_path):
         "group", "--name", "mathieu24", "--emit", str(tmp_path / "m24.txt")
     )
     assert code == 2 and "row cap" in err
+
+
+def test_group_emit_over_row_cap_refused_before_any_scan(tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("minimal degree was scanned")
+
+    monkeypatch.setattr(cli, "minimal_degree", no_scan)
+    path = tmp_path / "s11.txt"
+    code, out, err = run_cli("group", "--name", "sym", "--m", "11", "--emit", str(path))
+    assert (code, out) == (2, "")
+    assert "order 39916800 exceeds row cap" in err
+    assert not path.exists()
+
+
+def test_group_emit_builds_one_chain(tmp_path, monkeypatch):
+    built = []
+    init = StabilizerChain.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counted)
+    path = tmp_path / "m22.txt"
+    code, out, err = run_cli("group", "--name", "mathieu22", "--emit", str(path))
+    assert code == 0 and json.loads(out)["pa"] == [22, 443520, 16]
+    assert "wrote 443520 rows" in err
+    assert built == [22]
 
 
 def test_emitted_file_reparses_byte_exact(tmp_path):

@@ -25,6 +25,7 @@ from paforge.pa import (
     identity,
     inverse,
     is_sharply_k_transitive,
+    moved_points,
     row_dtype,
     sharpness_matches_distance,
 )
@@ -148,10 +149,46 @@ def test_minimal_degree_pair_action_formula():
         assert facts.minimal_degree == 2 * m - 4
 
 
-def test_minimal_degree_rejects_trivial_group():
+def test_minimal_degree_rejects_trivial_group(monkeypatch):
     trivial = PermGroup(3, ((0, 1, 2),))
     with pytest.raises(ValueError):
         minimal_degree(trivial)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the sampled walk started")
+
+    monkeypatch.setattr(random, "Random", no_walk)
+    with pytest.raises(ValueError, match="trivial"):
+        minimal_degree(trivial, "sampled")
+
+
+def sampled_walk_oracle(group, trials, seed):
+    """The sampled scan one tuple composition at a time: the same seeded
+    generator choices, the least nonzero moved-point count seen."""
+    rng = random.Random(seed)
+    current = identity(group.degree)
+    best = group.degree + 1
+    for _ in range(trials):
+        current = compose(current, rng.choice(group.generators))
+        m = moved_points(current)
+        if 0 < m < best:
+            best = m
+    return best
+
+
+def test_sampled_walk_matches_composition_oracle():
+    for grp in [
+        make_named("mathieu22"),
+        make_named("mathieu24"),
+        make_named("sym_pairs", m=6),
+        make_named("agl1", q=7),
+        make_named("sym", m=5),
+    ]:
+        for seed in (0, 1, 7, 99):
+            for trials in (1, 3, 50, 2000):
+                facts = minimal_degree(grp, "sampled", trials=trials, seed=seed)
+                assert facts.minimal_degree == sampled_walk_oracle(grp, trials, seed)
+                assert not facts.exact
 
 
 def test_sampled_minimal_degree_is_upper_evidence():

@@ -170,6 +170,43 @@ def test_nonpermutation_rejected():
         PermArray([(0, 1, 1)], claimed_distance=1)
 
 
+def block_spanning_rows(n):
+    """2^15 + 5 distinct permutations of n >= 8 points: the first 8 points
+    permuted, the rest fixed.  They span two whole check blocks of 2^14
+    rows and part of a third."""
+    head = np.array(list(itertools.islice(itertools.permutations(range(8)), 2**15 + 5)))
+    tail = np.broadcast_to(np.arange(8, n), (len(head), n - 8))
+    return np.concatenate([head, tail], axis=1)
+
+
+@pytest.mark.parametrize("n, dtype", [(8, np.uint8), (300, np.uint16)])
+def test_bad_rows_rejected_past_the_first_block(n, dtype):
+    rows = block_spanning_rows(n)
+    assert PermArray(rows, claimed_distance=2).rows.dtype == dtype
+    for index in (2**14, 2**15 - 1, len(rows) - 1):
+        bad = rows.copy()
+        bad[index, 1] = bad[index, 0]  # one point twice, one missing
+        with pytest.raises(ValueError, match="not a permutation"):
+            PermArray(bad, claimed_distance=2)
+        repeated = rows.copy()
+        repeated[index] = rows[index - 2**14 + 1]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            PermArray(repeated, claimed_distance=2)
+
+
+def test_permutation_check_matches_sorted_rows():
+    # Oracle: a row is a permutation exactly when it sorts to 0..n-1.
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5, 9):
+        for _ in range(40):
+            m = int(rng.integers(1, 6))
+            rows = np.array([rng.permutation(n) for _ in range(m)])
+            if rng.random() < 0.5:
+                rows[rng.integers(m), rng.integers(n)] = rng.integers(n)
+            is_perm = bool((np.sort(rows, axis=1) == np.arange(n)).all())
+            assert pa_module._all_permutations(rows.astype(np.uint8)) == is_perm
+
+
 def test_full_failure_reports_first_witness():
     rows = [
         (0, 1, 2, 3, 4),
