@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
+import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -43,6 +43,11 @@ from .sfp import field_for_order
 
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
+
+#: Most steps, and most walk cells (steps times degree), of one segment of
+#: the sampled scan; they bound its scratch memory.
+_WALK_SEGMENT = 1 << 16
+_WALK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -266,8 +271,17 @@ def minimal_degree(
     other one moves at least n-t+2 points, and H is transitive on the
     n-t+1 >= 2 points it does not fix, so it has an element moving at most
     n-t+1 points.  With t = 0 the whole group is scanned.  EXACT_SCAN_CAP
-    bounds the elements scanned.  Sampled mode walks random generator words
-    and reports an upper bound.
+    bounds the elements scanned.
+
+    Sampled mode reports an upper bound: the least nonzero moved-point
+    count over the walk P_t = P_(t-1)[g_t], t = 1..trials, from the
+    identity, where each g_t is one `rng.choice` over the generators.  The
+    draws are made in order, one per step, so every seed walks the same
+    word as a one-composition-per-step loop.  Composition is associative,
+    so `_walk_segment` may compute the same prefix products P_t in blocks;
+    it visits exactly the elements that loop visits and the bound is the
+    same.  Segments of at most _WALK_SEGMENT steps carry their last element
+    into the next, so scratch memory does not grow with trials.
     """
     chain = group.chain
     order = chain.order()
@@ -292,21 +306,56 @@ def minimal_degree(
     if mode == "sampled":
         if trials < 1:
             raise ValueError(f"sampled scan needs trials >= 1, got {trials}")
-        import random
-
         rng = random.Random(seed)
-        # itemgetter(*g)(current) is compose(current, g); degree >= 2 here,
-        # so it returns a tuple.
-        steps = [operator.itemgetter(*g) for g in group.generators]
-        current = ident = identity(n)
+        gens = np.array(group.generators + (identity(n),), dtype=row_dtype(n))
+        picks = range(len(group.generators))
+        segment = max(1, min(_WALK_SEGMENT, _WALK_CELLS // n))
+        carry = gens[-1]
         best = n + 1
-        for _ in range(trials):
-            current = rng.choice(steps)(current)
-            m = sum(map(operator.ne, current, ident))
-            if 0 < m < best:
-                best = m
+        for done in range(0, trials, segment):
+            steps = min(segment, trials - done)
+            word = np.fromiter(
+                map(rng.choice, itertools.repeat(picks, steps)), np.intp, steps
+            )
+            carry, least = _walk_segment(gens, word, carry)
+            best = min(best, least)
         return GroupFacts(order=order, minimal_degree=best, exact=False)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _walk_segment(
+    gens: np.ndarray, word: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Walk P_t = P_(t-1)[gens[word[t]]] from P_0 = start as a blocked scan.
+
+    The word is cut into blocks of about sqrt(len(word)) steps, padded with
+    the identity (the last row of gens).  Every block steps from the
+    identity at once, one gather per position; one pass over the blocks
+    carries each block's prefix C in front of it.  P = C[L] moves x exactly
+    when L[x] != C^-1[x], so one comparison with the inverse prefixes
+    counts the moved points of every element.  Returns the last element and
+    the least nonzero moved-point count (degree + 1 when there is none).
+    """
+    n = gens.shape[1]
+    width = math.isqrt(len(word) - 1) + 1
+    blocks = -(-len(word) // width)
+    word = np.concatenate([word, np.full(blocks * width - len(word), len(gens) - 1)])
+    word = word.reshape(blocks, width).T
+    # local[j, b] is the product of block b's first j+1 steps.
+    local = np.empty((width, blocks, n), dtype=gens.dtype)
+    local[0] = gens[word[0]]
+    rows = np.arange(0, blocks * n, n)[:, None]
+    for j in range(1, width):
+        local[j] = local[j - 1].ravel()[gens[word[j]] + rows]
+    prefix = np.empty((blocks, n), dtype=gens.dtype)
+    prefix[0] = start
+    for b in range(1, blocks):
+        prefix[b] = prefix[b - 1][local[-1, b - 1]]
+    inverse_prefix = np.argsort(prefix, axis=1).astype(gens.dtype)
+    moved = (local != inverse_prefix).sum(axis=2)
+    moved = moved[moved > 0]
+    least = int(moved.min()) if len(moved) else n + 1
+    return prefix[-1][local[-1, -1]], least
 
 
 def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArray:
@@ -358,6 +407,8 @@ def _vector_points(field: Field, d: int) -> list[tuple[int, ...]]:
 
 def _agl(d: int, q: int) -> PermGroup:
     """Affine maps v -> Av + t on the d-dimensional space over GF(q)."""
+    if d < 1:
+        raise ValueError(f"affine group needs dimension d >= 1, got {d}")
     F = field_for_order(q)
     points = _vector_points(F, d)
     index = {v: i for i, v in enumerate(points)}

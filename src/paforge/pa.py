@@ -74,6 +74,32 @@ def _all_permutations(arr: np.ndarray) -> bool:
     return True
 
 
+def _rows_distinct(arr: np.ndarray) -> bool:
+    """Whether the rows of arr are pairwise distinct.
+
+    Rows that arrive in lexicographic order, as group arrays do, are proven
+    distinct by a strict compare of each row with the next, one block of
+    rows at a time: at the first column where two neighbours differ the
+    later row must be larger.  Equal neighbours are a repeat in any order.
+    Input whose first column is not non-decreasing, or that turns out not
+    to be strictly increasing, is checked by sorting void rows instead.
+    """
+    m = len(arr)
+    if m > 1 and (arr[1:, 0] >= arr[:-1, 0]).all():
+        for start in range(0, m - 1, _CHECK_ROWS):
+            later = arr[start + 1:start + 1 + _CHECK_ROWS].astype(np.int32)
+            diff = later - arr[start:start + len(later)]
+            step = np.take_along_axis(diff, (diff != 0).argmax(axis=1)[:, None], axis=1)
+            if not step.all():
+                return False
+            if (step < 0).any():
+                break
+        else:
+            return True
+    whole_rows = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel()
+    return len(np.unique(whole_rows)) == m
+
+
 class PermArray:
     """A set of permutations of n points with a claimed minimum distance.
 
@@ -102,8 +128,7 @@ class PermArray:
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
         if not _all_permutations(arr):
             raise ValueError("some row is not a permutation")
-        whole_rows = arr.view(np.dtype((np.void, arr.itemsize * n))).ravel()
-        if len(np.unique(whole_rows)) != arr.shape[0]:
+        if not _rows_distinct(arr):
             raise ValueError("rows must be pairwise distinct")
         self.rows = arr
         self.n = n

@@ -239,6 +239,8 @@ def test_group_command(tmp_path):
 
     assert run_cli("group", "--name", "unknown")[0] == 2
     assert run_cli("group", "--name", "agl1")[0] == 2  # missing parameter
+    code, out, err = run_cli("group", "--name", "agl", "--d", "0", "--q", "2")
+    assert (code, out) == (2, "") and "cannot build group" in err
     code, out, err = run_cli(
         "group", "--name", "sym", "--m", "5", "--scan", "sampled", "--trials", "0"
     )

@@ -4,10 +4,12 @@ breadth-first closure kept here is the independent oracle for the chain."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from paforge import groups as groups_module
 from paforge.groups import (
     PermGroup,
     StabilizerChain,
@@ -177,18 +179,40 @@ def sampled_walk_oracle(group, trials, seed):
 
 
 def test_sampled_walk_matches_composition_oracle():
-    for grp in [
-        make_named("mathieu22"),
-        make_named("mathieu24"),
-        make_named("sym_pairs", m=6),
-        make_named("agl1", q=7),
-        make_named("sym", m=5),
-    ]:
-        for seed in (0, 1, 7, 99):
-            for trials in (1, 3, 50, 2000):
-                facts = minimal_degree(grp, "sampled", trials=trials, seed=seed)
-                assert facts.minimal_degree == sampled_walk_oracle(grp, trials, seed)
-                assert not facts.exact
+    cases = [
+        (grp, seed, trials)
+        for grp in [
+            make_named("mathieu22"),
+            make_named("mathieu24"),
+            make_named("sym_pairs", m=6),
+            make_named("agl1", q=7),
+            make_named("sym", m=5),
+            make_named("sym", m=2),  # the walk keeps returning to the identity
+        ]
+        for seed in (0, 1, 7, 99)
+        for trials in (1, 3, 50, 2000)
+    ]
+    # More than one scan segment, not a multiple of the block length.
+    segment = groups_module._WALK_SEGMENT
+    for grp in (make_named("sym", m=5), make_named("agl1", q=7)):
+        cases += [(grp, seed, segment + 3) for seed in (0, 7)]
+    cases += [(make_named("sym", m=2), 5, 2 * segment + 1)]
+    for grp, seed, trials in cases:
+        facts = minimal_degree(grp, "sampled", trials=trials, seed=seed)
+        assert facts.minimal_degree == sampled_walk_oracle(grp, trials, seed)
+        assert not facts.exact
+
+
+def test_sampled_scan_memory_does_not_grow_with_trials():
+    grp = make_named("mathieu24")
+    grp.chain  # built outside the measured span
+    tracemalloc.start()
+    try:
+        minimal_degree(grp, "sampled", trials=4 * groups_module._WALK_SEGMENT, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sampled_minimal_degree_is_upper_evidence():

@@ -194,6 +194,42 @@ def test_bad_rows_rejected_past_the_first_block(n, dtype):
             PermArray(repeated, claimed_distance=2)
 
 
+@pytest.mark.parametrize("n", [8, 300])
+def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
+    rows = block_spanning_rows(n)  # lexicographically sorted
+    unique_calls = []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        unique_calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    PermArray(rows, claimed_distance=2)
+    assert unique_calls == []
+    # An adjacent repeat keeps the rows sorted and is rejected by the
+    # neighbour compare, on either side of a check block boundary.
+    for index in (1, 2**14, 2**14 + 1, len(rows) - 1):
+        repeated = rows.copy()
+        repeated[index] = rows[index - 1]
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            PermArray(repeated, claimed_distance=2)
+    assert unique_calls == []
+    # One inversion keeps the first column non-decreasing, so the neighbour
+    # compare runs, finds the inversion and hands over to the full check.
+    swapped = rows.copy()
+    swapped[[2**14 + 7, 2**14 + 8]] = rows[[2**14 + 8, 2**14 + 7]]
+    assert (swapped[1:, 0] >= swapped[:-1, 0]).all()
+    PermArray(swapped, claimed_distance=2)
+    assert len(unique_calls) == 1
+    repeated = swapped.copy()
+    repeated[2**14 + 9] = swapped[2**14 + 7]  # not adjacent: the full check sees it
+    assert (repeated[1:, 0] >= repeated[:-1, 0]).all()
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PermArray(repeated, claimed_distance=2)
+    assert len(unique_calls) == 2
+
+
 def test_permutation_check_matches_sorted_rows():
     # Oracle: a row is a permutation exactly when it sorts to 0..n-1.
     rng = np.random.default_rng(3)
