@@ -21,12 +21,7 @@ from .groups import (
     make_named,
     minimal_degree,
 )
-from .pa import (
-    is_sharply_k_transitive,
-    min_distance,
-    read_pa,
-    write_pa,
-)
+from .pa import min_distance, read_pa, write_pa
 from .pam import build_pa
 from .sfp import (
     SfpQuery,
@@ -203,17 +198,17 @@ def cmd_group(args: argparse.Namespace) -> int:
         "scan": scan,
         "pa": [group.degree, order, facts.minimal_degree],
     }
-    pa = None
     sharp_k = _sharp_k_for(group.degree, order)
     if sharp_k is not None and order <= 10000:
-        pa = group_to_pa(group, facts)
-        info["sharply_k_transitive"] = (
-            sharp_k if is_sharply_k_transitive(pa, sharp_k) else None
-        )
+        # The order is n!/(n-k)!, so the group is sharply k-transitive exactly
+        # when it is k-transitive.  For n >= 2 `_sharp_k_for` returns n-1
+        # before it could return n, so the chain's cap at orbits of size 2
+        # hides no case.
+        sharp = group.chain.transitivity() >= sharp_k
+        info["sharply_k_transitive"] = sharp_k if sharp else None
     print(json.dumps(info))
     if args.emit:
-        if pa is None:
-            pa = group_to_pa(group, facts)
+        pa = group_to_pa(group, facts)
         write_pa(pa, args.emit)
         print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
     return 0
@@ -319,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ low-degree-first, so every encoding is reproducible run to run.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -252,3 +253,28 @@ class Field:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.q))
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p**k; ValueError when q is not a prime power."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = q
+    for f in range(2, int(q**0.5) + 1):
+        if q % f == 0:
+            p = f
+            break
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
+
+
+@lru_cache(maxsize=None)
+def field_for_order(q: int) -> Field:
+    """The field of order q (q must be a prime power)."""
+    return Field(*prime_power(q))

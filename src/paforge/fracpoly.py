@@ -44,6 +44,15 @@ class FracPoly:
     def text(self) -> str:
         return f"f = {self.num.text()} ; g = {self.den.text()}"
 
+    def values(self) -> list[int]:
+        """f(a)/g(a) at each point a of GF(q), with q at the poles."""
+        F = self.field
+        out = []
+        for alpha in F.elements():
+            gv = self.den.eval(alpha)
+            out.append(F.mul(self.num.eval(alpha), F.inv(gv)) if gv else F.q)
+        return out
+
 
 @dataclass(frozen=True)
 class ValueProfile:
@@ -74,18 +83,11 @@ def make(f: Poly, g: Poly) -> FracPoly:
 
 def value_count(phi: FracPoly) -> ValueProfile:
     """Count distinct values f(a)/g(a) over the non-poles of g in GF(q)."""
-    F = phi.field
-    values: set[int] = set()
-    has_pole = False
-    for alpha in F.elements():
-        gv = phi.den.eval(alpha)
-        if gv == 0:
-            has_pole = True
-            continue
-        values.add(F.mul(phi.num.eval(alpha), F.inv(gv)))
+    q = phi.field.q
+    values = set(phi.values())
     return ValueProfile(
-        v=len(values),
-        has_pole=has_pole,
+        v=len(values - {q}),
+        has_pole=q in values,
         num_deg=phi.num.degree,
         den_deg=phi.den.degree,
     )

@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .field import Field
+from .field import Field, field_for_order
 from .pa import (
     PermArray,
     Permutation,
@@ -39,7 +39,6 @@ from .pa import (
     moved_points,
     row_dtype,
 )
-from .sfp import field_for_order
 
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
@@ -143,15 +142,20 @@ class StabilizerChain:
 
     def add_generator(self, g: Permutation) -> None:
         g = tuple(g)
-        if moved_points(g) == 0:
-            return
-        level = 0
+        if moved_points(g) != 0:
+            self._insert(g, 0)
+
+    def _insert(self, g: Permutation, start: int) -> None:
+        """Store the nonidentity g at the first level from `start` whose base
+        point it moves (a new level when it moves none), then restore the
+        levels from there back up to `start`."""
+        level = start
         while level < len(self.base) and g[self.base[level]] == self.base[level]:
             level += 1
         if level == len(self.base):
             self._append_level(min(i for i, j in enumerate(g) if i != j))
         self.stored[level].append(g)
-        for i in range(level, -1, -1):
+        for i in range(level, start - 1, -1):
             self._complete_level(i)
 
     def _complete_level(self, i: int) -> None:
@@ -168,16 +172,7 @@ class StabilizerChain:
                     residue = self.sift(schreier, i + 1)
                     if moved_points(residue) == 0:
                         continue
-                    lev = i + 1
-                    while lev < len(self.base) and residue[self.base[lev]] == self.base[lev]:
-                        lev += 1
-                    if lev == len(self.base):
-                        self._append_level(
-                            min(a for a, c in enumerate(residue) if a != c)
-                        )
-                    self.stored[lev].append(residue)
-                    for j in range(lev, i, -1):
-                        self._complete_level(j)
+                    self._insert(residue, i + 1)
                     clean = False
                     break
                 if not clean:

@@ -9,7 +9,6 @@ no root, and otherwise the smallest root is sent to the extra point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,41 +16,6 @@ import numpy as np
 from .fracpoly import FracPoly
 from .pa import PermArray, Permutation
 from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
-
-
-@dataclass(frozen=True)
-class PamAssignment:
-    """A completed map: which points the fraction pinned, which were filled.
-
-    forced_count counts assignments dictated by the completion rule (one per
-    attained value, plus the extra-point rule for length q+1); filled_count
-    counts the ascending-order matches of the remaining points.
-    """
-
-    phi: FracPoly
-    images: Permutation
-    forced_count: int
-    filled_count: int
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError("completed map is not a permutation")
-        if self.forced_count + self.filled_count != len(self.images):
-            raise ValueError("forced and filled counts must cover the domain")
-
-
-def _value_row(phi: FracPoly) -> list[int]:
-    """Per-point values, with q as the pole sentinel."""
-    F = phi.field
-    q = F.q
-    vals: list[int] = []
-    for alpha in range(q):
-        gv = phi.den.eval(alpha)
-        if gv == 0:
-            vals.append(q)
-        else:
-            vals.append(F.mul(phi.num.eval(alpha), F.inv(gv)))
-    return vals
 
 
 def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
@@ -94,31 +58,16 @@ def _complete_rows(q: int, n: int, vals: np.ndarray) -> np.ndarray:
     return images
 
 
-def _assign(phi: FracPoly, n: int) -> PamAssignment:
-    q = phi.field.q
-    vals = _value_row(phi)
-    forced = len({v for v in vals if v < q}) + n - q  # plus the extra-point rule
-    return PamAssignment(phi, _complete(q, n, vals), forced, n - forced)
-
-
-def assign_q(phi: FracPoly) -> PamAssignment:
-    """Complete a fraction to a permutation of GF(q), with bookkeeping."""
-    return _assign(phi, phi.field.q)
-
-
-def assign_q1(phi: FracPoly) -> PamAssignment:
-    """Complete a fraction to a permutation of GF(q) plus an extra point."""
-    return _assign(phi, phi.field.q + 1)
-
-
 def build_q_pam(phi: FracPoly) -> Permutation:
     """Complete a fraction to a permutation of GF(q)."""
-    return assign_q(phi).images
+    q = phi.field.q
+    return _complete(q, q, phi.values())
 
 
 def build_q1_pam(phi: FracPoly) -> Permutation:
     """Complete a fraction to a permutation of GF(q) plus an extra point."""
-    return assign_q1(phi).images
+    q = phi.field.q
+    return _complete(q, q + 1, phi.values())
 
 
 def build_pa(

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import DENSE_TABLE_CAP, Field
+from .field import DENSE_TABLE_CAP, Field, field_for_order, prime_power
 from .fracpoly import FracPoly, ValueProfile, value_count
 from .parallel import map_blocks, resolve_workers
 from .poly import Degree, Poly, gcd
@@ -50,25 +50,6 @@ class Variant(str, Enum):
     Q_PLUS_1 = "q+1"
 
 
-def prime_power(q: int) -> tuple[int, int]:
-    """(p, k) with q = p**k; ValueError when q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = q
-    for f in range(2, int(q**0.5) + 1):
-        if q % f == 0:
-            p = f
-            break
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
-
-
 def check_field_range(p: int, k: int) -> None:
     """Reject GF(p^k) outside the fraction search's supported range: prime
     orders up to MAX_Q, extension orders up to MAX_EXT_Q."""
@@ -78,12 +59,6 @@ def check_field_range(p: int, k: int) -> None:
     if k > 1 and q > MAX_EXT_Q:
         msg = f"extension field order {q} exceeds the supported maximum {MAX_EXT_Q}"
         raise ValueError(msg)
-
-
-@lru_cache(maxsize=None)
-def field_for_order(q: int) -> Field:
-    """The field of order q (q must be a prime power)."""
-    return Field(*prime_power(q))
 
 
 @dataclass(frozen=True)
@@ -129,6 +104,20 @@ class SfpQuery:
     def length(self) -> int:
         return self.q if self.variant is Variant.Q else self.q + 1
 
+    def slack(self, num_deg: Degree, den_deg: Degree, has_pole: bool) -> int:
+        """Largest q - v a fraction of these exact degrees may have and still be
+        a member; -1 when the degrees exceed the budgets.  See the module
+        docstring for the rule: a pole adds one to the length-(q+1) slack, and
+        no pole shifts the budgets by the offsets (zero on variant q)."""
+        s, t, bonus = self.s, self.t, 0
+        if not has_pole:
+            s, t = s + self.a, t + self.b
+        elif self.variant is Variant.Q_PLUS_1:
+            bonus = 1
+        if num_deg > s or den_deg > t:
+            return -1
+        return min(s - num_deg, t - den_deg) + bonus
+
     def describe(self) -> str:
         core = f"q={self.q},variant={self.variant.value},s={self.s},t={self.t}"
         if self.variant is Variant.Q_PLUS_1:
@@ -147,8 +136,11 @@ class SfpResult:
 
     query: SfpQuery
     rows: np.ndarray
-    count: int
     elapsed: float
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
 
     @property
     def members(self) -> tuple[FracPoly, ...]:
@@ -212,69 +204,14 @@ def _pad_rows(query: SfpQuery, pieces: Sequence[tuple[int, np.ndarray]]) -> np.n
 # -- membership ---------------------------------------------------------------
 
 
-def slack(
-    num_deg: Degree,
-    den_deg: Degree,
-    has_pole: bool,
-    variant: Variant,
-    s: int,
-    t: int,
-    a: int = 0,
-    b: int = 0,
-) -> int:
-    """Largest q - v a fraction of these exact degrees may have and still be
-    a member for budgets (s, t) and offsets (a, b); -1 when the degrees
-    exceed the budgets.  See the module docstring for the rule."""
-    bonus = 0
-    if variant is Variant.Q_PLUS_1:
-        if has_pole:
-            bonus = 1
-        else:
-            s, t = s + a, t + b
-    if num_deg > s or den_deg > t:
-        return -1
-    return min(s - num_deg, t - den_deg) + bonus
-
-
-def _query_slack(
-    num_deg: Degree, den_deg: Degree, has_pole: bool, query: SfpQuery
-) -> int:
-    return slack(
-        num_deg, den_deg, has_pole, query.variant, query.s, query.t, query.a, query.b
-    )
-
-
-def member_q(
-    phi: FracPoly, s: int, t: int, profile: Optional[ValueProfile] = None
-) -> bool:
-    """Length-q membership for budgets (s, t)."""
-    prof = profile if profile is not None else value_count(phi)
-    return phi.field.q - prof.v <= slack(
-        prof.num_deg, prof.den_deg, prof.has_pole, Variant.Q, s, t
-    )
-
-
-def member_q1(
-    phi: FracPoly,
-    s: int,
-    t: int,
-    a: int,
-    b: int,
-    profile: Optional[ValueProfile] = None,
-) -> bool:
-    """Length-(q+1) membership for budgets (s, t) and offsets (a, b)."""
-    prof = profile if profile is not None else value_count(phi)
-    return phi.field.q - prof.v <= slack(
-        prof.num_deg, prof.den_deg, prof.has_pole, Variant.Q_PLUS_1, s, t, a, b
-    )
-
-
 def is_member(
     phi: FracPoly, query: SfpQuery, profile: Optional[ValueProfile] = None
 ) -> bool:
-    if query.variant is Variant.Q:
-        return member_q(phi, query.s, query.t, profile)
-    return member_q1(phi, query.s, query.t, query.a, query.b, profile)
+    """Whether phi belongs to the query's cell; `profile` is phi's
+    `value_count` when the caller already has it."""
+    prof = profile if profile is not None else value_count(phi)
+    slack = query.slack(prof.num_deg, prof.den_deg, prof.has_pole)
+    return phi.field.q - prof.v <= slack
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -324,7 +261,7 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
             values = {
                 F.mul(fv, gi) for fv, gi in zip(fvals, ginv) if gi is not None
             }
-            if q - len(values) > _query_slack(f.degree, g.degree, has_pole, query):
+            if q - len(values) > query.slack(f.degree, g.degree, has_pole):
                 continue
             if g.degree > 0 and gcd(f, g).degree != 0:
                 continue
@@ -334,7 +271,7 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    return SfpResult(query, rows, len(rows), time.perf_counter() - started)
+    return SfpResult(query, rows, time.perf_counter() - started)
 
 
 # -- fast scan: normalized representatives + orbit expansion -----------------
@@ -365,8 +302,8 @@ def _block_thresholds(
 ) -> tuple[int, int]:
     """Most permissive (pole, no-pole) slack over all queries for one block."""
     return (
-        max(_query_slack(s2, t2, True, qq) for qq in queries),
-        max(_query_slack(s2, t2, False, qq) for qq in queries),
+        max(qq.slack(s2, t2, True) for qq in queries),
+        max(qq.slack(s2, t2, False) for qq in queries),
     )
 
 
@@ -579,7 +516,7 @@ def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
     blocks = _scan_blocks(query.field, [query], workers=workers)
     rows = _pad_rows(query, [(b.t2, b.rows[_members(b, query)]) for b in blocks])
     rows = rows[np.lexsort(rows.T[::-1])]
-    return SfpResult(query, rows, len(rows), time.perf_counter() - started)
+    return SfpResult(query, rows, time.perf_counter() - started)
 
 
 # -- grid maximization --------------------------------------------------------

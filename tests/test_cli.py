@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,8 +13,8 @@ import pytest
 
 from paforge import cli
 from paforge.cli import main
-from paforge.groups import StabilizerChain
-from paforge.pa import read_pa
+from paforge.groups import PermGroup, StabilizerChain, group_to_pa
+from paforge.pa import is_sharply_k_transitive, read_pa
 
 
 def run_cli(*argv):
@@ -305,6 +306,48 @@ def test_group_emit_builds_one_chain(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["pa"] == [22, 443520, 16]
     assert "wrote 443520 rows" in err
     assert built == [22]
+
+
+def test_group_sharp_k_matches_array_predicate(monkeypatch):
+    # The command reads sharp k-transitivity off the chain; the array
+    # predicate is the reference.  Random generator sets of degree 2-6, and
+    # an intransitive group whose order 6 = 6!/5! suggests k = 1.
+    rng = random.Random(7)
+    groups = [PermGroup(6, ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5)))]
+    while len(groups) < 60:
+        n = rng.randint(2, 6)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
+        if any(g != tuple(range(n)) for g in gens):  # the trivial group exits 2
+            groups.append(PermGroup(n, tuple(gens)))
+    seen = set()
+    for group in groups:
+        monkeypatch.setattr(cli, "make_named", lambda name, **params: group)
+        code, out, _ = run_cli("group", "--name", "random")
+        assert code == 0
+        info = json.loads(out)
+        k = cli._sharp_k_for(group.degree, info["order"])
+        if k is None:
+            assert "sharply_k_transitive" not in info
+            continue
+        sharp = is_sharply_k_transitive(group_to_pa(group), k)
+        assert info["sharply_k_transitive"] == (k if sharp else None), group
+        seen.add(sharp)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sfp", "--q", "5", "--s", "1", "--t", "0"),
+        ("group", "--name", "sym", "--m", "3"),
+    ],
+)
+def test_unwritable_emit_path_exits_2(tmp_path, argv):
+    path = tmp_path / "missing" / "pa.txt"
+    code, _, err = run_cli(*argv, "--emit", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "missing" in err
+    assert not path.exists()
 
 
 def test_emitted_file_reparses_byte_exact(tmp_path):

@@ -84,6 +84,8 @@ def test_value_count_examples():
     assert prof.v == 3  # squares {0, 1, 4}
     prof = value_count(frac(F5, (1,), (0, 1)))
     assert prof.v == 4 and prof.has_pole
+    assert frac(F5, (0, 0, 1)).values() == [0, 1, 4, 4, 1]
+    assert frac(F5, (1,), (0, 1)).values() == [5, 1, 3, 2, 4]  # 1/x, pole at 0
 
 
 def test_transform_examples():

@@ -3,7 +3,10 @@ named constructions, and the embedded sporadic generator data.  A
 breadth-first closure kept here is the independent oracle for the chain."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -457,3 +460,17 @@ def test_mathieu_chain_is_point_stabilizer_chain():
     m22 = make_named("mathieu22")
     for g in m22.generators:
         assert chain.contains(tuple(g) + (22,))
+
+
+def test_groups_import_leaves_the_fraction_search_unloaded():
+    code = (
+        "import sys, paforge.groups; "
+        "print(sorted(m for m in ('paforge.sfp', 'paforge.fracpoly') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(groups_module.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from paforge.field import Field
-from paforge.fracpoly import make, value_count
+from paforge.fracpoly import make
 from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
 from paforge import pam
-from paforge.pam import assign_q, assign_q1, build_pa, build_q1_pam, build_q_pam
+from paforge.pam import build_pa, build_q1_pam, build_q_pam
 from paforge.poly import Poly
 from paforge.sfp import (
     OFFSET_CHOICES,
@@ -42,17 +42,17 @@ def test_q1_pam_hand_examples():
 
 
 def test_pam_respects_forced_points():
-    # Wherever the fraction attains a value, the permutation sends one of the
-    # preimages (the smallest) to it.
+    # At both lengths, wherever the fraction attains a value, the permutation
+    # sends one of the preimages (the smallest) to it.
     for phi in (
         frac(F5, (1, 2, 1)),
         frac(F5, (2, 0, 1), (1, 1)),
         frac(F7, (1, 3, 0, 2)),
         frac(F7, (1,), (0, 2, 1)),
+        frac(F7, (0, 3)),
     ):
         F = phi.field
         q = F.q
-        psi = build_q_pam(phi)
         preimages = {}
         for beta in range(q):
             gv = phi.den.eval(beta)
@@ -60,27 +60,10 @@ def test_pam_respects_forced_points():
                 continue
             val = F.mul(phi.num.eval(beta), F.inv(gv))
             preimages.setdefault(val, []).append(beta)
-        for val, pre in preimages.items():
-            assert psi[min(pre)] == val
-        assert sorted(psi) == list(range(q))
-
-
-def test_assignment_bookkeeping():
-    # Forced assignments are one per attained value (plus the extra-point
-    # rule for length q+1); fills make up the difference.
-    for phi in (
-        frac(F5, (1, 2, 1)),
-        frac(F5, (2, 0, 1), (1, 1)),
-        frac(F7, (1,), (0, 2, 1)),
-        frac(F7, (0, 3)),
-    ):
-        v = value_count(phi).v
-        q = phi.field.q
-        a = assign_q(phi)
-        assert (a.forced_count, a.filled_count) == (v, q - v)
-        a1 = assign_q1(phi)
-        assert (a1.forced_count, a1.filled_count) == (v + 1, q - v)
-        assert a1.phi is phi
+        for psi in (build_q_pam(phi), build_q1_pam(phi)):
+            for val, pre in preimages.items():
+                assert psi[min(pre)] == val
+            assert sorted(psi) == list(range(len(psi)))
 
 
 def test_q1_pam_pole_handling():

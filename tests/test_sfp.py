@@ -19,10 +19,7 @@ from paforge.sfp import (
     field_for_order,
     grid_queries,
     is_member,
-    member_q,
-    member_q1,
     pp_count,
-    slack,
 )
 
 F5 = Field(5)
@@ -72,30 +69,36 @@ def test_distance_formula():
 
 
 def test_member_q_examples():
-    assert member_q(frac(F5, (0, 1)), 1, 0)
-    assert not member_q(frac(F5, (1,), (0, 1)), 1, 1)
-    assert member_q(frac(F5, (0, 0, 0, 1)), 3, 0)  # x^3 permutes GF(5)
+    assert is_member(frac(F5, (0, 1)), SfpQuery(F5, Variant.Q, 1, 0))
+    assert not is_member(frac(F5, (1,), (0, 1)), SfpQuery(F5, Variant.Q, 1, 1))
+    # x^3 permutes GF(5)
+    assert is_member(frac(F5, (0, 0, 0, 1)), SfpQuery(F5, Variant.Q, 3, 0))
 
 
 def test_member_q1_examples():
-    assert member_q1(frac(F5, (0, 1)), 1, 0, 0, 0)
-    assert member_q1(frac(F5, (1,), (0, 1)), 1, 1, 0, 0)  # pole slack
-    assert not member_q1(frac(F5, (0, 0, 1)), 1, 1, 1, -1)
+    assert is_member(frac(F5, (0, 1)), SfpQuery(F5, Variant.Q_PLUS_1, 1, 0, 0, 0))
+    pole_slack = SfpQuery(F5, Variant.Q_PLUS_1, 1, 1, 0, 0)
+    assert is_member(frac(F5, (1,), (0, 1)), pole_slack)
+    shifted = SfpQuery(F5, Variant.Q_PLUS_1, 1, 1, 1, -1)
+    assert not is_member(frac(F5, (0, 0, 1)), shifted)
 
 
 def test_slack_rule():
-    assert slack(1, 1, False, Variant.Q, 2, 2) == 1
-    assert slack(3, 0, False, Variant.Q, 2, 2) == -1  # numerator over budget
-    assert slack(1, 1, True, Variant.Q_PLUS_1, 2, 2) == 2  # pole absorbs one
-    assert slack(1, 1, False, Variant.Q_PLUS_1, 2, 2, 1, -1) == 0  # budgets (3, 1)
-    assert slack(2, 2, False, Variant.Q_PLUS_1, 2, 2, 1, -1) == -1
+    assert SfpQuery(F7, Variant.Q, 2, 2).slack(1, 1, False) == 1
+    # numerator over budget
+    assert SfpQuery(F7, Variant.Q, 2, 2).slack(3, 0, False) == -1
+    # pole absorbs one
+    assert SfpQuery(F7, Variant.Q_PLUS_1, 2, 2).slack(1, 1, True) == 2
+    shifted = SfpQuery(F7, Variant.Q_PLUS_1, 2, 2, 1, -1)
+    assert shifted.slack(1, 1, False) == 0  # budgets (3, 1)
+    assert shifted.slack(2, 2, False) == -1
 
 
 def test_member_rejects_zero_numerator():
     zero = make(Poly.zero(F5), Poly.one(F5))
     for s in range(4):
         for t in range(4 - s):
-            assert not member_q(zero, s, t)
+            assert not is_member(zero, SfpQuery(F5, Variant.Q, s, t))
 
 
 def test_oracle_examples():
@@ -340,9 +343,9 @@ def test_membership_monotone_in_budgets():
         budgets = [(s, t) for s in range(4) for t in range(4) if s + t <= q - 3]
         for phi in fractions[:: max(1, len(fractions) // 500)]:
             for s, t in budgets:
-                if member_q(phi, s, t):
-                    assert member_q(phi, s + 1, t)
-                    assert member_q(phi, s, t + 1)
+                if is_member(phi, SfpQuery(field, Variant.Q, s, t)):
+                    assert is_member(phi, SfpQuery(field, Variant.Q, s + 1, t))
+                    assert is_member(phi, SfpQuery(field, Variant.Q, s, t + 1))
 
 
 def test_membership_invariant_under_transform():
