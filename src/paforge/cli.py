@@ -8,12 +8,14 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
 from .groups import (
+    DEFAULT_TRIALS,
     EXACT_SCAN_CAP,
     check_row_cap,
     group_order,
@@ -21,7 +23,7 @@ from .groups import (
     make_named,
     minimal_degree,
 )
-from .pa import min_distance, read_pa, write_pa
+from .pa import DEFAULT_SAMPLE_PAIRS, min_distance, read_pa, write_pa
 from .pam import build_pa
 from .sfp import (
     SfpQuery,
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a permutation-array file")
     p_ver.add_argument("--in", dest="path", required=True)
     p_ver.add_argument("--mode", choices=["full", "sample"], default="full")
-    p_ver.add_argument("--samples", type=int, default=10**6)
+    p_ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_PAIRS)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--threads", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
@@ -107,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grp.add_argument("--d", type=int)
     p_grp.add_argument("--m", type=int)
     p_grp.add_argument("--scan", choices=["auto", "exact", "sampled"], default="auto")
-    p_grp.add_argument("--trials", type=int, default=10**5)
+    p_grp.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p_grp.add_argument("--seed", type=int, default=0)
     p_grp.add_argument("--emit", type=str)
     p_grp.set_defaults(func=cmd_group)
@@ -121,6 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _probe_writable(path: Optional[str]) -> None:
+    """Raise open()'s OSError before any work when a path cannot be written;
+    an existing file is not truncated, and a file the probe creates is removed."""
+    if path:
+        created = not os.path.exists(path)
+        open(path, "ab").close()
+        if created:
+            os.remove(path)
+
+
 def cmd_sfp(args: argparse.Namespace) -> int:
     explicit = args.s is not None or args.t is not None
     if explicit and (args.s is None or args.t is None):
@@ -129,7 +141,11 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     if explicit == (args.k is not None):
         print("give exactly one of --k or --s/--t", file=sys.stderr)
         return 2
+    if not explicit and (args.a or args.b):
+        print("--a/--b need --s/--t: the --k grid picks its offsets", file=sys.stderr)
+        return 2
     check_field_range(*prime_power(args.q))
+    _probe_writable(args.emit)
     field = field_for_order(args.q)
     if explicit:
         query = SfpQuery(field, args.variant, args.s, args.t, args.a, args.b)
@@ -181,6 +197,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"cannot build group: {exc}", file=sys.stderr)
         return 2
+    _probe_writable(args.emit)
     order = group_order(group)
     if args.emit:
         check_row_cap(order)
@@ -299,6 +316,7 @@ def bounds_csv(records: Sequence[BoundRecord]) -> str:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    _probe_writable(args.out)
     records, ok = reproduce_bounds(workers=args.threads)
     text = bounds_csv(records)
     if args.out:

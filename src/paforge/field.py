@@ -6,12 +6,18 @@ the element in the polynomial basis (digit i = coefficient of x^i), reduced
 modulo a fixed irreducible polynomial.  The modulus is the lexicographically
 least monic irreducible of degree k over F_p, coefficients compared
 low-degree-first, so every encoding is reproducible run to run.
+
+`poly_mul` and `poly_divmod` are the package's one polynomial multiply and
+division with remainder.  They serve `poly` and the construction of GF(p^k):
+the modulus search and the multiply-by-g matrix whose walk from 1 fills the
+exp/log tables, through which every field multiplies and inverts.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,73 +43,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _fp_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Product of coefficient vectors (ascending powers) over F_p."""
+def poly_mul(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of coefficient lists (ascending powers) over the field F."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
     return out
 
 
-def _fp_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo monic m over F_p."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * mi) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _fp_is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for idx in range(p**d):
-            rem, digs = idx, []
-            for _ in range(d):
-                digs.append(rem % p)
-                rem //= p
-            div = digs + [1]
-            if not _fp_mod(m, div, p):
-                return False
-    return True
+def poly_divmod(
+    F: Field, a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b, coefficient lists (ascending powers)
+    over the field F.  b must end in a nonzero coefficient; the remainder
+    has no trailing zeros, so len(rem) < len(b)."""
+    db = len(b) - 1
+    inv_lead = F.inv(b[-1])
+    rem = list(a)
+    quo = [0] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        c = F.mul(rem.pop(), inv_lead)
+        if c:
+            shift = len(rem) - db
+            quo[shift] = c
+            for i in range(db):
+                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, b[i]))
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
 
 
 def _least_irreducible(p: int, k: int) -> Tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over F_p."""
-    for idx in range(p**k):
-        rem, digs = idx, []
-        for _ in range(k):
-            digs.append(rem % p)
-            rem //= p
-        digs.reverse()  # most significant counter digit is the x^0 coefficient
-        cand = tuple(digs) + (1,)
-        if _fp_is_irreducible(cand, p):
+    """Lexicographically least monic irreducible of degree k over F_p, by
+    trial division by every monic polynomial of degree 1 to k/2."""
+    F = field_for_order(p)
+    divisors = [
+        low + (1,)
+        for d in range(1, k // 2 + 1)
+        for low in itertools.product(range(p), repeat=d)
+    ]
+    for low in itertools.product(range(p), repeat=k):
+        cand = low + (1,)
+        if all(poly_divmod(F, cand, div)[1] for div in divisors):
             return cand
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
-
-
-def _power(a: int, e: int, mul: Callable[[int, int], int]) -> int:
-    """a^e for e >= 0, by square-and-multiply with the given product."""
-    out = 1
-    for bit in bin(e)[2:]:
-        out = mul(out, out)
-        if bit == "1":
-            out = mul(out, a)
-    return out
 
 
 class Field:
@@ -135,11 +123,7 @@ class Field:
 
     def elem_to_coeffs(self, a: int) -> Tuple[int, ...]:
         """Base-p digit vector of an encoding, ascending powers."""
-        digs = []
-        for _ in range(self.k):
-            digs.append(a % self.p)
-            a //= self.p
-        return tuple(digs)
+        return tuple(a // w % self.p for w in self._pw)
 
     def coeffs_to_elem(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.k:
@@ -176,15 +160,11 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.k == 1:
-            return (a * b) % self.p
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
@@ -192,36 +172,43 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        return _power(a, e, self.mul)
+            a, e = self.inv(a), -e
+        return self._exp[self._log[a] * e % (self.q - 1)] if a else 0**e
 
     def scalar_int(self, n: int) -> int:
         """The field element n * 1 (image of an integer under the prime map)."""
         return n % self.p
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        da, db = self.elem_to_coeffs(a), self.elem_to_coeffs(b)
-        prod = _fp_mul(list(da), list(db), self.p)
-        red = _fp_mod(prod, self.modulus, self.p)
-        return self.coeffs_to_elem(red)
-
     def _build_log_tables(self) -> None:
-        # Primitive element: the least encoding g with g^(n/r) != 1 for every
-        # prime r dividing n = q - 1 (1 for q = 2); its powers are the exp table.
-        n = self.q - 1
-        step = self._mul_raw if self.k > 1 else (lambda a, b: a * b % self.p)
-        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
-        self.primitive = 1
-        for g in range(2, self.q):
-            if all(_power(g, n // r, step) != 1 for r in primes):
-                self.primitive = g
+        # Multiplying by g is F_p-linear on the base-p digits; row j of its
+        # matrix is x^j * g mod the modulus, so one product mod p maps every
+        # element.  The primitive element is the least g whose cycle through 1
+        # has length q - 1; that cycle, walked by doubling (m powers and the
+        # map x -> g^m x give the next m), is the exp table.  A shorter cycle
+        # is a subgroup, so none of its elements is tried again.
+        p, k, q = self.p, self.k, self.q
+        weights = np.array(self._pw)
+        digits = np.arange(q)[:, None] // weights % p
+        rejected = np.zeros(q, dtype=bool)
+        for g in range(1, q):
+            if rejected[g]:
+                continue
+            rows = [list(self.elem_to_coeffs(g))]
+            for _ in range(k - 1):
+                row = poly_divmod(field_for_order(p), [0] + rows[-1], self.modulus)[1]
+                rows.append(row + [0] * (k - len(row)))
+            step = digits @ np.array(rows) % p @ weights
+            powers = np.ones(1, dtype=step.dtype)
+            while len(powers) < q:
+                powers, step = np.concatenate([powers, step[powers]]), step[step]
+            cycle = powers[: int(np.argmax(powers[1:] == 1)) + 1]
+            if len(cycle) == q - 1:
                 break
-        powers = [1]
-        for _ in range(n - 1):
-            powers.append(step(powers[-1], self.primitive))
-        self._exp, self._log = powers * 2, [0] * self.q
-        for i, v in enumerate(powers):
-            self._log[v] = i
+            rejected[cycle] = True
+        self.primitive = g
+        log = np.zeros(q, dtype=np.int64)
+        log[cycle] = np.arange(q - 1)
+        self._exp, self._log = cycle.tolist() * 2, log.tolist()
 
     # -- dense numpy tables (vector kernels) ------------------------------
 

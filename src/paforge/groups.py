@@ -2,9 +2,9 @@
 through a stabilizer chain, and the named constructions used for the
 group-based arrays.
 
-The stabilizer chain is a deterministic Schreier-Sims build: base points are
-taken from an optional hint, then by smallest moved point; orbits are BFS in
-point order.  That makes orders, stabilizer generators, and element
+The stabilizer chain is a deterministic Schreier-Sims build: each new base
+point is the smallest point moved by the generator that needs it; orbits are
+BFS in point order.  That makes orders, stabilizer generators, and element
 enumeration reproducible run to run.  The chain is the only code that lists
 group elements: each element is one product of coset representatives, one
 per level, so nothing is deduplicated (Seress, *Permutation Group
@@ -48,6 +48,9 @@ EXACT_SCAN_CAP = 1 << 24
 _WALK_SEGMENT = 1 << 16
 _WALK_CELLS = 1 << 22
 
+#: Walk length of the sampled minimal-degree scan unless one is given.
+DEFAULT_TRIALS = 10**5
+
 
 @dataclass(frozen=True)
 class PermGroup:
@@ -67,8 +70,13 @@ class PermGroup:
 
     @functools.cached_property
     def chain(self) -> StabilizerChain:
-        """The stabilizer chain, built on first use and shared by every query."""
-        return StabilizerChain(self.degree, self.generators)
+        """The stabilizer chain, built on first use and shared by every query.
+        A ValueError when its order contradicts `expected_order`."""
+        chain = StabilizerChain(self.degree, self.generators)
+        order = chain.order()
+        if self.expected_order not in (None, order):
+            raise ValueError(f"order {order}, header says {self.expected_order}")
+        return chain
 
 
 @dataclass(frozen=True)
@@ -88,18 +96,11 @@ def fixity(group: PermGroup, facts: GroupFacts) -> Optional[int]:
 class StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain."""
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Sequence[Permutation],
-        base_hint: Sequence[int] = (),
-    ) -> None:
+    def __init__(self, degree: int, generators: Sequence[Permutation]) -> None:
         self.degree = degree
         self.base: list[int] = []
         self.stored: list[list[Permutation]] = []
         self.orbits: list[dict[int, Permutation]] = []
-        for b in base_hint:
-            self._append_level(b)
         for g in generators:
             self.add_generator(tuple(g))
 
@@ -249,7 +250,7 @@ def _scan_depth(chain: StabilizerChain) -> int:
 def minimal_degree(
     group: PermGroup,
     mode: str = "exact",
-    trials: int = 10**5,
+    trials: int = DEFAULT_TRIALS,
     seed: int = 0,
 ) -> GroupFacts:
     """Minimum number of moved points over nontrivial elements.
@@ -374,26 +375,16 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
 # -- named constructions ------------------------------------------------------
 
 
-def _affine_line(field: Field) -> list[Permutation]:
-    q = field.q
-    shift = tuple(field.add(x, 1) for x in range(q))
-    scale = tuple(field.mul(field.primitive, x) for x in range(q))
-    return [shift, scale]
-
-
-def _agl1(q: int) -> PermGroup:
-    F = field_for_order(q)
-    return PermGroup(q, tuple(_affine_line(F)), name=f"agl1({q})")
-
-
 def _pgl2(q: int) -> PermGroup:
-    """Fractional-linear maps on the projective line; infinity is point q."""
+    """Fractional-linear maps on the projective line; infinity is point q.
+    The scale map is left out when it is the identity (q = 2)."""
     F = field_for_order(q)
     inf = q
     shift = tuple(F.add(x, 1) for x in range(q)) + (inf,)
     scale = tuple(F.mul(F.primitive, x) for x in range(q)) + (inf,)
     invert = tuple(inf if x == 0 else F.inv(x) for x in range(q)) + (0,)
-    return PermGroup(q + 1, (shift, scale, invert), name=f"pgl2({q})")
+    gens = (shift, scale, invert) if F.primitive != 1 else (shift, invert)
+    return PermGroup(q + 1, gens, name=f"pgl2({q})")
 
 
 def _vector_points(field: Field, d: int) -> list[tuple[int, ...]]:
@@ -417,20 +408,16 @@ def _agl(d: int, q: int) -> PermGroup:
     def from_matrix(mat: Sequence[Sequence[int]]) -> Permutation:
         return tuple(index[tuple(dot(row, v) for row in mat)] for v in points)
 
-    # Translation by the first unit vector.
-    trans = tuple(
-        index[(F.add(v[0], 1),) + v[1:]] for v in points
-    )
+    # Translation by the first unit vector, then the scale of the first
+    # coordinate unless it is the identity (q = 2).
+    trans = tuple(index[(F.add(v[0], 1),) + v[1:]] for v in points)
     gens: list[Permutation] = [trans]
-    if d == 1:
-        if F.primitive != 1:
-            gens.append(tuple(index[(F.mul(F.primitive, v[0]),)] for v in points))
-    else:
-        ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        if F.primitive != 1:
-            diag = [row[:] for row in ident]
-            diag[0][0] = F.primitive
-            gens.append(from_matrix(diag))
+    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    if F.primitive != 1:
+        diag = [row[:] for row in ident]
+        diag[0][0] = F.primitive
+        gens.append(from_matrix(diag))
+    if d > 1:
         cyc = [[1 if j == (i + 1) % d else 0 for j in range(d)] for i in range(d)]
         gens.append(from_matrix(cyc))
         transvect = [row[:] for row in ident]
@@ -507,7 +494,7 @@ def make_named(name: str, **params) -> PermGroup:
     """Build a named group; see the CLI for the accepted names."""
     key = name.lower()
     if key == "agl1":
-        return _agl1(params["q"])
+        return _agl(1, params["q"])
     if key == "pgl2":
         return _pgl2(params["q"])
     if key == "agl":

@@ -53,8 +53,9 @@ def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
     return sum(1 for a, b in zip(p, r) if a != b)
 
 
-# Rows per block of the permutation check; bounds its scratch memory.
-_CHECK_ROWS = 1 << 14
+# Rows per block of the row checks and of the text writer; bounds their
+# scratch memory.
+_BLOCK_ROWS = 1 << 14
 
 
 def _all_permutations(arr: np.ndarray) -> bool:
@@ -62,10 +63,10 @@ def _all_permutations(arr: np.ndarray) -> bool:
     once: row i of a block marks cell i*n + x for each entry x, and n marks
     per row cover all n cells of the row only when no point repeats."""
     m, n = arr.shape
-    offsets = np.arange(0, min(m, _CHECK_ROWS) * n, n)[:, None]
+    offsets = np.arange(0, min(m, _BLOCK_ROWS) * n, n)[:, None]
     seen = np.empty(offsets.size * n, dtype=bool)
-    for start in range(0, m, _CHECK_ROWS):
-        block = arr[start:start + _CHECK_ROWS]
+    for start in range(0, m, _BLOCK_ROWS):
+        block = arr[start:start + _BLOCK_ROWS]
         cells = seen[: block.size]
         cells[:] = False
         cells[(block + offsets[: len(block)]).ravel()] = True
@@ -86,8 +87,8 @@ def _rows_distinct(arr: np.ndarray) -> bool:
     """
     m = len(arr)
     if m > 1 and (arr[1:, 0] >= arr[:-1, 0]).all():
-        for start in range(0, m - 1, _CHECK_ROWS):
-            later = arr[start + 1:start + 1 + _CHECK_ROWS].astype(np.int32)
+        for start in range(0, m - 1, _BLOCK_ROWS):
+            later = arr[start + 1:start + 1 + _BLOCK_ROWS].astype(np.int32)
             diff = later - arr[start:start + len(later)]
             step = np.take_along_axis(diff, (diff != 0).argmax(axis=1)[:, None], axis=1)
             if not step.all():
@@ -255,18 +256,18 @@ def min_distance(
     sample_pairs: int = DEFAULT_SAMPLE_PAIRS,
     seed: int = 0,
     workers: Optional[int] = None,
-    pair_cap: int = FULL_PAIR_CAP,
 ) -> VerifyReport:
-    """Verify the claimed minimum distance exhaustively or by sampling."""
+    """Verify the claimed minimum distance exhaustively or by sampling; FULL
+    refuses more than FULL_PAIR_CAP pairs, read at call time."""
     M = pa.M
     if M < 2:
         raise ValueError("need at least two rows to measure a distance")
     total_pairs = M * (M - 1) // 2
     claimed = pa.claimed_distance
     if mode == "full":
-        if total_pairs > pair_cap:
+        if total_pairs > FULL_PAIR_CAP:
             raise ValueError(
-                f"{total_pairs} pairs exceed the full-verification cap {pair_cap}"
+                f"{total_pairs} pairs exceed the full-verification cap {FULL_PAIR_CAP}"
             )
         observed, witness, violated = _scan_pairs(pa, claimed, workers)
         if violated:
@@ -350,9 +351,6 @@ def sharpness_matches_distance(pa: PermArray, k: int) -> bool:
 # -- file format -------------------------------------------------------------
 
 
-_FORMAT_BLOCK_ROWS = 1 << 14
-
-
 def _text_pieces(pa: PermArray) -> Iterator[bytes]:
     """The text format in pieces, one block of rows at a time.
 
@@ -370,8 +368,8 @@ def _text_pieces(pa: PermArray) -> Iterator[bytes]:
     width = f"S{len(str(n - 1)) + 1}"
     spaced = np.array([b"%d " % v for v in range(n)], dtype=width)
     ended = np.array([b"%d\n" % v for v in range(n)], dtype=width)
-    for lo in range(0, pa.M, _FORMAT_BLOCK_ROWS):
-        block = pa.rows[lo : lo + _FORMAT_BLOCK_ROWS]
+    for lo in range(0, pa.M, _BLOCK_ROWS):
+        block = pa.rows[lo : lo + _BLOCK_ROWS]
         tokens = spaced[block]
         tokens[:, -1] = ended[block[:, -1]]
         yield tokens.tobytes().translate(None, b"\0")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .field import Field, FieldElem
+from .field import Field, FieldElem, poly_divmod, poly_mul
 
 #: Degree of the zero polynomial; compares less than every integer and
 #: absorbs addition, so degree bounds stay well defined for f = 0.
@@ -99,18 +99,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, tuple(out))
+        return Poly(self.field, tuple(poly_mul(self.field, self.coeffs, other.coeffs)))
 
     def scale(self, c: FieldElem) -> "Poly":
         F = self.field
@@ -127,23 +116,8 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        F = self.field
-        db = other.degree
-        inv_lead = F.inv(other.coeffs[-1])
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = F.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, bi in enumerate(other.coeffs):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(c, bi))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(F, tuple(quo)), Poly(F, tuple(rem))
+        quo, rem = poly_divmod(self.field, self.coeffs, other.coeffs)
+        return Poly(self.field, tuple(quo)), Poly(self.field, tuple(rem))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -182,19 +156,9 @@ def gcd(f: Poly, g: Poly) -> Poly:
     F = f.field
     # Coefficient-list Euclid; this sits on the hot path of every
     # lowest-terms check, so avoid intermediate Poly objects.
-    a, b = list(f.coeffs), list(g.coeffs)
+    a, b = f.coeffs, g.coeffs
     while b:
-        inv_lead = F.inv(b[-1])
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            c = F.mul(a[-1], inv_lead)
-            shift = len(a) - 1 - db
-            for i, bi in enumerate(b):
-                a[shift + i] = F.sub(a[shift + i], F.mul(c, bi))
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
+        a, b = b, poly_divmod(F, a, b)[1]
     inv_lead = F.inv(a[-1])
     return Poly(F, tuple(F.mul(inv_lead, c) for c in a))
 

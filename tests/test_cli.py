@@ -58,6 +58,10 @@ def test_sfp_usage_errors():
     assert run_cli("sfp", "--q", "12", "--k", "1")[0] == 2  # not a prime power
     assert run_cli("sfp", "--q", "7", "--k", "9")[0] == 2  # k too large
     assert run_cli("sfp", "--q", "7", "--k", "-1")[0] == 2  # k negative
+    # The --k grid picks its own offsets, so --a/--b with --k are refused.
+    for offset in (("--a", "1", "--b", "-1"), ("--a", "1"), ("--b", "1")):
+        code, out, err = run_cli("sfp", "--q", "7", "--k", "2", "--variant", "q+1", *offset)
+        assert (code, out) == (2, "") and "--a/--b need --s/--t" in err
 
 
 def test_sfp_supported_field_orders():
@@ -338,16 +342,41 @@ def test_group_sharp_k_matches_array_predicate(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("sfp", "--q", "5", "--s", "1", "--t", "0"),
-        ("group", "--name", "sym", "--m", "3"),
+        ("sfp", "--q", "5", "--s", "1", "--t", "0", "--emit"),
+        ("group", "--name", "sym", "--m", "3", "--emit"),
+        ("bounds", "--reproduce", "--out"),
     ],
 )
-def test_unwritable_emit_path_exits_2(tmp_path, argv):
+def test_unwritable_emit_path_exits_2(tmp_path, monkeypatch, argv):
+    # The output path is opened before any search, scan or verification.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("best_count", "enumerate_fast", "minimal_degree", "reproduce_bounds"):
+        monkeypatch.setattr(cli, name, unreachable)
     path = tmp_path / "missing" / "pa.txt"
-    code, _, err = run_cli(*argv, "--emit", str(path))
-    assert code == 2
+    code, out, err = run_cli(*argv, str(path))
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and "missing" in err
     assert not path.exists()
+
+
+def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path, monkeypatch):
+    # A refusal after the probe leaves no file behind, and the probe does
+    # not truncate an existing file.
+    path = tmp_path / "pa.txt"
+    code, _, err = run_cli("group", "--name", "sym", "--m", "12", "--emit", str(path))
+    assert code == 2 and "row cap" in err and not path.exists()
+    path.write_text("keep\n")
+    seen = []
+
+    def reproduce(workers=None):
+        seen.append(path.read_text())
+        return [], True
+
+    monkeypatch.setattr(cli, "reproduce_bounds", reproduce)
+    assert run_cli("bounds", "--reproduce", "--out", str(path))[0] == 0
+    assert seen == ["keep\n"]
 
 
 def test_emitted_file_reparses_byte_exact(tmp_path):

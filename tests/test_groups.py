@@ -450,13 +450,23 @@ def test_load_generator_file(tmp_path):
     assert grp.name == "c4" and group_order(grp) == 4
 
 
+def test_order_header_is_checked_against_the_chain():
+    grp = parse_generator_text("# order: 7\n1 0 2\n")
+    with pytest.raises(ValueError, match="order 2, header says 7"):
+        grp.chain
+    assert group_order(parse_generator_text("# order: 2\n1 0 2\n")) == 2
+    for name in ("mathieu22", "mathieu23", "mathieu24"):
+        grp = make_named(name)
+        assert grp.expected_order == group_order(grp)
+
+
 def test_mathieu_chain_is_point_stabilizer_chain():
     # The degree-23 generators are the degree-24 ones restricted off the
     # fixed point; the degree-22 group sits inside the degree-23 stabilizer.
     m24 = make_named("mathieu24")
     m23 = make_named("mathieu23")
     assert [g[:23] for g in m24.generators[:2]] == list(m23.generators)
-    chain = StabilizerChain(23, m23.generators, base_hint=[22])
+    chain = StabilizerChain(23, m23.generators)
     m22 = make_named("mathieu22")
     for g in m22.generators:
         assert chain.contains(tuple(g) + (22,))
@@ -474,3 +484,14 @@ def test_groups_import_leaves_the_fraction_search_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_sampled_scan_of_q2_groups_sees_a_moved_point():
+    # At q = 2 the primitive element is 1, so a scale generator would be the
+    # identity and a one-step walk could report the n+1 sentinel.
+    for name in ("agl1", "pgl2"):
+        group = make_named(name, q=2)
+        assert identity(group.degree) not in group.generators
+        for seed in range(10):
+            facts = minimal_degree(group, mode="sampled", trials=1, seed=seed)
+            assert facts.minimal_degree <= group.degree, (name, seed)

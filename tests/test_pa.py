@@ -275,11 +275,12 @@ def test_sampled_mode_seeded():
     assert r1.min_observed >= exact_min_distance(pa)
 
 
-def test_full_pair_cap():
+def test_full_pair_cap(monkeypatch):
     rows = _random_rows(40, 8, seed=4)
     pa = PermArray(rows, claimed_distance=2)
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", 10)
     with pytest.raises(ValueError):
-        min_distance(pa, "full", pair_cap=10)
+        min_distance(pa, "full")
 
 
 def _tiled_rows(seed):
@@ -389,7 +390,7 @@ def distinct_rows(n, m, seed):
     return rng.permutation(n)[rows][:, rng.permutation(n)]
 
 
-_B = pa_module._FORMAT_BLOCK_ROWS
+_B = pa_module._BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
