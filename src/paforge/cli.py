@@ -115,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_grp.set_defaults(func=cmd_group)
 
     p_bnd = sub.add_parser("bounds", help="reproduce the published lower bounds")
-    p_bnd.add_argument("--reproduce", action="store_true", help="run everything")
+    p_bnd.add_argument(
+        "--reproduce", action="store_true", required=True, help="run everything"
+    )
     p_bnd.add_argument("--out", type=str, help="write CSV here instead of stdout")
     p_bnd.add_argument("--threads", type=int, default=None)
     p_bnd.set_defaults(func=cmd_bounds)

@@ -80,14 +80,15 @@ def poly_divmod(
 
 def _least_irreducible(p: int, k: int) -> Tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over F_p, by
-    trial division by every monic polynomial of degree 1 to k/2."""
+    trial division by every monic polynomial of degree 1 to k/2; both skip
+    a zero constant term, as x divides those and no candidate."""
     F = field_for_order(p)
     divisors = [
         low + (1,)
         for d in range(1, k // 2 + 1)
-        for low in itertools.product(range(p), repeat=d)
+        for low in itertools.product(range(1, p), *[range(p)] * (d - 1))
     ]
-    for low in itertools.product(range(p), repeat=k):
+    for low in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         cand = low + (1,)
         if all(poly_divmod(F, cand, div)[1] for div in divisors):
             return cand
@@ -217,13 +218,14 @@ class Field:
         if self.q > DENSE_TABLE_CAP:
             raise ValueError(f"dense tables limited to q <= {DENSE_TABLE_CAP}")
         if self._dense is None:
-            q = self.q
-            add = np.empty((q, q), dtype=np.int16)
-            mul = np.empty((q, q), dtype=np.int16)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self.add(a, b)
-                    mul[a, b] = self.mul(a, b)
+            # add digit by digit; mul through exp/log, zero on row and column 0
+            add = np.zeros((self.q, self.q), dtype=np.int16)
+            for w in self._pw:
+                digit = np.arange(self.q) // w % self.p
+                add += (digit[:, None] + digit) % self.p * w
+            log = np.array(self._log)
+            mul = np.array(self._exp, dtype=np.int16)[log[:, None] + log]
+            mul[0] = mul[:, 0] = 0
             self._dense = {"add": add, "mul": mul}
         return self._dense
 

@@ -29,7 +29,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .field import Field, field_for_order
+from .field import field_for_order
 from .pa import (
     PermArray,
     Permutation,
@@ -47,6 +47,9 @@ EXACT_SCAN_CAP = 1 << 24
 #: the sampled scan; they bound its scratch memory.
 _WALK_SEGMENT = 1 << 16
 _WALK_CELLS = 1 << 22
+
+#: Most rows in one block of `StabilizerChain.element_chunks`.
+_CHUNK_ROWS = 1 << 20
 
 #: Walk length of the sampled minimal-degree scan unless one is given.
 DEFAULT_TRIALS = 10**5
@@ -198,14 +201,12 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         return moved_points(self.sift(tuple(p))) == 0
 
-    def element_chunks(
-        self, max_chunk: int = 1 << 20, depth: int = 0
-    ) -> Iterator[np.ndarray]:
+    def element_chunks(self, depth: int = 0) -> Iterator[np.ndarray]:
         """Every element of the pointwise stabilizer of base[:depth] exactly
         once, as arrays of image rows.
 
         Elements are coset products down the chain, so no deduplication is
-        needed and memory stays bounded by max_chunk rows per yield.
+        needed and memory stays bounded by _CHUNK_ROWS rows per yield.
         """
         n = self.degree
         dtype = row_dtype(n)
@@ -215,7 +216,7 @@ class StabilizerChain:
         ]
         split = len(transversals)
         inner = 1
-        while split > 0 and inner * len(transversals[split - 1]) <= max_chunk:
+        while split > 0 and inner * len(transversals[split - 1]) <= _CHUNK_ROWS:
             split -= 1
             inner *= len(transversals[split])
         block = np.arange(n, dtype=dtype)[None, :]
@@ -387,43 +388,22 @@ def _pgl2(q: int) -> PermGroup:
     return PermGroup(q + 1, gens, name=f"pgl2({q})")
 
 
-def _vector_points(field: Field, d: int) -> list[tuple[int, ...]]:
-    return [tuple(v) for v in itertools.product(range(field.q), repeat=d)]
-
-
 def _agl(d: int, q: int) -> PermGroup:
-    """Affine maps v -> Av + t on the d-dimensional space over GF(q)."""
+    """Affine maps v -> Av + t on the d-dimensional space over GF(q),
+    generated by coordinate maps: v0 + 1, then g*v0 unless g = 1 (q = 2),
+    and for d > 1 the coordinate cycle and v0 + v1."""
     if d < 1:
         raise ValueError(f"affine group needs dimension d >= 1, got {d}")
     F = field_for_order(q)
-    points = _vector_points(F, d)
+    points = list(itertools.product(range(q), repeat=d))
     index = {v: i for i, v in enumerate(points)}
-
-    def dot(row: Sequence[int], v: Sequence[int]) -> int:
-        acc = 0
-        for r, x in zip(row, v):
-            acc = F.add(acc, F.mul(r, x))
-        return acc
-
-    def from_matrix(mat: Sequence[Sequence[int]]) -> Permutation:
-        return tuple(index[tuple(dot(row, v) for row in mat)] for v in points)
-
-    # Translation by the first unit vector, then the scale of the first
-    # coordinate unless it is the identity (q = 2).
-    trans = tuple(index[(F.add(v[0], 1),) + v[1:]] for v in points)
-    gens: list[Permutation] = [trans]
-    ident = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    maps = [lambda v: (F.add(v[0], 1),) + v[1:]]
     if F.primitive != 1:
-        diag = [row[:] for row in ident]
-        diag[0][0] = F.primitive
-        gens.append(from_matrix(diag))
+        maps.append(lambda v: (F.mul(F.primitive, v[0]),) + v[1:])
     if d > 1:
-        cyc = [[1 if j == (i + 1) % d else 0 for j in range(d)] for i in range(d)]
-        gens.append(from_matrix(cyc))
-        transvect = [row[:] for row in ident]
-        transvect[0][1] = 1
-        gens.append(from_matrix(transvect))
-    return PermGroup(len(points), tuple(gens), name=f"agl{d}({q})")
+        maps += [lambda v: v[1:] + v[:1], lambda v: (F.add(v[0], v[1]),) + v[1:]]
+    gens = tuple(tuple(index[f(v)] for v in points) for f in maps)
+    return PermGroup(len(points), gens, name=f"agl{d}({q})")
 
 
 def _sym(m: int) -> PermGroup:

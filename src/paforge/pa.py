@@ -75,30 +75,33 @@ def _all_permutations(arr: np.ndarray) -> bool:
     return True
 
 
-def _rows_distinct(arr: np.ndarray) -> bool:
-    """Whether the rows of arr are pairwise distinct.
-
-    Rows that arrive in lexicographic order, as group arrays do, are proven
-    distinct by a strict compare of each row with the next, one block of
-    rows at a time: at the first column where two neighbours differ the
-    later row must be larger.  Equal neighbours are a repeat in any order.
-    Input whose first column is not non-decreasing, or that turns out not
-    to be strictly increasing, is checked by sorting void rows instead.
+def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """A lexicographic order of the rows of arr (None when they already are
+    in order) and, for each row in that order, whether it rises above the
+    one before: the sign of their first difference, never negative in order,
+    so False marks a repeat and the rising rows are the first occurrences
+    (lexsort is stable).  Rows with a non-decreasing first column, as group
+    arrays have, are compared with their neighbours one block at a time
+    first; only a row below its neighbour sends them to lexsort.
     """
     m = len(arr)
-    if m > 1 and (arr[1:, 0] >= arr[:-1, 0]).all():
+    if m < 2 or not arr.shape[1]:
+        return None, np.arange(m) < 1
+    rises = np.ones(m, dtype=bool)
+    order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else np.lexsort(arr.T[::-1])
+    while True:
+        srt = arr if order is None else arr[order]
         for start in range(0, m - 1, _BLOCK_ROWS):
-            later = arr[start + 1:start + 1 + _BLOCK_ROWS].astype(np.int32)
-            diff = later - arr[start:start + len(later)]
-            step = np.take_along_axis(diff, (diff != 0).argmax(axis=1)[:, None], axis=1)
-            if not step.all():
-                return False
-            if (step < 0).any():
+            later = srt[start + 1 : start + 1 + _BLOCK_ROWS]
+            rows = np.arange(len(later))
+            first = (later != srt[start : start + len(later)]).argmax(axis=1)
+            above, below = later[rows, first], srt[start + rows, first]
+            if order is None and (above < below).any():
                 break
+            np.greater(above, below, out=rises[start + 1 : start + 1 + len(later)])
         else:
-            return True
-    whole_rows = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).ravel()
-    return len(np.unique(whole_rows)) == m
+            return order, rises
+        order = np.lexsort(arr.T[::-1])
 
 
 class PermArray:
@@ -129,7 +132,7 @@ class PermArray:
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
         if not _all_permutations(arr):
             raise ValueError("some row is not a permutation")
-        if not _rows_distinct(arr):
+        if not _row_order(arr)[1].all():
             raise ValueError("rows must be pairwise distinct")
         self.rows = arr
         self.n = n
@@ -310,30 +313,24 @@ def exact_min_distance(pa: PermArray, workers: Optional[int] = None) -> int:
     return _scan_pairs(pa, 0, workers)[0]
 
 
-def _closure_spot_check(pa: PermArray) -> None:
-    rows = {tuple(int(x) for x in r) for r in pa.rows}
-    for p in rows:
-        for q in rows:
-            if compose(p, q) not in rows:
-                raise ValueError("rows are not closed under composition")
-
-
 def is_sharply_k_transitive(pa: PermArray, k: int) -> bool:
     """Whether the rows (assumed a group) act sharply k-transitively.
 
     Equivalent by counting to: all k-prefixes of rows are distinct and
-    M = n!/(n-k)!.  The group property is spot-checked for small M.
+    M = n!/(n-k)!.  For M <= 360 the group property is checked: the rows
+    and all M^2 products hold no row besides the M rows.
     """
-    n = pa.n
+    n, rows = pa.n, pa.rows
     if k > n:
         raise ValueError(f"k={k} exceeds degree {n}")
     if pa.M <= 360:
-        _closure_spot_check(pa)
+        products = np.concatenate([rows, rows[:, rows].reshape(-1, n)])
+        if np.count_nonzero(_row_order(products)[1]) != pa.M:
+            raise ValueError("rows are not closed under composition")
     target = math.factorial(n) // math.factorial(n - k)
     if pa.M != target:
         return False
-    prefixes = np.unique(pa.rows[:, :k], axis=0)
-    return len(prefixes) == pa.M
+    return bool(_row_order(rows[:, :k])[1].all())
 
 
 def sharpness_matches_distance(pa: PermArray, k: int) -> bool:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .field import DENSE_TABLE_CAP, Field, field_for_order, prime_power
 from .fracpoly import FracPoly, ValueProfile, value_count
+from .pa import _row_order
 from .parallel import map_blocks, resolve_workers
 from .poly import Degree, Poly, gcd
 
@@ -400,15 +401,6 @@ def _shifted(field: Field, c: np.ndarray) -> np.ndarray:
     ).transpose(0, 2, 1)
 
 
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, in row order."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    return order[new]
-
-
 def _expand_orbit_rows(
     field: Field, fc: np.ndarray, gc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -418,17 +410,20 @@ def _expand_orbit_rows(
     Monic numerators force the scale 1 between fractions of one orbit, so
     fractions in one orbit are shifts of each other and share their least
     row over the q shifts; only the first fraction with each least row is
-    scaled by every unit.  A last lexsort drops the stabilizer's repeats.
+    scaled by every unit.  Both dedupes keep each distinct row's first
+    occurrence, in lexicographic order; the last drops stabilizer repeats.
     """
     q, dw = field.q, gc.shape[1]
     shifted = np.concatenate([_shifted(field, gc), _shifted(field, fc)], axis=2)
     least = np.lexsort(shifted.transpose(2, 0, 1)[::-1])[:, 0]
-    kept = _distinct(shifted[np.arange(len(shifted)), least])
+    order, rises = _row_order(shifted[np.arange(len(shifted)), least])
+    kept = np.flatnonzero(rises) if order is None else order[rises]
     orbits = np.repeat(shifted[kept, :, None], q - 1, axis=2)  # (kept, q, q-1, w)
     units = np.arange(1, q, dtype=np.int16)[:, None]
     orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], units)
     rows = orbits.reshape(-1, shifted.shape[2])
-    first = _distinct(rows)
+    order, rises = _row_order(rows)
+    first = np.flatnonzero(rises) if order is None else order[rises]
     return rows[first], kept[first // (q * (q - 1))]
 
 

@@ -379,6 +379,15 @@ def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path, monke
     assert seen == ["keep\n"]
 
 
+def test_bare_bounds_is_a_usage_error(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bounds ran without --reproduce")
+
+    monkeypatch.setattr(cli, "reproduce_bounds", unreachable)
+    code, out, err = run_cli("bounds")
+    assert (code, out) == (2, "") and "--reproduce" in err
+
+
 def test_emitted_file_reparses_byte_exact(tmp_path):
     from paforge.pa import format_pa
 

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import paforge.field as field_module
-from paforge.field import Field, is_prime, poly_divmod, poly_mul, prime_power
+from paforge.field import (
+    Field,
+    field_for_order,
+    is_prime,
+    poly_divmod,
+    poly_mul,
+    prime_power,
+)
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (11, 1), (13, 1), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2),
@@ -107,12 +114,13 @@ def test_is_prime():
 
 
 def test_dense_tables_match_scalar_ops():
-    F = Field(3, 2)
-    t = F.tables()
-    for a in F.elements():
-        for b in F.elements():
-            assert t["add"][a, b] == F.add(a, b)
-            assert t["mul"][a, b] == F.mul(a, b)
+    for q in (2, 7, 9, 16, 25, 27, 32, 81):
+        F = field_for_order(q)
+        t = F.tables()
+        assert t["add"].dtype == t["mul"].dtype == np.int16
+        for a in F.elements():
+            assert t["add"][a].tolist() == [F.add(a, b) for b in F.elements()], (q, a)
+            assert t["mul"][a].tolist() == [F.mul(a, b) for b in F.elements()], (q, a)
 
 
 # Modulus and primitive element of every extension field the fraction search

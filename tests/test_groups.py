@@ -2,6 +2,7 @@
 named constructions, and the embedded sporadic generator data.  A
 breadth-first closure kept here is the independent oracle for the chain."""
 
+import hashlib
 import math
 import os
 import random
@@ -130,11 +131,14 @@ def test_chain_membership():
     assert not chain.contains((1, 0, 2, 3, 4, 5))  # odd-looking transposition
 
 
-def test_element_chunks_enumerate_exactly_once():
+def test_element_chunks_enumerate_exactly_once(monkeypatch):
+    monkeypatch.setattr(groups_module, "_CHUNK_ROWS", 16)
     grp = make_named("sym_pairs", m=5)
     chain = StabilizerChain(grp.degree, grp.generators)
+    blocks = list(chain.element_chunks())
+    assert len(blocks) > 1 and max(map(len, blocks)) <= 16
     seen = set()
-    for block in chain.element_chunks(max_chunk=16):
+    for block in blocks:
         for row in block:
             seen.add(tuple(int(x) for x in row))
     closure_keys = {tuple(int(x) for x in r) for r in group_closure(grp)}
@@ -264,6 +268,24 @@ def test_agl_example_size_form():
         for i in range(1, d + 1):
             expect *= 2**i - 1
         assert group_order(grp) == expect
+
+
+def test_agl_generators_are_pinned():
+    # One sha256 over (degree, generators, name) of agl(d, q) for q^d <= 5000
+    # and of agl1(q): the generators fix the chain, and so the element order
+    # of every emitted group array.
+    digest = hashlib.sha256()
+    for d in (1, 2, 3):
+        for q in (2, 3, 4, 5, 7, 8, 9, 16):
+            if q**d <= 5000:
+                grp = make_named("agl", d=d, q=q)
+                digest.update(repr((grp.degree, grp.generators, grp.name)).encode())
+    for q in (2, 3, 4, 5, 8, 9, 16, 27, 64, 256, 1024):
+        grp = make_named("agl1", q=q)
+        digest.update(repr((grp.degree, grp.generators, grp.name)).encode())
+    assert digest.hexdigest() == (
+        "a0b5b8da586131815c2cc40bf5e583dc5448bd48fd34d4c2491603aa395a7e9c"
+    )
 
 
 def test_pair_action_size_bound():

@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,16 +200,16 @@ def test_bad_rows_rejected_past_the_first_block(n, dtype):
 @pytest.mark.parametrize("n", [8, 300])
 def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
     rows = block_spanning_rows(n)  # lexicographically sorted
-    unique_calls = []
-    unique = np.unique
+    lexsort_calls = []
+    lexsort = np.lexsort
 
-    def counted_unique(*args, **kwargs):
-        unique_calls.append(1)
-        return unique(*args, **kwargs)
+    def counted_lexsort(*args, **kwargs):
+        lexsort_calls.append(1)
+        return lexsort(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
     PermArray(rows, claimed_distance=2)
-    assert unique_calls == []
+    assert lexsort_calls == []
     # An adjacent repeat keeps the rows sorted and is rejected by the
     # neighbour compare, on either side of a check block boundary.
     for index in (1, 2**14, 2**14 + 1, len(rows) - 1):
@@ -214,20 +217,34 @@ def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
         repeated[index] = rows[index - 1]
         with pytest.raises(ValueError, match="pairwise distinct"):
             PermArray(repeated, claimed_distance=2)
-    assert unique_calls == []
+    assert lexsort_calls == []
     # One inversion keeps the first column non-decreasing, so the neighbour
-    # compare runs, finds the inversion and hands over to the full check.
+    # compare runs, finds the inversion and hands over to the sorted check.
     swapped = rows.copy()
     swapped[[2**14 + 7, 2**14 + 8]] = rows[[2**14 + 8, 2**14 + 7]]
     assert (swapped[1:, 0] >= swapped[:-1, 0]).all()
     PermArray(swapped, claimed_distance=2)
-    assert len(unique_calls) == 1
+    assert len(lexsort_calls) == 1
     repeated = swapped.copy()
-    repeated[2**14 + 9] = swapped[2**14 + 7]  # not adjacent: the full check sees it
+    repeated[2**14 + 9] = swapped[2**14 + 7]  # not adjacent: the sorted check sees it
     assert (repeated[1:, 0] >= repeated[:-1, 0]).all()
     with pytest.raises(ValueError, match="pairwise distinct"):
         PermArray(repeated, claimed_distance=2)
-    assert len(unique_calls) == 2
+    assert len(lexsort_calls) == 2
+
+
+def test_pa_import_loads_only_parallel():
+    code = (
+        "import sys, paforge.pa; "
+        "print(sorted(m for m in sys.modules if m.startswith('paforge.')))"
+    )
+    src = os.path.dirname(os.path.dirname(pa_module.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "['paforge.pa', 'paforge.parallel']"
 
 
 def test_permutation_check_matches_sorted_rows():
@@ -327,6 +344,49 @@ def test_sharply_transitive_examples():
     assert not is_sharply_k_transitive(pgl5, 2)  # 120 != 6!/4!
     with pytest.raises(ValueError):
         is_sharply_k_transitive(s3, 5)
+
+
+def test_non_group_rows_fail_the_closure_check():
+    # The 12 permutations of S4 that send 0 into {0, 1}: 4!/2! rows, but
+    # (1 2 0 3) o (1 0 2 3) sends 0 to 2.
+    rows = [p for p in itertools.permutations(range(4)) if p[0] < 2]
+    with pytest.raises(ValueError, match="not closed under composition"):
+        is_sharply_k_transitive(PermArray(rows, claimed_distance=2), 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16])
+@pytest.mark.parametrize("m", [0, 1, 2, 2**14, 2**14 + 1])
+@pytest.mark.parametrize("presorted", [False, True])
+def test_row_order_matches_first_occurrences(dtype, m, presorted):
+    # Oracle: a dict of each row's first index.  Entries are the dtype's
+    # extremes and a few random values, so rows repeat and tie over leading
+    # columns; one repeat is planted at the far end.
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(m)
+    extremes = [info.min, info.min + 1, info.max]
+    values = np.array(extremes + rng.integers(info.min, info.max, 3).tolist())
+    rows = values[rng.integers(0, len(values), size=(m, 4))].astype(dtype)
+    if m >= 2:
+        rows[-1] = rows[0]
+    if presorted:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    first: dict[tuple[int, ...], int] = {}
+    for i, row in enumerate(map(tuple, rows.tolist())):
+        first.setdefault(row, i)
+    order, rises = pa_module._row_order(rows)
+    assert rises.dtype == bool and len(rises) == m
+    if presorted or m < 2:
+        assert order is None
+    if order is None:
+        order = np.arange(m)
+    assert sorted(order.tolist()) == list(range(m))
+    keys = list(map(tuple, rows[order].tolist()))
+    assert keys == sorted(keys)
+    expected = sorted(first.values(), key=lambda i: tuple(rows[i].tolist()))
+    assert order[rises].tolist() == expected
+    # Rows with no columns are all equal.
+    order, rises = pa_module._row_order(rows[:, :0])
+    assert order is None and rises.tolist() == [True] * min(m, 1) + [False] * (m - 1)
 
 
 def test_sharpness_distance_equivalence_examples():
