@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,11 +126,6 @@ class Field:
         """Base-p digit vector of an encoding, ascending powers."""
         return tuple(a // w % self.p for w in self._pw)
 
-    def coeffs_to_elem(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient vector longer than extension degree")
-        return sum((c % self.p) * w for c, w in zip(coeffs, self._pw))
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -170,15 +165,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        return self._exp[self._log[a] * e % (self.q - 1)] if a else 0**e
-
-    def scalar_int(self, n: int) -> int:
-        """The field element n * 1 (image of an integer under the prime map)."""
-        return n % self.p
 
     def _build_log_tables(self) -> None:
         # Multiplying by g is F_p-linear on the base-p digits; row j of its
@@ -239,9 +225,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.q})" if self.k > 1 else f"GF({self.p})"
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.q))
 
 
 def prime_power(q: int) -> tuple[int, int]:

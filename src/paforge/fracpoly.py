@@ -41,9 +41,6 @@ class FracPoly:
         """Total order used for canonical output: den coeffs, then num coeffs."""
         return (self.den.coeffs, self.num.coeffs)
 
-    def text(self) -> str:
-        return f"f = {self.num.text()} ; g = {self.den.text()}"
-
     def values(self) -> list[int]:
         """f(a)/g(a) at each point a of GF(q), with q at the poles."""
         F = self.field
@@ -112,24 +109,6 @@ def is_normalized(phi: FracPoly) -> bool:
     if s % phi.field.p != 0 and f.coeff(s - 1) != 0:
         return False
     return True
-
-
-def normalize(phi: FracPoly) -> FracPoly:
-    """A normalized member of phi's orbit, found constructively."""
-    F = phi.field
-    f = phi.num
-    if f.is_zero():
-        raise ValueError("zero numerator has no normalized form")
-    alpha = F.inv(f.coeffs[-1])
-    s = int(f.degree)
-    if s % F.p != 0:
-        # One shift zeroes the subleading coefficient: the x^(s-1) term of
-        # f(x+b) is a_{s-1} + s*b*a_s.
-        s_scalar = F.scalar_int(s)
-        beta = F.neg(F.mul(f.coeff(s - 1), F.inv(F.mul(s_scalar, f.coeffs[-1]))))
-    else:
-        beta = 0
-    return transform(phi, alpha, beta)
 
 
 def orbit(phi: FracPoly) -> list[FracPoly]:

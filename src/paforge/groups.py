@@ -31,6 +31,7 @@ import numpy as np
 
 from .field import field_for_order
 from .pa import (
+    MAX_DEGREE,
     PermArray,
     Permutation,
     compose,
@@ -89,11 +90,6 @@ class GroupFacts:
     order: int
     minimal_degree: int
     exact: bool
-
-
-def fixity(group: PermGroup, facts: GroupFacts) -> Optional[int]:
-    """Degree minus minimal degree, only meaningful for exact scans."""
-    return group.degree - facts.minimal_degree if facts.exact else None
 
 
 class StabilizerChain:
@@ -376,9 +372,17 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
 # -- named constructions ------------------------------------------------------
 
 
+def _check_points(name: str, count: int) -> None:
+    """Refuse a named group on more than MAX_DEGREE points before any point
+    is built."""
+    if count > MAX_DEGREE:
+        raise ValueError(f"{name} acts on more than {MAX_DEGREE} points")
+
+
 def _pgl2(q: int) -> PermGroup:
     """Fractional-linear maps on the projective line; infinity is point q.
     The scale map is left out when it is the identity (q = 2)."""
+    _check_points(f"pgl2({q})", q + 1)
     F = field_for_order(q)
     inf = q
     shift = tuple(F.add(x, 1) for x in range(q)) + (inf,)
@@ -394,6 +398,8 @@ def _agl(d: int, q: int) -> PermGroup:
     and for d > 1 the coordinate cycle and v0 + v1."""
     if d < 1:
         raise ValueError(f"affine group needs dimension d >= 1, got {d}")
+    # Every q >= 2 passes the limit by d = 17, so the power stops there.
+    _check_points(f"agl{d}({q})", q ** min(d, MAX_DEGREE.bit_length()))
     F = field_for_order(q)
     points = list(itertools.product(range(q), repeat=d))
     index = {v: i for i, v in enumerate(points)}
@@ -407,6 +413,7 @@ def _agl(d: int, q: int) -> PermGroup:
 
 
 def _sym(m: int) -> PermGroup:
+    _check_points(f"sym({m})", m)
     swap = (1, 0) + tuple(range(2, m))
     cycle = tuple(range(1, m)) + (0,)
     gens = (swap, cycle) if m > 2 else (swap,)
@@ -417,6 +424,7 @@ def _sym_pairs(m: int) -> PermGroup:
     """Action of the symmetric group on unordered pairs, lexicographic index."""
     if m < 3:
         raise ValueError("pair action needs m >= 3")
+    _check_points(f"sym_pairs({m})", m * (m - 1) // 2)
     pairs = list(itertools.combinations(range(m), 2))
     index = {p: i for i, p in enumerate(pairs)}
 

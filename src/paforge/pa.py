@@ -16,6 +16,8 @@ from .parallel import map_blocks, resolve_workers
 
 Permutation = tuple[int, ...]
 
+#: Largest supported degree: every point of a row fits in a uint16.
+MAX_DEGREE = 1 << 16
 FULL_PAIR_CAP = 10**10
 DEFAULT_SAMPLE_PAIRS = 10**6
 SAMPLED_NOTE = "sampled check: evidence only, not an exhaustive proof"
@@ -42,7 +44,10 @@ def moved_points(p: Sequence[int]) -> int:
 
 
 def row_dtype(n: int) -> type:
-    """Smallest unsigned dtype that holds the points 0..n-1 of a row."""
+    """Smallest unsigned dtype that holds the points 0..n-1 of a row; a
+    ValueError above MAX_DEGREE."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the limit {MAX_DEGREE}")
     return np.uint8 if n <= 256 else np.uint16
 
 

@@ -15,11 +15,14 @@ R = TypeVar("R")
 
 ENV_THREADS = "PA_FORGE_THREADS"
 
+#: Most worker threads: `map_blocks` may start one per block up to this.
+MAX_WORKERS = 256
+
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     if workers is not None:
-        if workers < 1:
-            raise ValueError("worker count must be >= 1")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ValueError(f"worker count must be in [1, {MAX_WORKERS}]")
         return workers
     env = os.environ.get(ENV_THREADS)
     if env:
@@ -27,10 +30,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             n = int(env)
         except ValueError:
             raise ValueError(f"{ENV_THREADS} must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError(f"{ENV_THREADS} must be >= 1, got {n}")
+        if not 1 <= n <= MAX_WORKERS:
+            raise ValueError(f"{ENV_THREADS} must be in [1, {MAX_WORKERS}], got {n}")
         return n
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def map_blocks(fn: Callable[[T], R], blocks: Sequence[T], workers: int) -> list[R]:

@@ -47,10 +47,6 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def x(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
-
-    @classmethod
     def constant(cls, field: Field, c: int) -> "Poly":
         return cls(field, (c,))
 
@@ -69,10 +65,6 @@ class Poly:
     def coeff(self, i: int) -> FieldElem:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def text(self) -> str:
-        """Canonical text form: ascending coefficients, comma separated."""
-        return ",".join(str(c) for c in self.coeffs) if self.coeffs else "0"
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -90,13 +82,6 @@ class Poly:
             out[i] = F.add(out[i], c)
         return Poly(F, tuple(out))
 
-    def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, tuple(F.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly(self.field, tuple(poly_mul(self.field, self.coeffs, other.coeffs)))
@@ -105,25 +90,12 @@ class Poly:
         F = self.field
         return Poly(F, tuple(F.mul(c, a) for a in self.coeffs))
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial has no monic form")
-        if self.is_monic():
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         quo, rem = poly_divmod(self.field, self.coeffs, other.coeffs)
         return Poly(self.field, tuple(quo)), Poly(self.field, tuple(rem))
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     # -- evaluation ----------------------------------------------------------
 

@@ -322,7 +322,8 @@ def _monic_rows(field: Field, deg: int, free: int) -> np.ndarray:
 
 def _normalized_num_block(field: Field, s2: int) -> np.ndarray:
     """Coefficient rows of all normalized numerators of exact degree s2: a
-    shift zeroes the x^(s2-1) coefficient unless p divides s2."""
+    shift zeroes the x^(s2-1) coefficient unless p divides s2, since that
+    coefficient of f(x+b) is a_(s2-1) + s2*b*a_s2."""
     return _monic_rows(field, s2, s2 - 1 if s2 % field.p else s2)
 
 

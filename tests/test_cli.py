@@ -11,10 +11,10 @@ import sys
 
 import pytest
 
-from paforge import cli
+from paforge import cli, groups, parallel
 from paforge.cli import main
-from paforge.groups import PermGroup, StabilizerChain, group_to_pa
-from paforge.pa import is_sharply_k_transitive, read_pa
+from paforge.groups import PermGroup, StabilizerChain, group_to_pa, make_named
+from paforge.pa import MAX_DEGREE, is_sharply_k_transitive, read_pa, write_pa
 
 
 def run_cli(*argv):
@@ -250,6 +250,59 @@ def test_group_command(tmp_path):
         "group", "--name", "sym", "--m", "5", "--scan", "sampled", "--trials", "0"
     )
     assert code == 2 and out == "" and "trials" in err
+
+
+def test_oversized_group_exits_before_listing_points(monkeypatch):
+    def no_points(*args, **kwargs):
+        raise AssertionError("points were listed")
+
+    monkeypatch.setattr(groups.itertools, "product", no_points)
+    monkeypatch.setattr(groups.itertools, "combinations", no_points)
+    code, out, err = run_cli("group", "--name", "agl", "--d", "200", "--q", "2")
+    assert (code, out) == (2, "") and f"more than {MAX_DEGREE} points" in err
+
+
+def test_degree_limit_on_array_files(tmp_path):
+    # Two rows, the identity and one swap: distance 2 at any degree.
+    for n in (MAX_DEGREE, MAX_DEGREE + 1):
+        ident = " ".join(map(str, range(n)))
+        swapped = " ".join(map(str, [1, 0, *range(2, n)]))
+        path = tmp_path / f"n{n}.txt"
+        path.write_text(
+            f"PA n={n} M=2 d=2 inf=none provenance=test\n{ident}\n{swapped}\n"
+        )
+        code, out, err = run_cli("verify", "--in", str(path))
+        if n == MAX_DEGREE:
+            assert code == 0 and json.loads(out)["min_observed"] == 2
+        else:
+            assert (code, out) == (2, "")
+            assert f"degree {n} exceeds the limit {MAX_DEGREE}" in err
+
+
+def test_worker_count_bounded(tmp_path, monkeypatch):
+    with pytest.raises(ValueError, match="worker count"):
+        parallel.resolve_workers(10**5)
+    assert parallel.resolve_workers(parallel.MAX_WORKERS) == parallel.MAX_WORKERS
+    monkeypatch.setenv("PA_FORGE_THREADS", str(10**5))
+    with pytest.raises(ValueError, match="PA_FORGE_THREADS"):
+        parallel.resolve_workers()
+    path = tmp_path / "agl5.txt"
+    write_pa(group_to_pa(make_named("agl1", q=5)), path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert (code, out) == (2, "") and "PA_FORGE_THREADS" in err
+    monkeypatch.delenv("PA_FORGE_THREADS")
+    for argv in (
+        ("verify", "--in", str(path)),
+        ("sfp", "--q", "7", "--k", "2"),
+        ("bounds", "--reproduce"),
+    ):
+        code, out, err = run_cli(*argv, "--threads", str(10**5))
+        assert (code, out) == (2, "") and "worker count" in err, argv
 
 
 def test_group_mathieu22_facts():

@@ -18,7 +18,6 @@ from paforge.groups import (
     PermGroup,
     StabilizerChain,
     _scan_depth,
-    fixity,
     group_order,
     group_to_pa,
     make_named,
@@ -26,6 +25,7 @@ from paforge.groups import (
     parse_generator_text,
 )
 from paforge.pa import (
+    MAX_DEGREE,
     compose,
     exact_min_distance,
     identity,
@@ -149,7 +149,6 @@ def test_minimal_degree_examples():
     assert minimal_degree(make_named("agl1", q=5)).minimal_degree == 4
     facts = minimal_degree(make_named("sym_pairs", m=5))
     assert facts.minimal_degree == 6  # 2m - 4 for m = 5
-    assert fixity(make_named("sym_pairs", m=5), facts) == 4
 
 
 def test_minimal_degree_pair_action_formula():
@@ -249,6 +248,28 @@ def test_named_group_pa_parameters():
         pa = group_to_pa(make_named(name, **params))
         assert (pa.n, pa.M, pa.claimed_distance) == (n, M, d)
         assert exact_min_distance(pa) == d  # group min distance = minimal degree
+
+
+def test_oversized_named_groups_refused_before_any_point(monkeypatch):
+    # Listing the points of agl(200, 2) would exhaust memory, so a guard that
+    # comes too late fails here at once instead.
+    def no_points(*args, **kwargs):
+        raise AssertionError("points were listed")
+
+    monkeypatch.setattr(groups_module.itertools, "product", no_points)
+    monkeypatch.setattr(groups_module.itertools, "combinations", no_points)
+    for name, params in (
+        ("agl", {"d": 200, "q": 2}),
+        ("agl", {"d": 17, "q": 2}),
+        ("agl1", {"q": 65537}),
+        ("agl1", {"q": 10**40}),
+        ("pgl2", {"q": 65536}),
+        ("sym", {"m": MAX_DEGREE + 1}),
+        ("sym_pairs", {"m": 363}),  # 65,703 pairs
+    ):
+        with pytest.raises(ValueError, match=f"more than {MAX_DEGREE} points"):
+            make_named(name, **params)
+    assert make_named("sym", m=MAX_DEGREE).degree == MAX_DEGREE
 
 
 def test_agl_order_formula():

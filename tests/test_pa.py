@@ -13,6 +13,7 @@ import pytest
 
 from paforge import pa as pa_module
 from paforge.pa import (
+    MAX_DEGREE,
     PermArray,
     compose,
     exact_min_distance,
@@ -166,6 +167,13 @@ def test_duplicate_rows_rejected():
     cols = np.asfortranarray([(0, 1, 2), (1, 2, 0), (0, 1, 2)])
     with pytest.raises(ValueError):
         PermArray(cols, claimed_distance=1)
+
+
+def test_row_dtype_refuses_degrees_past_the_limit():
+    assert pa_module.row_dtype(256) is np.uint8
+    assert pa_module.row_dtype(MAX_DEGREE) is np.uint16
+    with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} exceeds the limit"):
+        pa_module.row_dtype(MAX_DEGREE + 1)
 
 
 def test_nonpermutation_rejected():

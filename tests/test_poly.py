@@ -34,7 +34,7 @@ def test_eval_examples():
     assert f.eval(2) == 0
     assert Poly.zero(F5).eval(3) == 0
     for alpha in F7.elements():
-        assert Poly.x(F7).eval(alpha) == alpha
+        assert P(F7, 0, 1).eval(alpha) == alpha
 
 
 def test_mul_examples():
@@ -57,7 +57,7 @@ def test_gcd_examples():
     g = gcd(P(F5, 4, 0, 1), P(F5, 4, 1))  # x^2-1, x-1
     assert g.coeffs == (4, 1)
     f = P(F5, 2, 3, 1)
-    assert gcd(f, Poly.zero(F5)).coeffs == f.monic().coeffs
+    assert gcd(f, Poly.zero(F5)).coeffs == (2, 3, 1)
     with pytest.raises(ValueError):
         gcd(Poly.zero(F5), Poly.zero(F5))
 
@@ -159,8 +159,3 @@ def test_shift_matches_eval():
         shifted = f.shift(beta)
         for alpha in F7.elements():
             assert shifted.eval(alpha) == f.eval(F7.add(alpha, beta))
-
-
-def test_text_form():
-    assert P(F5, 1, 0, 3).text() == "1,0,3"
-    assert Poly.zero(F5).text() == "0"
