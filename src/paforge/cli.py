@@ -25,6 +25,7 @@ from .groups import (
 )
 from .pa import DEFAULT_SAMPLE_PAIRS, min_distance, read_pa, write_pa
 from .pam import build_pa
+from .parallel import resolve_workers
 from .sfp import (
     SfpQuery,
     Variant,
@@ -32,7 +33,6 @@ from .sfp import (
     check_field_range,
     enumerate_fast,
     field_for_order,
-    prime_power,
 )
 
 
@@ -146,7 +146,7 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     if not explicit and (args.a or args.b):
         print("--a/--b need --s/--t: the --k grid picks its offsets", file=sys.stderr)
         return 2
-    check_field_range(*prime_power(args.q))
+    check_field_range(args.q)
     _probe_writable(args.emit)
     field = field_for_order(args.q)
     if explicit:
@@ -167,6 +167,7 @@ def cmd_sfp(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    workers = resolve_workers(args.threads)
     try:
         pa = read_pa(args.path)
         if pa.M < 2:
@@ -176,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     mode = "sampled" if args.mode == "sample" else "full"
     report = min_distance(
-        pa, mode, sample_pairs=args.samples, seed=args.seed, workers=args.threads
+        pa, mode, sample_pairs=args.samples, seed=args.seed, workers=workers
     )
     print(report.to_json())
     return 0 if report.passed else 1
@@ -218,7 +219,7 @@ def cmd_group(args: argparse.Namespace) -> int:
         "pa": [group.degree, order, facts.minimal_degree],
     }
     sharp_k = _sharp_k_for(group.degree, order)
-    if sharp_k is not None and order <= 10000:
+    if sharp_k is not None:
         # The order is n!/(n-k)!, so the group is sharply k-transitive exactly
         # when it is k-transitive.  For n >= 2 `_sharp_k_for` returns n-1
         # before it could return n, so the chain's cap at orbits of size 2

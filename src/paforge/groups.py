@@ -2,13 +2,15 @@
 through a stabilizer chain, and the named constructions used for the
 group-based arrays.
 
-The stabilizer chain is a deterministic Schreier-Sims build: each new base
-point is the smallest point moved by the generator that needs it; orbits are
-BFS in point order.  That makes orders, stabilizer generators, and element
-enumeration reproducible run to run.  The chain is the only code that lists
-group elements: each element is one product of coset representatives, one
-per level, so nothing is deduplicated (Seress, *Permutation Group
-Algorithms*, 2003).
+The stabilizer chain is one incremental deterministic Schreier-Sims build
+on numpy rows (Seress, *Permutation Group Algorithms*, 2003, 4.2; Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, 4.4): each new
+base point is the smallest point moved by the residue that needs it, orbits
+grow in place in discovery order, and no Schreier pair is sifted twice.
+That makes orders, strong generators and element enumeration reproducible
+run to run.  The chain is the only code that lists group elements: each
+element is one product of coset representatives, one per level, so nothing
+is deduplicated.
 
 The exact minimal degree of a t-transitive group is read off the pointwise
 stabilizer of the first t base points, or of the first t-1 when that one is
@@ -34,10 +36,7 @@ from .pa import (
     MAX_DEGREE,
     PermArray,
     Permutation,
-    compose,
     identity,
-    inverse,
-    moved_points,
     row_dtype,
 )
 
@@ -93,92 +92,93 @@ class GroupFacts:
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain."""
+    """Incremental deterministic Schreier-Sims stabilizer chain on numpy rows.
+
+    Level i keeps base[i]; gens[i], the strong generators that fix base[:i];
+    orbits[i], each point of the orbit of base[i] under gens[i], in
+    discovery order, mapped to its coset representative u (u[base[i]] is
+    the point) and to u's inverse; and _paired[i], for each orbit point how
+    many of gens[i] have been paired with it.  All three only grow.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Permutation]) -> None:
         self.degree = degree
+        self._identity = np.arange(degree, dtype=row_dtype(degree))
+        self._identity_bytes = self._identity.tobytes()
         self.base: list[int] = []
-        self.stored: list[list[Permutation]] = []
-        self.orbits: list[dict[int, Permutation]] = []
+        self.gens: list[list[np.ndarray]] = []
+        self.orbits: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
+        self._paired: list[dict[int, int]] = []
         for g in generators:
-            self.add_generator(tuple(g))
+            g = np.asarray(g, dtype=self._identity.dtype)
+            if g.tobytes() != self._identity_bytes:
+                self._add_strong(g)
+        level = len(self.base) - 1
+        while level >= 0:
+            residue = self._unsifted(level)
+            level = level - 1 if residue is None else self._add_strong(residue)
 
     # -- construction ------------------------------------------------------
 
-    def _append_level(self, basepoint: int) -> None:
-        self.base.append(basepoint)
-        self.stored.append([])
-        self.orbits.append({basepoint: identity(self.degree)})
-
-    def _level_gens(self, i: int) -> list[Permutation]:
-        return [g for level in self.stored[i:] for g in level]
-
-    def _rebuild_orbit(self, i: int) -> None:
-        b = self.base[i]
-        gens = self._level_gens(i)
-        orbit = {b: identity(self.degree)}
-        queue = [b]
-        while queue:
-            pt = queue.pop(0)
-            u = orbit[pt]
-            for g in gens:
-                npt = g[pt]
-                if npt not in orbit:
-                    orbit[npt] = compose(g, u)
-                    queue.append(npt)
-        self.orbits[i] = orbit
-
-    def sift(self, p: Permutation, start: int = 0) -> Permutation:
-        """Reduce p by transversal elements; identity means membership."""
-        for i in range(start, len(self.base)):
-            img = p[self.base[i]]
-            if img == self.base[i]:
-                continue
-            u = self.orbits[i].get(img)
-            if u is None:
-                return p
-            p = compose(inverse(u), p)
-        return p
-
-    def add_generator(self, g: Permutation) -> None:
-        g = tuple(g)
-        if moved_points(g) != 0:
-            self._insert(g, 0)
-
-    def _insert(self, g: Permutation, start: int) -> None:
-        """Store the nonidentity g at the first level from `start` whose base
-        point it moves (a new level when it moves none), then restore the
-        levels from there back up to `start`."""
-        level = start
-        while level < len(self.base) and g[self.base[level]] == self.base[level]:
-            level += 1
+    def _add_strong(self, g: np.ndarray) -> int:
+        """Make the nonidentity g a strong generator at the first level whose
+        base point it moves, or at a new level based at the smallest point it
+        moves when it fixes every base point; return that level."""
+        moved = np.flatnonzero(g[self.base] != self.base)
+        level = int(moved[0]) if len(moved) else len(self.base)
         if level == len(self.base):
-            self._append_level(min(i for i, j in enumerate(g) if i != j))
-        self.stored[level].append(g)
-        for i in range(level, start - 1, -1):
-            self._complete_level(i)
+            point = int(np.flatnonzero(g != self._identity)[0])
+            self.base.append(point)
+            self.gens.append([])
+            self.orbits.append({point: (self._identity, self._identity)})
+            self._paired.append({point: 0})
+        for gens in self.gens[: level + 1]:
+            gens.append(g)
+        return level
 
-    def _complete_level(self, i: int) -> None:
-        """Restore the chain invariant at level i (deeper levels assumed good)."""
-        while True:
-            self._rebuild_orbit(i)
-            clean = True
-            gens = self._level_gens(i)
-            for pt in sorted(self.orbits[i]):
-                u_pt = self.orbits[i][pt]
-                for g in gens:
-                    u_img = self.orbits[i][g[pt]]
-                    schreier = compose(inverse(u_img), compose(g, u_pt))
-                    residue = self.sift(schreier, i + 1)
-                    if moved_points(residue) == 0:
-                        continue
-                    self._insert(residue, i + 1)
-                    clean = False
-                    break
-                if not clean:
-                    break
-            if clean:
-                return
+    def _unsifted(self, level: int) -> Optional[np.ndarray]:
+        """Extend orbits[level] and sift the Schreier generator of every
+        (point, generator) pair not paired before; the first residue that is
+        not the identity, or None when the level is complete.
+
+        A pair whose image is new gives the image its representative and a
+        trivial Schreier generator.  Representatives are never replaced and
+        deeper levels only grow, so a pair that sifted clean stays clean and
+        the pair that yields a residue is clean once the residue is stored:
+        no pair is sifted twice."""
+        orbit, gens, paired = self.orbits[level], self.gens[level], self._paired[level]
+        points = list(orbit)
+        for point in points:
+            u = orbit[point][0]
+            while paired[point] < len(gens):
+                g = gens[paired[point]]
+                paired[point] += 1
+                image = int(g[point])
+                gu = g.take(u)
+                if image not in orbit:
+                    inv = np.empty_like(gu)
+                    inv[gu] = self._identity
+                    orbit[image] = (gu, inv)
+                    paired[image] = 0
+                    points.append(image)
+                    continue
+                residue = self.sift(orbit[image][1].take(gu), level + 1)
+                if residue.tobytes() != self._identity_bytes:
+                    return residue
+        return None
+
+    def sift(self, p: np.ndarray, start: int = 0) -> np.ndarray:
+        """Divide p by one coset representative per level from `start`, one
+        gather with the stored inverse each; the identity means membership."""
+        for i in range(start, len(self.base)):
+            image = int(p[self.base[i]])
+            if image == self.base[i]:
+                continue
+            entry = self.orbits[i].get(image)
+            if entry is None:
+                return p
+            p = entry[1].take(p)
+        return p
 
     # -- queries -------------------------------------------------------------
 
@@ -195,7 +195,8 @@ class StabilizerChain:
         return t
 
     def contains(self, p: Permutation) -> bool:
-        return moved_points(self.sift(tuple(p))) == 0
+        p = np.asarray(p, dtype=self._identity.dtype)
+        return self.sift(p).tobytes() == self._identity_bytes
 
     def element_chunks(self, depth: int = 0) -> Iterator[np.ndarray]:
         """Every element of the pointwise stabilizer of base[:depth] exactly
@@ -204,22 +205,19 @@ class StabilizerChain:
         Elements are coset products down the chain, so no deduplication is
         needed and memory stays bounded by _CHUNK_ROWS rows per yield.
         """
-        n = self.degree
-        dtype = row_dtype(n)
         transversals = [
-            [np.array(orbit[pt], dtype=dtype) for pt in sorted(orbit)]
-            for orbit in self.orbits[depth:]
+            [u for u, _ in orbit.values()] for orbit in self.orbits[depth:]
         ]
         split = len(transversals)
         inner = 1
         while split > 0 and inner * len(transversals[split - 1]) <= _CHUNK_ROWS:
             split -= 1
             inner *= len(transversals[split])
-        block = np.arange(n, dtype=dtype)[None, :]
+        block = self._identity[None, :]
         for us in reversed(transversals[split:]):
             block = np.concatenate([u[block] for u in us], axis=0)
         for combo in itertools.product(*transversals[:split]):
-            u = np.arange(n, dtype=dtype)
+            u = self._identity
             for v in combo:
                 u = u[v]
             yield u[block]

@@ -51,13 +51,13 @@ class Variant(str, Enum):
     Q_PLUS_1 = "q+1"
 
 
-def check_field_range(p: int, k: int) -> None:
-    """Reject GF(p^k) outside the fraction search's supported range: prime
-    orders up to MAX_Q, extension orders up to MAX_EXT_Q."""
-    q = p**k
+def check_field_range(q: int) -> None:
+    """Reject GF(q) outside the fraction search's supported range: prime
+    orders up to MAX_Q, extension orders up to MAX_EXT_Q.  q is compared
+    with MAX_Q before `prime_power` trial-divides it."""
     if q > MAX_Q:
         raise ValueError(f"field order {q} exceeds the supported maximum {MAX_Q}")
-    if k > 1 and q > MAX_EXT_Q:
+    if prime_power(q)[1] > 1 and q > MAX_EXT_Q:
         msg = f"extension field order {q} exceeds the supported maximum {MAX_EXT_Q}"
         raise ValueError(msg)
 
@@ -75,7 +75,7 @@ class SfpQuery:
 
     def __post_init__(self) -> None:
         q, s, t, a, b = self.field.q, self.s, self.t, self.a, self.b
-        check_field_range(self.field.p, self.field.k)
+        check_field_range(q)
         if s < 0 or t < 0:
             raise ValueError("degree budgets must be non-negative")
         if s + t > q - 2:
@@ -535,7 +535,7 @@ class BestCount:
 
 def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
     """All admissible cells with s + t = k (and the three offset choices)."""
-    check_field_range(*prime_power(q))
+    check_field_range(q)
     F = field_for_order(q)
     top = q - 2 if variant is Variant.Q else q - 3  # q+1 cells need k+1 <= q-2
     if not 0 <= k <= top:

@@ -102,6 +102,24 @@ def test_sfp_range_checked_before_the_field_is_built(monkeypatch):
         assert run_cli("sfp", *argv) == (2, "", err)
 
 
+def test_sfp_range_checked_before_q_is_factored(monkeypatch):
+    # A prime near 10^14 past MAX_Q is refused before any trial division.
+    import paforge.field
+    import paforge.sfp
+
+    def no_factoring(q):
+        raise AssertionError(f"{q} was factored")
+
+    for module in (paforge.field, paforge.sfp, cli):
+        monkeypatch.setattr(module, "prime_power", no_factoring, raising=False)
+    for argv in (("--k", "1"), ("--s", "1", "--t", "0")):
+        code, out, err = run_cli("sfp", "--q", "100000000000031", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: field order 100000000000031 exceeds the supported maximum 32767\n"
+        )
+
+
 def test_verify_pass_and_fail(tmp_path):
     good = tmp_path / "good.txt"
     run_cli("sfp", "--q", "7", "--s", "1", "--t", "0", "--emit", str(good))
@@ -303,6 +321,12 @@ def test_worker_count_bounded(tmp_path, monkeypatch):
     ):
         code, out, err = run_cli(*argv, "--threads", str(10**5))
         assert (code, out) == (2, "") and "worker count" in err, argv
+    # The sampled check runs no worker, and it checks the count all the same.
+    for threads in ("0", str(10**5)):
+        code, out, err = run_cli(
+            "verify", "--in", str(path), "--mode", "sample", "--threads", threads
+        )
+        assert (code, out) == (2, "") and "worker count" in err, threads
 
 
 def test_group_mathieu22_facts():
@@ -367,8 +391,10 @@ def test_group_emit_builds_one_chain(tmp_path, monkeypatch):
 
 def test_group_sharp_k_matches_array_predicate(monkeypatch):
     # The command reads sharp k-transitivity off the chain; the array
-    # predicate is the reference.  Random generator sets of degree 2-6, and
-    # an intransitive group whose order 6 = 6!/5! suggests k = 1.
+    # predicate is the reference.  Random generator sets of degree 2-6, an
+    # intransitive group whose order 6 = 6!/5! suggests k = 1, and two
+    # sharply transitive groups of order above 10,000: agl1(101) (10,100,
+    # k = 2) and pgl2(23) (12,144, k = 3).
     rng = random.Random(7)
     groups = [PermGroup(6, ((1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5)))]
     while len(groups) < 60:
@@ -376,6 +402,7 @@ def test_group_sharp_k_matches_array_predicate(monkeypatch):
         gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 2))]
         if any(g != tuple(range(n)) for g in gens):  # the trivial group exits 2
             groups.append(PermGroup(n, tuple(gens)))
+    groups += [make_named("agl1", q=101), make_named("pgl2", q=23)]
     seen = set()
     for group in groups:
         monkeypatch.setattr(cli, "make_named", lambda name, **params: group)
@@ -390,6 +417,7 @@ def test_group_sharp_k_matches_array_predicate(monkeypatch):
         assert info["sharply_k_transitive"] == (k if sharp else None), group
         seen.add(sharp)
     assert seen == {True, False}
+    assert (info["order"], info["sharply_k_transitive"]) == (12144, 3)
 
 
 @pytest.mark.parametrize(

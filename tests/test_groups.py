@@ -273,7 +273,7 @@ def test_oversized_named_groups_refused_before_any_point(monkeypatch):
 
 
 def test_agl_order_formula():
-    for d, q in [(2, 2), (2, 3), (3, 2), (2, 5)]:
+    for d, q in [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (2, 8), (3, 3)]:
         grp = make_named("agl", d=d, q=q)
         expect = q**d
         for i in range(d):
@@ -538,3 +538,74 @@ def test_sampled_scan_of_q2_groups_sees_a_moved_point():
         for seed in range(10):
             facts = minimal_degree(group, mode="sampled", trials=1, seed=seed)
             assert facts.minimal_degree <= group.degree, (name, seed)
+
+
+def test_no_schreier_pair_is_sifted_twice(monkeypatch):
+    # Every (level, point, generator) pair is paired once the chain is
+    # built.  A pair whose image is new gives that image its representative
+    # and needs no sift; every other pair needs at least one.  So exactly
+    # one sift per such pair means no pair was sifted twice.
+    sifts = []
+    sift = StabilizerChain.sift
+
+    def counted(self, p, start=0):
+        sifts.append(start)
+        return sift(self, p, start)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counted)
+    rng = random.Random(3)
+    groups = [
+        make_named(name, **params)
+        for name, params in [
+            ("mathieu22", {}),
+            ("mathieu24", {}),
+            ("sym", {"m": 9}),
+            ("sym_pairs", {"m": 7}),
+            ("pgl2", {"q": 16}),
+            ("agl", {"d": 3, "q": 3}),
+        ]
+    ]
+    groups += [
+        PermGroup(n, tuple(tuple(rng.sample(range(n), n)) for _ in range(3)))
+        for n in (5, 9, 12)
+    ]
+    for grp in groups:
+        sifts.clear()
+        chain = StabilizerChain(grp.degree, grp.generators)
+        needed = 0
+        for orbit, gens, paired in zip(chain.orbits, chain.gens, chain._paired):
+            assert set(paired.values()) == {len(gens)}
+            needed += len(orbit) * len(gens) - (len(orbit) - 1)
+        assert len(sifts) == needed, grp.name
+
+
+def test_pgl2_and_sym_orders_match_textbook_formulas():
+    cases = [(("pgl2", {"q": q}), (q + 1) * q * (q - 1)) for q in (16, 25, 27, 32, 49)]
+    cases += [
+        ((name, {"m": m}), math.factorial(m))
+        for name in ("sym", "sym_pairs")
+        for m in range(7, 11)
+    ]
+    for (name, params), order in cases:
+        assert group_order(make_named(name, **params)) == order, (name, params)
+
+
+def test_chain_membership_matches_sympy_at_degree_102():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    grp = make_named("pgl2", q=101)
+    chain = StabilizerChain(grp.degree, grp.generators)
+    theirs = SymGroup([SymPerm(list(g)) for g in grp.generators])
+    rng = random.Random(9)
+    n = grp.degree
+    swap = (1, 0) + tuple(range(2, n))
+    candidates = []
+    for _ in range(20):
+        word = identity(n)
+        for _ in range(rng.randrange(1, 40)):
+            word = compose(word, rng.choice(grp.generators))
+        candidates += [word, compose(word, swap), tuple(rng.sample(range(n), n))]
+    answers = [chain.contains(p) for p in candidates]
+    assert answers == [theirs.contains(SymPerm(list(p))) for p in candidates]
+    assert answers[0::3] == [True] * 20 and not any(answers[1::3])
