@@ -29,9 +29,10 @@ from .parallel import resolve_workers
 from .sfp import (
     SfpQuery,
     Variant,
+    best_cell,
     best_count,
     check_field_range,
-    enumerate_fast,
+    enumerate_fast,  # not called here: perfbench/traced.py wraps it under this name
     field_for_order,
 )
 
@@ -151,16 +152,14 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     field = field_for_order(args.q)
     if explicit:
         query = SfpQuery(field, args.variant, args.s, args.t, args.a, args.b)
-        result = enumerate_fast(query, workers=args.threads)
-        manifest = result.manifest(tool_version=__version__)
+        counted = best_cell([query], workers=args.threads)
     else:
-        bc = best_count(args.q, args.k, args.variant, workers=args.threads)
-        query = bc.query
-        result = None
-        manifest = bc.manifest(tool_version=__version__)
-    print(json.dumps(manifest))
+        counted = best_count(args.q, args.k, args.variant, workers=args.threads)
     if args.emit:
-        pa = build_pa(query, result=result, workers=args.threads)
+        check_row_cap(counted.count)
+    print(json.dumps(counted.manifest(__version__, argmax=not explicit)))
+    if args.emit:
+        pa = build_pa(counted.query, workers=args.threads)
         write_pa(pa, args.emit)
         print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
     return 0

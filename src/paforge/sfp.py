@@ -9,8 +9,11 @@ and otherwise shifts the budgets to (s + a, t + b).
 
 Two enumerators are provided: a brute-force oracle over all coefficient
 tuples, and a fast scan that visits one normalized representative per
-scale-and-shift orbit and expands orbits by linear coefficient transforms.
-Both return the same canonically sorted coefficient rows (`SfpResult.rows`).
+scale-and-shift orbit a*f(x+b)/g(x+b).  Both return the same canonically
+sorted coefficient rows (`SfpResult.rows`).  The scan keeps one table row
+per orbit, with the orbit's size q(q-1)/|Stab|, so a cell's count is a sum
+of orbit sizes (`best_cell`, `best_count`); only `enumerate_fast`
+expands the member orbits into rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -37,10 +40,10 @@ ORACLE_PAIR_CAP = 10**9
 #: hold.  `check_field_range` declares both.
 MAX_Q = int(np.iinfo(np.int16).max)
 MAX_EXT_Q = DENSE_TABLE_CAP
-_CHUNK_PAIR_BUDGET = 1 << 19
-#: Rows per int64 product on the prime-field side of `_eval_rows`, the one
-#: field fork (10 MB at q = 19); the extension side works on int16 tables.
-_EVAL_CHUNK_ROWS = 1 << 16
+#: Cells (value rows x q points) in one scan buffer: a pair-scan tile's
+#: ratios, or one int64 product of `_eval_rows` (4 MB).  At q = 19 a tile
+#: holds 27,594 pairs, so every block with more splits across workers.
+_CELL_BUDGET = 1 << 19
 
 #: Offset pairs admitted by the length-(q+1) maximization, in tie-break order.
 OFFSET_CHOICES = ((0, 0), (1, -1), (-1, 1))
@@ -137,7 +140,6 @@ class SfpResult:
 
     query: SfpQuery
     rows: np.ndarray
-    elapsed: float
 
     @property
     def count(self) -> int:
@@ -162,27 +164,6 @@ class SfpResult:
         coeffs = np.maximum(self.rows, 0)  # padding evaluates as zero coefficients
         num, den = coeffs[:, dw:], coeffs[:, :dw]
         return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
-
-    def manifest(self, tool_version: str = "") -> dict:
-        return _manifest(self.query, self.count, None, self.elapsed, tool_version)
-
-
-def _manifest(
-    qq: SfpQuery, count: int, argmax: Optional[dict], elapsed: float, tool_version: str
-) -> dict:
-    """The JSON manifest `paforge sfp` prints for one cell or one grid."""
-    return {
-        "q": qq.q,
-        "variant": qq.variant.value,
-        "s": qq.s,
-        "t": qq.t,
-        "a": qq.a,
-        "b": qq.b,
-        "count": count,
-        "argmax": argmax,
-        "elapsed_ms": round(elapsed * 1000.0, 3),
-        "tool_version": tool_version,
-    }
 
 
 def _row_widths(query: SfpQuery) -> tuple[int, int]:
@@ -235,7 +216,6 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
     Value tables are precomputed once per polynomial; the pair loop applies
     the membership inequalities directly to the evaluated ratios.
     """
-    started = time.perf_counter()
     F = query.field
     q = F.q
     fmax = query.s + max(query.a, 0)
@@ -272,24 +252,26 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    return SfpResult(query, rows, time.perf_counter() - started)
+    return SfpResult(query, rows)
 
 
 # -- fast scan: normalized representatives + orbit expansion -----------------
 
 
 class _Block(NamedTuple):
-    """The scanned orbits of one exact-degree block, one row per fraction.
+    """The scanned orbits of one exact-degree block, one row per orbit.
 
-    m (= q - v) and the pole flag are orbit invariants; each row carries
-    those of the survivor its orbit was expanded from.
+    Each row is the orbit's least (den||num) row, f and g monic; m (= q - v)
+    and the pole flag are orbit invariants, and size is the number of
+    fractions in the orbit.
     """
 
     s2: int
     t2: int
-    rows: np.ndarray  # (fractions, t2+1 + s2+1) int16, den first, sorted
+    rows: np.ndarray  # (orbits, t2+1 + s2+1) int16, den first, sorted
     m: np.ndarray
     pole: np.ndarray
+    size: np.ndarray
 
 
 def _members(block: _Block, query: SfpQuery) -> np.ndarray:
@@ -342,12 +324,13 @@ def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
     if field.k == 1:
         p = field.p
         d = coeffs.shape[1]
-        vand = np.empty((d, q), dtype=np.int64)
-        for i in range(d):
-            vand[i] = [pow(alpha, i, p) for alpha in range(q)]
+        vand = np.ones((d, q), dtype=np.int64)
+        for i in range(1, d):
+            vand[i] = vand[i - 1] * np.arange(q) % p
         vals = np.empty((coeffs.shape[0], q), dtype=np.int16)
-        for lo in range(0, len(coeffs), _EVAL_CHUNK_ROWS):
-            prod = coeffs[lo : lo + _EVAL_CHUNK_ROWS].astype(np.int64) @ vand
+        step = max(1, _CELL_BUDGET // q)
+        for lo in range(0, len(coeffs), step):
+            prod = coeffs[lo : lo + step].astype(np.int64) @ vand
             vals[lo : lo + len(prod)] = np.remainder(prod, p, out=prod)
         return vals
     tabs = field.tables()
@@ -380,75 +363,61 @@ def _div_tables(field: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _ratio_rows(field: Field, fvals: np.ndarray, gvals: np.ndarray) -> np.ndarray:
     """f/g at every point from broadcastable value rows, q at the poles."""
     A, B, T = _div_tables(field)
-    return T[A[fvals] + B[gvals]]
+    return np.take(T, A[fvals] + B[gvals])
 
 
-def _shifted(field: Field, c: np.ndarray) -> np.ndarray:
-    """Every shift c(x+beta) of every coefficient row, shape (N, q, width).
+def _shifted(field: Field, c: np.ndarray, dw: int) -> np.ndarray:
+    """Every shift g(x+beta)||f(x+beta) of every (den||num) coefficient row
+    with dw den columns, shape (N, q, width).
 
     Coefficient i of c(x+beta) is the i-th Hasse derivative
     sum_m C(m+i, i) c_{m+i} x^m at beta, so one `_eval_rows` call shifts
-    every row by every beta.  C(m+i, i) mod p lies in the prime field, and
+    every row by every beta; i counts from the start of i's polynomial, and
+    m+i stays inside it.  C(m+i, i) mod p lies in the prime field, and
     multiplying by it is dividing by its inverse.
     """
     n, width = c.shape
     i, m = np.indices((width, width))
-    binom = np.where(m + i < width, np.vectorize(comb)(m + i, i) % field.p, 0)
-    inv = np.array([1] + [field.inv(b) for b in range(1, field.p)], dtype=np.int16)
+    local, end = np.where(i < dw, i, i - dw), np.where(i < dw, dw, width)
+    binom = np.where(m + i < end, np.vectorize(comb)(m + local, local) % field.p, 0)
+    inv = [1] + [field.inv(b) for b in range(1, binom.max() + 1)]
     taps = np.where(binom > 0, c[:, np.minimum(m + i, width - 1)], 0).astype(np.int16)
-    hasse = _ratio_rows(field, taps, inv[binom])
+    hasse = _ratio_rows(field, taps, np.array(inv, dtype=np.int16)[binom])
     return _eval_rows(field, hasse.reshape(n * width, width)).reshape(
         n, width, field.q
     ).transpose(0, 2, 1)
 
 
-def _expand_orbit_rows(
-    field: Field, fc: np.ndarray, gc: np.ndarray
+def _least_shifts(
+    field: Field, rows: np.ndarray, dw: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, src): the orbits of the fractions fc/gc (monic rows) as sorted,
-    distinct (den||num) rows, and for each row the fraction it came from.
+    """Each (den||num) row's least shift, and how many of its q shifts equal
+    that least row: the order of the shifts that fix the row."""
+    shifted = _shifted(field, rows, dw)
+    first = np.lexsort(shifted.transpose(2, 0, 1)[::-1])[:, 0]
+    least = shifted[np.arange(len(rows)), first]
+    return least, (shifted == least[:, None, :]).all(axis=2).sum(axis=1)
 
-    Monic numerators force the scale 1 between fractions of one orbit, so
-    fractions in one orbit are shifts of each other and share their least
-    row over the q shifts; only the first fraction with each least row is
-    scaled by every unit.  Both dedupes keep each distinct row's first
-    occurrence, in lexicographic order; the last drops stabilizer repeats.
-    """
-    q, dw = field.q, gc.shape[1]
-    shifted = np.concatenate([_shifted(field, gc), _shifted(field, fc)], axis=2)
-    least = np.lexsort(shifted.transpose(2, 0, 1)[::-1])[:, 0]
-    order, rises = _row_order(shifted[np.arange(len(shifted)), least])
-    kept = np.flatnonzero(rises) if order is None else order[rises]
-    orbits = np.repeat(shifted[kept, :, None], q - 1, axis=2)  # (kept, q, q-1, w)
+
+def _orbit_rows(field: Field, reps: np.ndarray, dw: int) -> np.ndarray:
+    """Every fraction in the orbits of reps, (den||num) rows with f and g
+    monic and one per orbit: each distinct shift of a representative, its
+    numerator scaled by every unit.  Orbits are disjoint, and a monic
+    numerator tells its scales apart, so the rows are distinct."""
+    q, w = field.q, reps.shape[1]
+    shifted = _shifted(field, reps, dw).reshape(-1, w)
+    order, rises = _row_order(shifted)
+    shifts = shifted[np.flatnonzero(rises) if order is None else order[rises]]
+    orbits = np.repeat(shifts[:, None, :], q - 1, axis=1)  # (shifts, q-1, w)
     units = np.arange(1, q, dtype=np.int16)[:, None]
     orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], units)
-    rows = orbits.reshape(-1, shifted.shape[2])
-    order, rises = _row_order(rows)
-    first = np.flatnonzero(rises) if order is None else order[rises]
-    return rows[first], kept[first // (q * (q - 1))]
-
-
-def _distinct_counts(ratios: np.ndarray) -> np.ndarray:
-    """Distinct entries per row (sentinel counted like any other value)."""
-    srt = np.sort(ratios, axis=-1)
-    return (srt[..., 1:] != srt[..., :-1]).sum(axis=-1).astype(np.int32) + 1
-
-
-def _tuple_gcd_is_one(field: Field, fc: Sequence[int], gc: Sequence[int]) -> bool:
-    f = Poly(field, tuple(int(c) for c in fc))
-    g = Poly(field, tuple(int(c) for c in gc))
-    return gcd(f, g).degree == 0
+    return orbits.reshape(-1, w)
 
 
 def _scan_block(
-    field: Field,
-    s2: int,
-    t2: int,
-    thr_pole: int,
-    thr_nopole: int,
-    workers: int,
+    field: Field, s2: int, t2: int, thr_pole: int, thr_nopole: int, workers: int
 ) -> _Block:
-    """Scan one exact-degree block; its rows are the orbits of its survivors.
+    """Scan one exact-degree block into one row per orbit of its survivors.
 
     Every orbit of f/g under a*f(x+b)/g(x+b) keeps a representative: f is
     monic, and one shift zeroes f's x^(s2-1) coefficient when p does not
@@ -457,34 +426,46 @@ def _scan_block(
     not divide t2.  Either way each orbit has one survivor.  When p divides
     both degrees no coefficient pins the shift, the blocks are scanned
     whole, and all distinct shifts of a survivor survive too: up to q
-    survivors share an orbit, and `_expand_orbit_rows` expands only the
-    first.  m and the pole flag are orbit invariants, so the rows do not
-    depend on which survivor is expanded.
+    survivors share an orbit, and share its least row, which keys the table.
+    m, the pole flag and coprimality are orbit invariants.  With f monic,
+    a*f(x+b) = f forces a = 1, so the orbit's stabilizer is the shifts that
+    fix the row, and the orbit holds q(q-1)/|Stab| fractions.
+
+    The pair scan runs in tiles of at most `_CELL_BUDGET` ratio cells, near
+    square when both ranges are long; each tile evaluates its own value
+    rows and shifts its own survivors.  v counts the distinct ratios, the
+    pole sentinel q left out.
     """
     q, p = field.q, field.p
     fblock = _normalized_num_block(field, s2)
     gblock = _monic_rows(field, t2, t2 - 1 if s2 % p == 0 and t2 % p else t2)
-    fvals = _eval_rows(field, fblock)
-    gvals = _eval_rows(field, gblock)
-    pole = (gvals == 0).any(axis=1)
+    nf, ng = len(fblock), len(gblock)
+    side = max(1, isqrt(_CELL_BUDGET // q))
+    fstep = min(nf, max(side, _CELL_BUDGET // (q * ng)))
+    gstep = min(ng, max(1, _CELL_BUDGET // (q * fstep)))
+    tiles = [(f0, g0) for f0 in range(0, nf, fstep) for g0 in range(0, ng, gstep)]
 
-    nf = len(fblock)
-    chunk = max(1, _CHUNK_PAIR_BUDGET // max(nf, 1))
-    bounds = [(lo, min(lo + chunk, len(gblock))) for lo in range(0, len(gblock), chunk)]
+    def scan_tile(tile: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        f, g = fblock[tile[0] : tile[0] + fstep], gblock[tile[1] : tile[1] + gstep]
+        fvals, gvals = _eval_rows(field, f), _eval_rows(field, g)
+        pole = (gvals == 0).any(axis=1)
+        ratio = np.sort(_ratio_rows(field, fvals[:, None], gvals[None]), axis=-1)
+        m = q - 1 + pole - (ratio[..., 1:] != ratio[..., :-1]).sum(-1, np.int16)
+        fi, gi = np.nonzero(m <= np.where(pole, thr_pole, thr_nopole))
+        least, stab = _least_shifts(field, np.hstack([g[gi], f[fi]]), t2 + 1)
+        return least, stab, m[fi, gi], pole[gi]
 
-    def scan_range(bound: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        lo, hi = bound
-        ratio = _ratio_rows(field, fvals[:, None, :], gvals[None, lo:hi, :])
-        m = q - (_distinct_counts(ratio) - pole[None, lo:hi])
-        fi, gi = np.nonzero(m <= np.where(pole[None, lo:hi], thr_pole, thr_nopole))
-        return fi, gi + lo, m[fi, gi]
-
-    fi, gi, m = map(np.concatenate, zip(*map_blocks(scan_range, bounds, workers)))
+    parts = map_blocks(scan_tile, tiles, workers)
+    least, stab, m, pole = map(np.concatenate, zip(*parts))
+    order, rises = _row_order(least)
+    kept = np.flatnonzero(rises) if order is None else order[rises]
     if s2 > 0 and t2 > 0:
-        coprime = [_tuple_gcd_is_one(field, fblock[f], gblock[g]) for f, g in zip(fi, gi)]
-        fi, gi, m = fi[coprime], gi[coprime], m[coprime]
-    rows, src = _expand_orbit_rows(field, fblock[fi], gblock[gi])
-    return _Block(s2, t2, rows, m[src], pole[gi[src]])
+        coprime = [
+            gcd(Poly.of(field, r[: t2 + 1]), Poly.of(field, r[t2 + 1 :])).degree == 0
+            for r in least[kept].tolist()
+        ]
+        kept = kept[np.array(coprime, dtype=bool)]
+    return _Block(s2, t2, least[kept], m[kept], pole[kept], q * (q - 1) // stab[kept])
 
 
 def _scan_blocks(
@@ -507,12 +488,15 @@ def _scan_blocks(
 
 
 def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
-    """Same member rows as the oracle, via normalized representatives."""
-    started = time.perf_counter()
-    blocks = _scan_blocks(query.field, [query], workers=workers)
-    rows = _pad_rows(query, [(b.t2, b.rows[_members(b, query)]) for b in blocks])
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return SfpResult(query, rows, time.perf_counter() - started)
+    """Same member rows as the oracle: the member orbits of the scan tables,
+    expanded."""
+    F = query.field
+    blocks = _scan_blocks(F, [query], workers=workers)
+    rows = _pad_rows(
+        query,
+        [(b.t2, _orbit_rows(F, b.rows[_members(b, query)], b.t2 + 1)) for b in blocks],
+    )
+    return SfpResult(query, rows[np.lexsort(rows.T[::-1])])
 
 
 # -- grid maximization --------------------------------------------------------
@@ -520,17 +504,29 @@ def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
 
 @dataclass(frozen=True)
 class BestCount:
-    """Winning cell of a fixed-budget-total maximization."""
+    """Winning cell of a set of cells, with every cell's member count."""
 
     query: SfpQuery
     count: int
     cell_counts: tuple[tuple[tuple[int, int, int, int], int], ...]
     elapsed: float
 
-    def manifest(self, tool_version: str = "") -> dict:
+    def manifest(self, tool_version: str = "", argmax: bool = True) -> dict:
+        """The JSON manifest `paforge sfp` prints: argmax is the winning
+        cell for a grid, null for one named cell."""
         qq = self.query
-        argmax = {"s": qq.s, "t": qq.t, "a": qq.a, "b": qq.b}
-        return _manifest(qq, self.count, argmax, self.elapsed, tool_version)
+        return {
+            "q": qq.q,
+            "variant": qq.variant.value,
+            "s": qq.s,
+            "t": qq.t,
+            "a": qq.a,
+            "b": qq.b,
+            "count": self.count,
+            "argmax": {"s": qq.s, "t": qq.t, "a": qq.a, "b": qq.b} if argmax else None,
+            "elapsed_ms": round(self.elapsed * 1000.0, 3),
+            "tool_version": tool_version,
+        }
 
 
 def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
@@ -554,29 +550,31 @@ def grid_queries(q: int, k: int, variant: Variant) -> list[SfpQuery]:
     return out
 
 
-def best_count(
-    q: int, k: int, variant: Variant, workers: Optional[int] = None
-) -> BestCount:
-    """Maximize the member count over all cells with s + t = k.
+def best_cell(queries: Sequence[SfpQuery], workers: Optional[int] = None) -> BestCount:
+    """Count every cell over one shared scan, each the sizes of its member
+    orbits summed with no orbit expanded, and pick the largest.
 
     Ties break toward the smallest s, then the offset order (0,0), (1,-1),
     (-1,1).
     """
     started = time.perf_counter()
-    queries = grid_queries(q, k, variant)
-    field = queries[0].field
-    blocks = _scan_blocks(field, queries, workers=workers)
+    blocks = _scan_blocks(queries[0].field, queries, workers=workers)
     counts = {
-        qq: sum(int(np.count_nonzero(_members(b, qq))) for b in blocks)
-        for qq in queries
+        qq: sum(int(b.size[_members(b, qq)].sum()) for b in blocks) for qq in queries
     }
+
     def rank(qq: SfpQuery) -> tuple[int, int, int]:
         return (-counts[qq], qq.s, OFFSET_CHOICES.index((qq.a, qq.b)))
     best = min(queries, key=rank)
-    cells = tuple(
-        ((qq.s, qq.t, qq.a, qq.b), counts[qq]) for qq in queries
-    )
+    cells = tuple(((qq.s, qq.t, qq.a, qq.b), counts[qq]) for qq in queries)
     return BestCount(best, counts[best], cells, time.perf_counter() - started)
+
+
+def best_count(
+    q: int, k: int, variant: Variant, workers: Optional[int] = None
+) -> BestCount:
+    """Maximize the member count over all cells with s + t = k."""
+    return best_cell(grid_queries(q, k, variant), workers=workers)
 
 
 # -- permutation-polynomial baseline ------------------------------------------

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from paforge import cli, groups, parallel
+from paforge import cli, groups, pam, parallel, sfp
 from paforge.cli import main
 from paforge.groups import PermGroup, StabilizerChain, group_to_pa, make_named
 from paforge.pa import MAX_DEGREE, is_sharply_k_transitive, read_pa, write_pa
@@ -439,6 +439,24 @@ def test_unwritable_emit_path_exits_2(tmp_path, monkeypatch, argv):
     code, out, err = run_cli(*argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "missing" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cell", [("--k", "1"), ("--s", "1", "--t", "0")])
+def test_sfp_emit_over_the_row_cap_exits_2_before_any_expansion(tmp_path, monkeypatch, cell):
+    # The count comes from orbit sizes; a cell of more rows than
+    # `check_row_cap` allows is refused before an orbit is expanded and
+    # before the manifest is printed.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("orbits were expanded")
+
+    for owner in (cli, pam, sfp):
+        monkeypatch.setattr(owner, "enumerate_fast", unreachable)
+    monkeypatch.setattr(cli, "build_pa", unreachable)
+    path = tmp_path / "pa.txt"
+    code, out, err = run_cli("sfp", "--q", "8191", *cell, "--emit", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: order 67084290 exceeds row cap 16777216\n"
     assert not path.exists()
 
 

@@ -1,6 +1,7 @@
 """Membership predicates, oracle/fast enumeration agreement, grid maxima."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,18 +133,35 @@ def test_fast_members_are_members_and_sorted():
 
 @pytest.mark.parametrize("q", [5, 7, 11])
 def test_oracle_fast_equivalence_length_q(q, monkeypatch):
-    # Prime-field evaluation in chunks of 7 rows: every block larger than
-    # that crosses chunk boundaries.
-    monkeypatch.setattr(sfp, "_EVAL_CHUNK_ROWS", 7)
+    # A budget of 4q cells cuts the pair scan into tiles of at most 2 x 2
+    # pairs, so every block with more than two numerators and two
+    # denominators splits on both sides, and value and shifted rows come in
+    # chunks of a few rows.  Rows and counts match the default budget's.
     F = field_for_order(q)
-    for k in range(0, 4):
-        for s in range(0, k + 1):
-            query = SfpQuery(F, Variant.Q, s, k - s)
-            oracle = enumerate_oracle(query)
-            fast = enumerate_fast(query)
-            assert [m.sort_key() for m in oracle.members] == [
-                m.sort_key() for m in fast.members
-            ], f"mismatch at {query.describe()}"
+    queries = [SfpQuery(F, Variant.Q, s, k - s) for k in range(4) for s in range(k + 1)]
+    rows = [enumerate_fast(query).rows for query in queries]
+    best = [best_count(q, k, Variant.Q) for k in range(4)]
+    tiles, map_blocks = [], sfp.map_blocks
+
+    def recorded(fn, blocks, workers):
+        tiles.append(blocks)
+        return map_blocks(fn, blocks, workers)
+
+    monkeypatch.setattr(sfp, "_CELL_BUDGET", 4 * q)
+    monkeypatch.setattr(sfp, "map_blocks", recorded)
+    for query, want in zip(queries, rows):
+        oracle = enumerate_oracle(query)
+        fast = enumerate_fast(query)
+        assert [m.sort_key() for m in oracle.members] == [
+            m.sort_key() for m in fast.members
+        ], f"mismatch at {query.describe()}"
+        assert np.array_equal(fast.rows, want)
+    for k, want in enumerate(best):
+        got = best_count(q, k, Variant.Q)
+        assert (got.query, got.count, got.cell_counts) == (
+            want.query, want.count, want.cell_counts
+        )
+    assert any(len({f for f, _ in t}) > 1 and len({g for _, g in t}) > 1 for t in tiles)
 
 
 @pytest.mark.parametrize("q", [5, 7, 11])
@@ -198,18 +216,12 @@ def test_ratio_rows_match_field_division(q):
 
 
 @pytest.mark.parametrize("q, df, dg", [(4, 3, 2), (8, 4, 3), (9, 4, 3), (27, 3, 4)])
-def test_expand_orbit_rows_match_orbit(q, df, dg, monkeypatch):
+def test_expand_orbit_rows_match_orbit(q, df, dg):
     # Degrees >= p make binomials C(m+i, i) vanish mod p in the shift.  One
-    # batched call holds every shift of three coprime fractions, shuffled,
-    # so each orbit arrives up to q times and must be expanded once.
+    # batch holds every shift of three coprime fractions, shuffled, so each
+    # orbit arrives q times: every shift must give its orbit's least row and
+    # stabilizer order, and expanding the three least rows gives the orbits.
     F = field_for_order(q)
-    ratio_rows, divided = sfp._ratio_rows, []
-
-    def counted(field, fvals, gvals):
-        divided.append(fvals.size)
-        return ratio_rows(field, fvals, gvals)
-
-    monkeypatch.setattr(sfp, "_ratio_rows", counted)
     rng = np.random.default_rng(q)
     fracs = []
     while len(fracs) < 3:
@@ -220,17 +232,18 @@ def test_expand_orbit_rows_match_orbit(q, df, dg, monkeypatch):
     orbits = [{m.den.coeffs + m.num.coeffs for m in orbit(phi)} for phi in fracs]
     batch = [(j, beta) for j in range(len(fracs)) for beta in range(q)]
     batch = [batch[i] for i in rng.permutation(len(batch))]
-    shifts = [(fracs[j].num.shift(beta), fracs[j].den.shift(beta)) for j, beta in batch]
-    rows, src = sfp._expand_orbit_rows(
-        F,
-        np.array([f.coeffs for f, _ in shifts]),
-        np.array([g.coeffs for _, g in shifts]),
-    )
-    got = [tuple(r) for r in rows.tolist()]
-    assert got == sorted(set().union(*orbits))
-    assert all(row in orbits[batch[i][0]] for row, i in zip(got, src.tolist()))
-    # Scaling all 3q inputs by every unit would divide this many entries.
-    assert sum(divided) < len(batch) * q * (q - 1) * (df + 1)
+    rows = np.array([
+        fracs[j].den.shift(beta).coeffs + fracs[j].num.shift(beta).coeffs
+        for j, beta in batch
+    ])
+    least, stab = sfp._least_shifts(F, rows, dg + 1)
+    for (j, _), row, order in zip(batch, least.tolist(), stab.tolist()):
+        assert tuple(row) == min(r for r in orbits[j] if r[-1] == 1)
+        assert q * (q - 1) // order == len(orbits[j])
+    reps = np.unique(least, axis=0)
+    assert len(reps) == len(fracs)
+    got = [tuple(r) for r in sfp._orbit_rows(F, reps, dg + 1).tolist()]
+    assert sorted(got) == sorted(set().union(*orbits))
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -296,29 +309,52 @@ def test_denominator_shift_matches_unreduced_scan(monkeypatch):
 )
 def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
     # With thresholds no pair misses, a block's orbits are all its coprime
-    # fractions, whatever the members.  When p divides t2 a shift cannot
-    # change g's x^(t2-1) coefficient, so only a whole block reaches them all.
-    # Every m passes these thresholds, so each row must carry its own orbit's
-    # m and pole flag, checked against `value_count` on sampled rows.
+    # fractions, whatever the members: the orbit sizes add up to the
+    # (q-1) q^(s2+t2) fractions with monic g, less the q^(s2+t2-1) monic
+    # pairs with a common factor when both degrees are positive.  When p
+    # divides t2 a shift cannot change g's x^(t2-1) coefficient, so only a
+    # whole block reaches them all.  Every m passes these thresholds, so
+    # each row must carry its own orbit's m and pole flag, checked against
+    # `value_count` on sampled rows.
     F = field_for_order(q)
     rng = np.random.default_rng(q + s2 + t2)
+    pairs = q ** (s2 + t2) - (q ** (s2 + t2 - 1) if s2 and t2 else 0)
 
-    def orbit_rows():
+    def orbit_table():
         block = sfp._scan_block(F, s2, t2, q, q, 1)
+        assert block.size.sum() == (q - 1) * pairs
         for i in rng.choice(len(block.rows), 200):
             den, num = block.rows[i, : t2 + 1].tolist(), block.rows[i, t2 + 1 :].tolist()
             prof = value_count(make(Poly.of(F, num), Poly.of(F, den)))
             assert (block.m[i], block.pole[i]) == (q - prof.v, prof.has_pole)
-        return block.rows
+        return block
 
-    reduced = orbit_rows()
+    reduced = orbit_table()
     monic_rows = sfp._monic_rows
     monkeypatch.setattr(
         sfp, "_monic_rows", lambda field, deg, free: monic_rows(field, deg, deg)
     )
-    whole = orbit_rows()
-    assert len(np.unique(whole, axis=0)) == len(whole)
-    assert np.array_equal(np.unique(reduced, axis=0), np.unique(whole, axis=0))
+    whole = orbit_table()
+    for got, want in zip(reduced[2:], whole[2:]):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "q, s2, t2", [(4, 2, 0), (4, 2, 2), (8, 2, 1), (8, 4, 0), (9, 3, 0), (9, 3, 1), (27, 3, 0)]
+)
+def test_block_sizes_match_orbit(q, s2, t2):
+    # Each table row's size is q(q-1)/|Stab|; check it against the orbit
+    # itself on random rows and on the smallest orbits.  p | s2 lets a
+    # nonzero shift fix f, as x^2 + x fixed by x -> x + 1 in characteristic 2.
+    F = field_for_order(q)
+    block = sfp._scan_block(F, s2, t2, q, q, 1)
+    rng = np.random.default_rng(q + s2 + t2)
+    sample = np.concatenate([rng.choice(len(block.rows), 5), np.argsort(block.size)[:5]])
+    for i in sample:
+        den, num = block.rows[i, : t2 + 1].tolist(), block.rows[i, t2 + 1 :].tolist()
+        assert block.size[i] == len(orbit(make(Poly.of(F, num), Poly.of(F, den))))
+    if s2 % F.p == 0 and t2 % F.p == 0:
+        assert block.size[sample].min() < q * (q - 1)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -444,6 +480,20 @@ def test_best_count_cells_match_per_cell_enumeration():
             assert single.count == count, (q, k, variant, s, t, a, b)
 
 
+@pytest.mark.parametrize("q", [8191, 32749])
+def test_large_field_counts_by_orbit_size(q):
+    # The k = 1 winner is the one orbit of the q(q-1) affine maps; it is
+    # counted by its size, so the scan holds no row per member.
+    tracemalloc.start()
+    try:
+        bc = best_count(q, 1, Variant.Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (bc.query.s, bc.query.t, bc.count) == (1, 0, q * (q - 1))
+    assert peak < 64 << 20
+
+
 def test_grid_queries_and_tie_break():
     queries = grid_queries(7, 2, Variant.Q_PLUS_1)
     assert all(qq.s + qq.t == 2 for qq in queries)
@@ -460,9 +510,9 @@ def test_grid_queries_and_tie_break():
 
 
 def test_manifest_fields():
-    res = enumerate_fast(SfpQuery(F5, Variant.Q, 1, 0))
-    m = res.manifest(tool_version="x")
+    m = sfp.best_cell([SfpQuery(F5, Variant.Q, 1, 0)]).manifest("x", argmax=False)
     assert m["q"] == 5 and m["count"] == 20 and m["tool_version"] == "x"
+    assert m["argmax"] is None
     bc = best_count(5, 1, Variant.Q)
     m2 = bc.manifest()
     assert m2["argmax"] == {"s": 1, "t": 0, "a": 0, "b": 0}
