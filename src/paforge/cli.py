@@ -156,7 +156,7 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     else:
         counted = best_count(args.q, args.k, args.variant, workers=args.threads)
     if args.emit:
-        check_row_cap(counted.count)
+        check_row_cap(counted.count, counted.query.length())
     print(json.dumps(counted.manifest(__version__, argmax=not explicit)))
     if args.emit:
         pa = build_pa(counted.query, workers=args.threads)
@@ -202,7 +202,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     _probe_writable(args.emit)
     order = group_order(group)
     if args.emit:
-        check_row_cap(order)
+        check_row_cap(order, group.degree)
     scan = args.scan
     if scan == "auto":
         scan = "exact" if order <= EXACT_SCAN_CAP else "sampled"

@@ -42,6 +42,11 @@ from .pa import (
 
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
+#: Most rows x points cells that one emit holds.  Measured peaks: an `sfp`
+#: emit takes about 17 bytes a cell (q = 509, k = 1: 131.6M cells, 2.3 GB),
+#: a group emit about 4 (sym(10): 36.3M cells, 170 MB).  The cap admits the
+#: M23 array of the published bounds (234.6M cells).
+EMIT_CELL_CAP = 1 << 28
 
 #: Most steps, and most walk cells (steps times degree), of one segment of
 #: the sampled scan; they bound its scratch memory.
@@ -228,10 +233,13 @@ def group_order(group: PermGroup) -> int:
     return group.chain.order()
 
 
-def check_row_cap(order: int) -> None:
-    """Refuse to list a group of more than EXACT_SCAN_CAP elements."""
-    if order > EXACT_SCAN_CAP:
-        raise ValueError(f"order {order} exceeds row cap {EXACT_SCAN_CAP}")
+def check_row_cap(rows: int, n: int) -> None:
+    """Refuse to emit more than EXACT_SCAN_CAP rows, or rows of n points
+    that hold more than EMIT_CELL_CAP cells."""
+    if rows > EXACT_SCAN_CAP:
+        raise ValueError(f"{rows} rows exceed the row cap {EXACT_SCAN_CAP}")
+    if rows * n > EMIT_CELL_CAP:
+        raise ValueError(f"{rows} rows of {n} points exceed the cell cap {EMIT_CELL_CAP}")
 
 
 def _scan_depth(chain: StabilizerChain) -> int:
@@ -353,10 +361,10 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
     """Materialize the group as a permutation array with distance = minimal
     degree (computed exactly when not supplied or not exact).
 
-    Rows are the chain's elements in lexicographic order.  An order above
-    EXACT_SCAN_CAP is refused before any row is built.
+    Rows are the chain's elements in lexicographic order.  More rows or
+    cells than `check_row_cap` admits are refused before any row is built.
     """
-    check_row_cap(group_order(group))
+    check_row_cap(group_order(group), group.degree)
     if facts is None or not facts.exact:
         facts = minimal_degree(group, mode="exact")
     rows = np.concatenate(list(group.chain.element_chunks()))

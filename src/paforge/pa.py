@@ -114,7 +114,9 @@ class PermArray:
 
     Point n-1 encodes the extra symbol of length-(q+1) constructions when
     `infinity` is set; rows are stored as a dense integer matrix and are
-    required to be pairwise distinct.
+    required to be pairwise distinct.  `_order` keeps the lexicographic
+    order that the distinctness check found (None: the rows are in order),
+    the row index that FULL verification searches.
     """
 
     def __init__(
@@ -137,9 +139,11 @@ class PermArray:
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
         if not _all_permutations(arr):
             raise ValueError("some row is not a permutation")
-        if not _row_order(arr)[1].all():
+        order, rises = _row_order(arr)
+        if not rises.all():
             raise ValueError("rows must be pairwise distinct")
         self.rows = arr
+        self._order = order
         self.n = n
         self.claimed_distance = claimed_distance
         self.provenance = provenance
@@ -163,9 +167,11 @@ class PermArray:
 class VerifyReport:
     """Outcome of a distance check.
 
-    In FULL mode with a passing result, pairs_checked covers every pair and
-    min_observed is the true minimum; a failing FULL check stops at the first
-    violating pair in index order.  SAMPLED results are evidence only.
+    FULL is a proof, by the tiled scan of every pair or through checked
+    isometries, and pairs_checked counts the pairs that the proof covers:
+    with a passing result every pair, and min_observed is the true minimum;
+    a failing FULL check stops at the first violating pair in index order.
+    SAMPLED results are evidence only.
     """
 
     mode: str
@@ -258,6 +264,170 @@ def _scan_pairs(
     return n + 1 - top, (i, j), bool(bad)
 
 
+def _sorted_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per row that compares as the row does under lexsort:
+    the points big-endian, so a byte compare reads them most significant
+    byte first (a little-endian uint16 view would not)."""
+    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
+
+
+def _prefix_keys(rows: np.ndarray) -> np.ndarray:
+    """The leading points of each row as one base-n uint64, as many as fit:
+    non-decreasing over rows in lexsort order, and quick to search."""
+    n = rows.shape[1]
+    key = np.zeros(len(rows), np.uint64)
+    for col in rows.T[: int(64 / math.log2(n + 1))]:
+        key = key * np.uint64(n) + col
+    return key
+
+
+def _sfp_field_order(pa: PermArray) -> Optional[int]:
+    """q of an `sfp:` provenance whose variant matches the array's shape:
+    n = q, or n = q + 1 with the infinity point; else None."""
+    if not pa.provenance.startswith("sfp:"):
+        return None
+    fields = dict(part.partition("=")[::2] for part in pa.provenance[4:].split(","))
+    q = fields.get("q", "")
+    if not q.isdigit():
+        return None
+    q = int(q)
+    shapes = {("q", q, False), ("q+1", q + 1, True)}
+    return q if (fields.get("variant"), pa.n, pa.infinity) in shapes else None
+
+
+def _candidate_isometries(pa: PermArray) -> list:
+    """Maps of a block of rows to their images under Hamming isometries
+    that may permute the rows: right composition with a few of the rows
+    themselves (a group array is closed under it), and for an `sfp:` array
+    the column maps x -> x+1, x -> wx and the value maps v -> wv, v -> v+1
+    of GF(q) with w its primitive element, the infinity point fixed."""
+    M = pa.M
+    maps = [lambda rows, r=pa.rows[i]: rows[:, r] for i in sorted({M // 3, 2 * M // 3, M - 1})]
+    q = _sfp_field_order(pa)
+    if q is not None:
+        from .field import field_for_order
+
+        try:
+            F = field_for_order(q)
+        except ValueError:
+            return maps
+        dtype, fixed = pa.rows.dtype, list(range(q, pa.n))
+        shift = np.array([F.add(x, 1) for x in range(q)] + fixed, dtype)
+        scale = np.array([F.mul(F.primitive, x) for x in range(q)] + fixed, dtype)
+        maps += [lambda rows, p=p: rows[:, p] for p in (shift, scale)]
+        maps += [lambda rows, p=p: p[rows] for p in (scale, shift)]
+    return maps
+
+
+def _orbit_representatives(pa: PermArray) -> np.ndarray:
+    """The least row index of each orbit of the group H generated by the
+    candidate isometries that map every row onto a row.
+
+    A candidate is kept only when each image is found in the sorted keys
+    of `_row_order`; it is then injective on a finite set, so it permutes
+    the rows.  The orbits are the connected components of the kept index
+    maps: each round pulls and pushes the least label along every map and
+    jumps labels to their labels, until no label moves.
+    """
+    M = pa.M
+    srt = pa.rows if pa._order is None else pa.rows[pa._order]
+    prefix = _prefix_keys(srt)
+    # A row whose prefix the next row shares is found by its whole key.
+    shared = np.append(prefix[1:] == prefix[:-1], False)
+    keys = _sorted_keys(srt) if shared.any() else None
+    # A small first block rejects most failing candidates at once.
+    starts = [0, *range(min(_TILE_ROWS, M), M, _BLOCK_ROWS), M]
+    maps = []
+    for image_of in _candidate_isometries(pa):
+        index = np.empty(M, np.intp)
+        for lo, hi in zip(starts, starts[1:]):
+            image = image_of(pa.rows[lo:hi])
+            at = np.minimum(np.searchsorted(prefix, _prefix_keys(image)), M - 1)
+            tied = np.flatnonzero(shared[at])
+            if len(tied):
+                at[tied] = np.minimum(np.searchsorted(keys, _sorted_keys(image[tied])), M - 1)
+            if not (srt[at] == image).all():
+                break
+            index[lo : lo + len(at)] = at
+        else:
+            maps.append(index if pa._order is None else pa._order[index])
+    label = np.arange(M)
+    while maps:
+        before = label
+        for index in maps:
+            label = np.minimum(label, label[index])
+            label[index] = np.minimum(label[index], label)
+        label = label[label]
+        if (label == before).all():
+            break
+    return np.flatnonzero(label == np.arange(M))
+
+
+def _representative_distances(
+    pa: PermArray, cols: np.ndarray, reps: np.ndarray, workers: Optional[int]
+) -> np.ndarray:
+    """Least distance from each row of `reps` to any other row, tiled as
+    `_scan_pairs` is, in tiles of as many cells: fewer representatives make
+    wider tiles.  A row's agreement with itself is zeroed (it may wrap in
+    row_dtype(n), which holds every other agreement, at most n - 2)."""
+    n, M = pa.n, pa.M
+    width = _TILE_ROWS * _TILE_COLS // min(len(reps), _TILE_ROWS)
+    tiles = [(a, j0) for a in range(0, len(reps), _TILE_ROWS) for j0 in range(0, M, width)]
+
+    def scan(tile: tuple[int, int]) -> np.ndarray:
+        a, j0 = tile
+        rows = reps[a : a + _TILE_ROWS]
+        agree = np.zeros((len(rows), min(width, M - j0)), row_dtype(n))
+        for col in cols:
+            agree += col[rows, None] == col[None, j0 : j0 + agree.shape[1]]
+        own = np.flatnonzero((rows >= j0) & (rows < j0 + agree.shape[1]))
+        agree[own, rows[own] - j0] = 0
+        return agree.max(axis=1)
+
+    best = np.zeros(len(reps), row_dtype(n))
+    for (a, _), top in zip(tiles, map_blocks(scan, tiles, resolve_workers(workers))):
+        np.maximum(best[a : a + len(top)], top, out=best[a : a + len(top)])
+    return n - best.astype(np.int64)
+
+
+def _full_scan(
+    pa: PermArray, claimed: int, workers: Optional[int]
+) -> tuple[int, tuple[int, int], bool]:
+    """`_scan_pairs`' result, proven through checked isometries when that
+    scans fewer pairs, and refused over FULL_PAIR_CAP pairs scanned.
+
+    The proof: an isometry h of the Hamming metric that permutes the rows
+    maps every pair (x, y) to a pair at the same distance, and x = h(r) for
+    the representative r of x's orbit under H.  So d(x, y) = d(r, h^-1 y),
+    and the least distance from the representatives to all other rows is
+    the minimum; reps x (M - 1) pairs instead of M(M - 1)/2.
+
+    The witness stays lex-first.  Let U be the union of the orbits whose
+    representative has a partner at the minimum (for a violation: closer
+    than `claimed`); every row of U has one, and no other row does.  Then
+    the lex-first pair starts at i* = min U, the least such representative:
+    were its partner j < i*, j would be in U.  One more scan of row i*
+    against the rows j > i* gives j*.
+    """
+    M, reps = pa.M, _orbit_representatives(pa)
+    tiled = 2 * len(reps) >= M
+    pairs = M * (M - 1) // 2 if tiled else len(reps) * (M - 1)
+    if pairs > FULL_PAIR_CAP:
+        raise ValueError(f"{pairs} pairs exceed the full-verification cap {FULL_PAIR_CAP}")
+    if tiled:
+        return _scan_pairs(pa, claimed, workers)
+    cols = np.ascontiguousarray(pa.rows.T)
+    least = _representative_distances(pa, cols, reps, workers)
+    violated = bool(least.min() < claimed)
+    i = int(reps[np.argmax(least < claimed if violated else least == least.min())])
+    d = np.zeros(M - 1 - i, np.int64)
+    for col in cols:
+        d += col[i + 1 :] != col[i]
+    j = int(np.argmax(d < claimed if violated else d == least.min()))
+    return int(d[j]), (i, i + 1 + j), violated
+
+
 def min_distance(
     pa: PermArray,
     mode: str = "full",
@@ -265,19 +435,20 @@ def min_distance(
     seed: int = 0,
     workers: Optional[int] = None,
 ) -> VerifyReport:
-    """Verify the claimed minimum distance exhaustively or by sampling; FULL
-    refuses more than FULL_PAIR_CAP pairs, read at call time."""
+    """Verify the claimed minimum distance exhaustively or by sampling.
+
+    FULL is a proof, by the tiled scan of every pair or through checked
+    isometries (`_full_scan`); both give the same report, and its
+    pairs_checked counts the pairs the proof covers (all of them, or those
+    up to the first violation).  FULL refuses more than FULL_PAIR_CAP pairs
+    actually scanned, read at call time."""
     M = pa.M
     if M < 2:
         raise ValueError("need at least two rows to measure a distance")
     total_pairs = M * (M - 1) // 2
     claimed = pa.claimed_distance
     if mode == "full":
-        if total_pairs > FULL_PAIR_CAP:
-            raise ValueError(
-                f"{total_pairs} pairs exceed the full-verification cap {FULL_PAIR_CAP}"
-            )
-        observed, witness, violated = _scan_pairs(pa, claimed, workers)
+        observed, witness, violated = _full_scan(pa, claimed, workers)
         if violated:
             i, j = witness
             checked = i * (M - 1) - i * (i - 1) // 2 + (j - i)
@@ -312,10 +483,10 @@ def min_distance(
 
 
 def exact_min_distance(pa: PermArray, workers: Optional[int] = None) -> int:
-    """True minimum distance (no early exit); convenience over min_distance."""
+    """True minimum distance (no early exit); the FULL proof of min_distance."""
     if pa.M < 2:
         raise ValueError("need at least two rows to measure a distance")
-    return _scan_pairs(pa, 0, workers)[0]
+    return _full_scan(pa, 0, workers)[0]
 
 
 def is_sharply_k_transitive(pa: PermArray, k: int) -> bool:

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from paforge import cli, groups, pam, parallel, sfp
+from paforge import pa as pa_module
 from paforge.cli import main
 from paforge.groups import PermGroup, StabilizerChain, group_to_pa, make_named
 from paforge.pa import MAX_DEGREE, is_sharply_k_transitive, read_pa, write_pa
@@ -369,7 +370,7 @@ def test_group_emit_over_row_cap_refused_before_any_scan(tmp_path, monkeypatch):
     path = tmp_path / "s11.txt"
     code, out, err = run_cli("group", "--name", "sym", "--m", "11", "--emit", str(path))
     assert (code, out) == (2, "")
-    assert "order 39916800 exceeds row cap" in err
+    assert "39916800 rows exceed the row cap 16777216" in err
     assert not path.exists()
 
 
@@ -456,8 +457,49 @@ def test_sfp_emit_over_the_row_cap_exits_2_before_any_expansion(tmp_path, monkey
     path = tmp_path / "pa.txt"
     code, out, err = run_cli("sfp", "--q", "8191", *cell, "--emit", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: order 67084290 exceeds row cap 16777216\n"
+    assert err == "error: 67084290 rows exceed the row cap 16777216\n"
     assert not path.exists()
+
+
+def test_sfp_emit_over_the_cell_cap_exits_2_before_any_expansion(tmp_path, monkeypatch):
+    # 16,748,556 rows pass the row cap, but their rows of 4093 points would
+    # hold 128 GiB of values: refused by cells, before any orbit is expanded.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("orbits were expanded")
+
+    for owner in (cli, pam, sfp):
+        monkeypatch.setattr(owner, "enumerate_fast", unreachable)
+    monkeypatch.setattr(cli, "build_pa", unreachable)
+    path = tmp_path / "pa.txt"
+    code, out, err = run_cli("sfp", "--q", "4093", "--k", "1", "--emit", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 16748556 rows of 4093 points exceed the cell cap 268435456\n"
+    assert not path.exists()
+
+
+def test_verify_full_refuses_rows_without_symmetry_past_the_pair_cap(tmp_path, monkeypatch):
+    rng = random.Random(4)
+    rows = sorted({tuple(rng.sample(range(8), 8)) for _ in range(40)})
+    path = tmp_path / "random.txt"
+    path.write_text(f"PA n=8 M={len(rows)} d=2 inf=none provenance=x\n"
+                    + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", 10)
+    code, out, err = run_cli("verify", "--in", str(path), "--mode", "full")
+    assert (code, out) == (2, "")
+    pairs = len(rows) * (len(rows) - 1) // 2
+    assert err == f"error: {pairs} pairs exceed the full-verification cap 10\n"
+
+
+def test_verify_full_proves_the_m22_file_past_the_pair_cap(tmp_path):
+    # 443,520 rows hold 9.8e10 pairs, past FULL_PAIR_CAP, but right
+    # composition with its own rows proves the group file from one orbit.
+    path = tmp_path / "m22.txt"
+    assert run_cli("group", "--name", "mathieu22", "--emit", str(path))[0] == 0
+    code, out, _ = run_cli("verify", "--in", str(path), "--mode", "full", "--threads", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["mode"], report["min_observed"], report["pass"]) == ("FULL", 16, True)
+    assert report["pairs_checked"] == 443520 * 443519 // 2
 
 
 def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path, monkeypatch):

@@ -1,0 +1,207 @@
+"""FULL verification through checked isometries: the proof path must be the
+one taken where the arrays have symmetry, and every report must equal the
+tiled scan's and the brute-force oracle's."""
+
+import random
+
+import numpy as np
+import pytest
+
+from paforge import pa as pa_module
+from paforge.field import field_for_order
+from paforge.groups import group_to_pa, make_named
+from paforge.pa import PermArray, exact_min_distance, min_distance
+from paforge.pam import build_pa
+from paforge.sfp import SfpQuery, Variant
+
+from test_pa import _oracle, _swap
+
+# The six published fraction rows and the five rows of the FULL benchmark
+# pass (q19 k3/k4 q and q17/q23 k3 q+1 are in both), as (q, variant, s, t, a, b).
+FRACTION_ROWS = {
+    "q19-k3-q": (19, Variant.Q, 1, 2, 0, 0),
+    "q19-k4-q": (19, Variant.Q, 2, 2, 0, 0),
+    "q19-k5-q": (19, Variant.Q, 3, 2, 0, 0),
+    "q17-k3-q+1": (17, Variant.Q_PLUS_1, 2, 1, 1, -1),
+    "q19-k5-q+1": (19, Variant.Q_PLUS_1, 2, 3, 1, -1),
+    "q23-k3-q+1": (23, Variant.Q_PLUS_1, 2, 1, 1, -1),
+    "q25-k3-q+1": (25, Variant.Q_PLUS_1, 2, 1, 1, -1),
+}
+
+
+def _full(pa, workers=None):
+    r = min_distance(pa, "full", workers=workers)
+    return r.min_observed, r.witness, r.pairs_checked, r.passed
+
+
+def _tiled(pa, workers=2):
+    """The tiled scan's report, with min_distance's closed forms."""
+    observed, (i, j), violated = pa_module._scan_pairs(pa, pa.claimed_distance, workers)
+    M = pa.M
+    if violated:
+        return observed, (i, j), i * (M - 1) - i * (i - 1) // 2 + (j - i), False
+    return observed, (i, j), M * (M - 1) // 2, True
+
+
+def _proven(pa, monkeypatch, workers):
+    """The FULL report with the tiled scan made unreachable."""
+    def no_tiles(*args, **kwargs):
+        raise AssertionError("the tiled scan ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(pa_module, "_scan_pairs", no_tiles)
+        return _full(pa, workers), exact_min_distance(pa, workers)
+
+
+def _with_claim(pa, claimed):
+    return PermArray(pa.rows, claimed, provenance=pa.provenance, infinity=pa.infinity)
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_ROWS))
+def test_fraction_rows_are_proven_through_isometries(name, monkeypatch):
+    q, variant, s, t, a, b = FRACTION_ROWS[name]
+    pa = build_pa(SfpQuery(field_for_order(q), variant, s, t, a, b), workers=2)
+    expected = _tiled(pa)
+    assert expected[3]
+    for workers in (1, 2):
+        assert _proven(pa, monkeypatch, workers) == (expected, expected[0])
+    # A claim one above the minimum fails at the lex-first closest pair,
+    # which the tiled scan reaches early.
+    strict = _with_claim(pa, expected[0] + 1)
+    failed = _tiled(strict)
+    assert not failed[3] and failed[1] == expected[1]
+    for workers in (1, 2):
+        assert _proven(strict, monkeypatch, workers)[0] == failed
+
+
+def _orbit(base, value_shift):
+    """The rows x -> base[x + k] (and, with value_shift, base[x + k] + v)
+    over Z_n: the orbit of one row under the column shift of Z_n, and
+    under the value shift too."""
+    n = len(base)
+    orbit = {tuple(np.roll(base, -k)) for k in range(n)}
+    if value_shift:
+        orbit = {tuple((np.array(row) + v) % n) for row in orbit for v in range(n)}
+    return sorted(orbit)
+
+
+def _closed_rows(n, seeds, value_shift, rng):
+    """The orbits of random rows of Z_n, one list each."""
+    return [_orbit(rng.sample(range(n), n), value_shift) for _ in range(seeds)]
+
+
+def _planted_array(n, value_shift, seed):
+    """Rows closed under a small isometry group, first the rows of one
+    orbit, then the rest shuffled, with an extra orbit made by one swap in
+    a later orbit's base row: its pairs at distance 2 lie outside the
+    orbit of row 0."""
+    rng = random.Random(seed)
+    orbits = _closed_rows(n, 3, value_shift, rng)
+    near = _swap(orbits[2][0], n - 2, n - 1)
+    rest = [row for o in orbits[1:] for row in o] + _orbit(near, value_shift)
+    rng.shuffle(rest)
+    return orbits[0] + rest, len(orbits) + 1
+
+
+@pytest.mark.parametrize(
+    "n,value_shift", [(13, True), (13, False), (257, False)], ids=["uint8-2gens", "uint8", "uint16"]
+)
+def test_planted_close_pair_outside_the_first_orbit(n, value_shift, monkeypatch):
+    # An `sfp:` provenance offers the field maps of GF(n): the column shift
+    # (and the value shift) pass, the scalings do not.  At n = 257 the
+    # points need uint16, and the planted rows share their leading points,
+    # so they are found by the whole-row keys.
+    # Small tiles split the representatives and the rows over many tiles.
+    rows, orbits = _planted_array(n, value_shift, seed=n)
+    for claimed, tile_rows, tile_cols in ((2, 64, 8192), (3, 64, 8192), (3, 2, 16)):
+        monkeypatch.setattr(pa_module, "_TILE_ROWS", tile_rows)
+        monkeypatch.setattr(pa_module, "_TILE_COLS", tile_cols)
+        pa = PermArray(rows, claimed, provenance=f"sfp:q={n},variant=q,s=1,t=1")
+        assert len(pa_module._orbit_representatives(pa)) == orbits
+        expected = _oracle(rows, claimed)
+        if tile_rows == 64:
+            assert _tiled(pa) == expected
+        for workers in (1, 2):
+            assert _proven(pa, monkeypatch, workers) == (expected, 2)
+    # The witness row is not in the orbit of row 0.
+    assert _oracle(rows, 3)[1][0] >= (n * n if value_shift else n)
+
+
+def test_keys_search_as_lexsort_orders_rows():
+    # Little-endian uint16 bytes put 256 = (0, 1) before 1 = (1, 0); the
+    # search keys must order the rows as lexsort does.
+    rows = np.array([_swap(range(300), 0, 256), _swap(range(300), 0, 1), range(300)])
+    pa = PermArray(rows, 2)
+    srt = pa.rows[pa._order]
+    assert srt[:, 0].tolist() == [0, 1, 256]
+    keys = pa_module._sorted_keys(srt)
+    assert (np.searchsorted(keys, keys) == np.arange(3)).all()
+    prefix = pa_module._prefix_keys(srt)
+    assert (prefix[1:] > prefix[:-1]).all()
+
+
+def _column_shift(rows):
+    return np.roll(rows, -1, axis=1)
+
+
+def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
+    # The shift orbits of four rows, less one row: the shift maps exactly
+    # one row (the deleted row's preimage) outside the set.  It must be
+    # rejected in whichever block of the check that row falls.
+    n = 11
+    rows = [row for o in _closed_rows(n, 4, False, random.Random(5)) for row in o]
+    monkeypatch.setattr(pa_module, "_candidate_isometries", lambda pa: [_column_shift])
+    full = PermArray(rows, 2)
+    assert len(pa_module._orbit_representatives(full)) == 4
+    # The check reads a first block of _TILE_ROWS rows, then _BLOCK_ROWS
+    # at a time.
+    for first, block in ((pa_module._TILE_ROWS, pa_module._BLOCK_ROWS), (4, 8)):
+        monkeypatch.setattr(pa_module, "_TILE_ROWS", first)
+        monkeypatch.setattr(pa_module, "_BLOCK_ROWS", block)
+        for gone in (0, 17, len(rows) - 1):
+            kept = rows[:gone] + rows[gone + 1 :]
+            pa = PermArray(kept, 2)
+            assert len(pa_module._orbit_representatives(pa)) == len(kept)
+            assert _full(pa) == _oracle(kept, 2)
+
+
+def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
+    # Permuted columns, renamed symbols and shuffled rows keep every
+    # distance, but not the field maps the provenance names: no candidate
+    # passes, so the tiled scan runs and gives the oracle's report.
+    pa = build_pa(SfpQuery(field_for_order(19), Variant.Q, 1, 2))
+    rng = np.random.default_rng(3)
+    rows = rng.permutation(19)[pa.rows[rng.permutation(pa.M)][:, rng.permutation(19)]]
+    relabeled = PermArray(rows, pa.claimed_distance, provenance=pa.provenance)
+    assert len(pa_module._orbit_representatives(relabeled)) == relabeled.M
+    calls = []
+    scan = pa_module._scan_pairs
+
+    def counted(*args):
+        calls.append(args[1])
+        return scan(*args)
+
+    monkeypatch.setattr(pa_module, "_scan_pairs", counted)
+    expected = _oracle(rows, pa.claimed_distance)
+    assert expected[0] == min_distance(pa).min_observed
+    for workers in (1, 2):
+        assert _full(relabeled, workers) == expected
+    assert calls == [pa.claimed_distance] * 2
+
+
+@pytest.mark.parametrize(
+    "name,params", [("agl1", {"q": 7}), ("agl1", {"q": 16}), ("pgl2", {"q": 7}), ("pgl2", {"q": 8})]
+)
+def test_group_arrays_proven_under_a_cap_the_tiled_scan_exceeds(name, params, monkeypatch):
+    pa = group_to_pa(make_named(name, **params))
+    reps = len(pa_module._orbit_representatives(pa))
+    M = pa.M
+    assert reps * M < M * (M - 1) // 2
+    expected = _oracle(pa.rows, pa.claimed_distance)
+    assert _tiled(pa) == expected
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", reps * M)
+    for workers in (1, 2):
+        assert _proven(pa, monkeypatch, workers) == (expected, expected[0])
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", reps * (M - 1) - 1)
+    with pytest.raises(ValueError, match="pairs exceed the full-verification cap"):
+        min_distance(pa, "full")
