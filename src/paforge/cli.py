@@ -34,6 +34,7 @@ from .sfp import (
     check_field_range,
     enumerate_fast,  # not called here: perfbench/traced.py wraps it under this name
     field_for_order,
+    scanning_once,
 )
 
 
@@ -150,18 +151,19 @@ def cmd_sfp(args: argparse.Namespace) -> int:
     check_field_range(args.q)
     _probe_writable(args.emit)
     field = field_for_order(args.q)
-    if explicit:
-        query = SfpQuery(field, args.variant, args.s, args.t, args.a, args.b)
-        counted = best_cell([query], workers=args.threads)
-    else:
-        counted = best_count(args.q, args.k, args.variant, workers=args.threads)
-    if args.emit:
-        check_row_cap(counted.count, counted.query.length())
-    print(json.dumps(counted.manifest(__version__, argmax=not explicit)))
-    if args.emit:
-        pa = build_pa(counted.query, workers=args.threads)
-        write_pa(pa, args.emit)
-        print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
+    with scanning_once():
+        if explicit:
+            query = SfpQuery(field, args.variant, args.s, args.t, args.a, args.b)
+            counted = best_cell([query], workers=args.threads)
+        else:
+            counted = best_count(args.q, args.k, args.variant, workers=args.threads)
+        if args.emit:
+            check_row_cap(counted.count, counted.query.length())
+        print(json.dumps(counted.manifest(__version__, argmax=not explicit)))
+        if args.emit:
+            pa = build_pa(counted.query, workers=args.threads)
+            write_pa(pa, args.emit)
+            print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
     return 0
 
 
@@ -262,9 +264,10 @@ PUBLISHED_GROUP_BOUNDS = (
 def _sfp_bound_record(
     q: int, k: int, variant: Variant, published: int, workers
 ) -> tuple[BoundRecord, bool]:
-    bc = best_count(q, k, variant, workers=workers)
-    query = bc.query
-    pa = build_pa(query, workers=workers)
+    with scanning_once():
+        bc = best_count(q, k, variant, workers=workers)
+        query = bc.query
+        pa = build_pa(query, workers=workers)
     report = min_distance(pa, "full", workers=workers)
     record = BoundRecord(
         n=query.length(),

@@ -43,7 +43,7 @@ from .pa import (
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
 #: Most rows x points cells that one emit holds.  Measured peaks: an `sfp`
-#: emit takes about 17 bytes a cell (q = 509, k = 1: 131.6M cells, 2.3 GB),
+#: emit takes about 8 bytes a cell (q = 509, k = 1: 131.6M cells, 1.05 GB),
 #: a group emit about 4 (sym(10): 36.3M cells, 170 MB).  The cap admits the
 #: M23 array of the published bounds (234.6M cells).
 EMIT_CELL_CAP = 1 << 28

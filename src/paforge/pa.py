@@ -328,7 +328,9 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     of `_row_order`; it is then injective on a finite set, so it permutes
     the rows.  The orbits are the connected components of the kept index
     maps: each round pulls and pushes the least label along every map and
-    jumps labels to their labels, until no label moves.
+    jumps labels to their labels, until no label moves.  This runs after
+    each kept candidate, from the labels so far, and once they leave one
+    orbit no further candidate is checked.
     """
     M = pa.M
     srt = pa.rows if pa._order is None else pa.rows[pa._order]
@@ -338,8 +340,10 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     keys = _sorted_keys(srt) if shared.any() else None
     # A small first block rejects most failing candidates at once.
     starts = [0, *range(min(_TILE_ROWS, M), M, _BLOCK_ROWS), M]
-    maps = []
+    maps, label = [], np.arange(M)
     for image_of in _candidate_isometries(pa):
+        if not label.any():  # one orbit: no further map can change it
+            break
         index = np.empty(M, np.intp)
         for lo, hi in zip(starts, starts[1:]):
             image = image_of(pa.rows[lo:hi])
@@ -352,15 +356,14 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
             index[lo : lo + len(at)] = at
         else:
             maps.append(index if pa._order is None else pa._order[index])
-    label = np.arange(M)
-    while maps:
-        before = label
-        for index in maps:
-            label = np.minimum(label, label[index])
-            label[index] = np.minimum(label[index], label)
-        label = label[label]
-        if (label == before).all():
-            break
+            while True:
+                before = label
+                for index in maps:
+                    label = np.minimum(label, label[index])
+                    label[index] = np.minimum(label[index], label)
+                label = label[label]
+                if (label == before).all():
+                    break
     return np.flatnonzero(label == np.arange(M))
 
 
@@ -463,16 +466,22 @@ def min_distance(
             raise ValueError("sample_pairs must be >= 1")
         rng = np.random.Generator(np.random.PCG64(seed))
         best, witness = pa.n + 1, (-1, -1)
+        # Agreements, not distances, counted column by column: distinct rows
+        # agree in at most n - 2 points, which row_dtype(n) holds, and the
+        # first most agreeing pair is the first closest.
+        cols = np.ascontiguousarray(pa.rows.T)
         remaining = sample_pairs
         while remaining > 0:
             chunk = min(remaining, 1 << 17)
             i = rng.integers(0, M, size=chunk)
             j = rng.integers(0, M - 1, size=chunk)
             j = j + (j >= i)
-            d = (pa.rows[i] != pa.rows[j]).sum(axis=1)
-            k = int(d.argmin())
-            if d[k] < best:
-                best = int(d[k])
+            agree = np.zeros(chunk, row_dtype(pa.n))
+            for col in cols:
+                agree += col[i] == col[j]
+            k = int(agree.argmax())
+            if pa.n - int(agree[k]) < best:
+                best = pa.n - int(agree[k])
                 witness = (int(i[k]), int(j[k]))
             remaining -= chunk
         return VerifyReport(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fracpoly import FracPoly
 from .pa import PermArray, Permutation
-from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
+from .sfp import _CELL_BUDGET, SfpQuery, SfpResult, Variant, enumerate_fast
 
 
 def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
@@ -37,24 +37,38 @@ def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
 
 
 def _complete_rows(q: int, n: int, vals: np.ndarray) -> np.ndarray:
-    """`_complete` on every row of an (N, q) value array at once."""
+    """`_complete` on every row of an (N, q) value array, in blocks of rows
+    that fit one scan buffer of cells, so that besides the result nothing
+    larger than a block is held and each block's columns stay in cache."""
+    images = np.empty((len(vals), n), dtype=np.int16)
+    step = max(1, _CELL_BUDGET // q)
+    for lo in range(0, len(vals), step):
+        images[lo : lo + step] = _complete_block(q, n, vals[lo : lo + step])
+    return images
+
+
+def _complete_block(q: int, n: int, vals: np.ndarray) -> np.ndarray:
+    """`_complete_rows` on one block, one column at a time."""
     N = len(vals)
-    # Each attained value goes to its first preimage: the head of its run
-    # in a stable sort of the row, scattered back through the sort order.
-    order = np.argsort(vals, axis=1, kind="stable")
-    srt = np.take_along_axis(vals, order, axis=1)
-    head = srt < q
-    head[:, 1:] &= srt[:, 1:] != srt[:, :-1]
-    images = np.full((N, n), -1, dtype=np.int16)
-    np.put_along_axis(images[:, :q], order, np.where(head, srt, -1), axis=1)
+    # first[r, v]: the first preimage of v in row r, n when v is unattained.
+    # The columns are written last to first, so the least beta stays.
+    first = np.full((N, q + 1), n, dtype=np.int16)
+    flat, at = first.reshape(-1), np.arange(0, N * (q + 1), q + 1)
+    for beta in range(q - 1, -1, -1):
+        flat[at + vals[:, beta]] = beta
+    # Each attained value goes to its first preimage; the unattained ones
+    # land in the dump column n.
+    images = np.full((N, n + 1), -1, dtype=np.int16)
+    flat, at = images.reshape(-1), np.arange(0, N * (n + 1), n + 1)
+    for v in range(q):
+        flat[at + first[:, v]] = v
     if n > q:  # the first root goes to the extra point, else it is fixed
-        root = vals == q
-        images[np.arange(N), np.where(root.any(axis=1), root.argmax(axis=1), q)] = q
-    taken = np.zeros((N, q + 1), dtype=bool)
-    np.put_along_axis(taken, vals, True, axis=1)
+        flat[at + np.minimum(first[:, q], q)] = q
+    images = images[:, :n]
     # A row has as many holes as spare values; the i-th hole takes the
     # i-th spare, and both masks are read row by row in ascending order.
-    images[images < 0] = np.nonzero(~taken[:, :q])[1]
+    spare = np.flatnonzero(first[:, :q] == n)
+    images[images < 0] = np.remainder(spare, q, out=spare)
     return images
 
 
@@ -83,7 +97,7 @@ def build_pa(
     if result is None:
         result = enumerate_fast(query, workers=workers)
     return PermArray(
-        _complete_rows(query.q, query.length(), result.values()),
+        _complete_rows(query.q, query.length(), result.values),
         claimed_distance=query.distance(),
         provenance=f"sfp:{query.describe()}",
         infinity=query.variant is Variant.Q_PLUS_1,

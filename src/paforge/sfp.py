@@ -13,13 +13,17 @@ scale-and-shift orbit a*f(x+b)/g(x+b).  Both return the same canonically
 sorted coefficient rows (`SfpResult.rows`).  The scan keeps one table row
 per orbit, with the orbit's size q(q-1)/|Stab|, so a cell's count is a sum
 of orbit sizes (`best_cell`, `best_count`); only `enumerate_fast`
-expands the member orbits into rows.
+expands the member orbits into rows, and gathers each member's values from
+its representative's.  Inside `scanning_once` a scan reuses the block tables
+of an earlier one, so a command that counts and then emits scans once.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -135,11 +139,13 @@ class SfpResult:
 
     Each row of `rows` is one member's coefficients, den then num, ascending
     and padded with -1 to the query's den and num widths (`_row_widths`), so
-    lexicographic row order is `FracPoly.sort_key` order.
+    lexicographic row order is `FracPoly.sort_key` order.  Row i of `values`
+    is member i's value at every point of GF(q), q at the poles.
     """
 
     query: SfpQuery
     rows: np.ndarray
+    values: np.ndarray
 
     @property
     def count(self) -> int:
@@ -156,14 +162,6 @@ class SfpResult:
             num = Poly(F, tuple(c for c in row[dw:] if c >= 0))
             out.append(FracPoly(num, den))
         return tuple(out)
-
-    def values(self) -> np.ndarray:
-        """Each member's value at every point of GF(q), q at the poles."""
-        F = self.query.field
-        dw, _ = _row_widths(self.query)
-        coeffs = np.maximum(self.rows, 0)  # padding evaluates as zero coefficients
-        num, den = coeffs[:, dw:], coeffs[:, :dw]
-        return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
 
 def _row_widths(query: SfpQuery) -> tuple[int, int]:
@@ -252,7 +250,18 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    return SfpResult(query, rows)
+    return SfpResult(query, rows, _member_values(query, rows))
+
+
+def _member_values(query: SfpQuery, rows: np.ndarray) -> np.ndarray:
+    """Each padded row's value at every point of GF(q), q at the poles,
+    evaluated from its coefficients: the oracle of the values that
+    `enumerate_fast` gathers."""
+    F = query.field
+    dw, _ = _row_widths(query)
+    coeffs = np.maximum(rows, 0)  # padding evaluates as zero coefficients
+    num, den = coeffs[:, dw:], coeffs[:, :dw]
+    return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
 
 # -- fast scan: normalized representatives + orbit expansion -----------------
@@ -399,19 +408,37 @@ def _least_shifts(
     return least, (shifted == least[:, None, :]).all(axis=2).sum(axis=1)
 
 
-def _orbit_rows(field: Field, reps: np.ndarray, dw: int) -> np.ndarray:
+def _orbit_rows(
+    field: Field, reps: np.ndarray, dw: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Every fraction in the orbits of reps, (den||num) rows with f and g
-    monic and one per orbit: each distinct shift of a representative, its
-    numerator scaled by every unit.  Orbits are disjoint, and a monic
-    numerator tells its scales apart, so the rows are distinct."""
+    monic and one per orbit, and each fraction's value row: each distinct
+    shift of a representative, its numerator scaled by every unit.  Orbits
+    are disjoint, and a monic numerator tells its scales apart, so the rows
+    are distinct.
+
+    The values are gathered, not evaluated: the shift by beta of a
+    representative with values V, its numerator scaled by 1/u, has the value
+    V[x + beta] / u at x, and the pole sentinel q stays q.
+    """
     q, w = field.q, reps.shape[1]
     shifted = _shifted(field, reps, dw).reshape(-1, w)
     order, rises = _row_order(shifted)
-    shifts = shifted[np.flatnonzero(rises) if order is None else order[rises]]
+    kept = np.flatnonzero(rises) if order is None else order[rises]
+    shifts = shifted[kept]
     orbits = np.repeat(shifts[:, None, :], q - 1, axis=1)  # (shifts, q-1, w)
     units = np.arange(1, q, dtype=np.int16)[:, None]
     orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], units)
-    return orbits.reshape(-1, w)
+    rep, beta = np.divmod(kept, q)  # shifted row r*q + beta is rep r shifted by beta
+    points = np.arange(q, dtype=np.int16)
+    at = field.tables()["add"][beta] if field.k > 1 else (points + beta[:, None]) % q
+    num, den = _eval_rows(field, reps[:, dw:]), _eval_rows(field, reps[:, :dw])
+    shift_values = _ratio_rows(field, num, den)[rep[:, None], at]
+    values = np.empty((len(shifts), q - 1, q), np.int16)
+    for u in range(1, q):
+        over_u = np.append(_ratio_rows(field, points, np.int16(u)), np.int16(q))
+        values[:, u - 1] = over_u[shift_values]
+    return orbits.reshape(-1, w), values.reshape(-1, q)
 
 
 def _scan_block(
@@ -468,6 +495,25 @@ def _scan_block(
     return _Block(s2, t2, least[kept], m[kept], pole[kept], q * (q - 1) // stab[kept])
 
 
+#: The blocks scanned so far inside `scanning_once`, by (field, s2, t2),
+#: each with the (pole, no-pole) thresholds it was scanned at.
+_scanned: ContextVar[Optional[dict]] = ContextVar("_scanned", default=None)
+
+
+@contextmanager
+def scanning_once() -> Iterator[None]:
+    """Let each scan inside the block reuse a block table scanned earlier
+    inside it at thresholds at least as permissive.  That gives the same
+    members, because `_members` filters a table by the query's own
+    thresholds.  A command wraps its count and its emit in one block, so
+    the emit scans nothing again; no table outlives the block."""
+    token = _scanned.set({})
+    try:
+        yield
+    finally:
+        _scanned.reset(token)
+
+
 def _scan_blocks(
     field: Field,
     queries: Sequence[SfpQuery],
@@ -477,26 +523,36 @@ def _scan_blocks(
     nworkers = resolve_workers(workers)
     smax = max(qq.s + max(qq.a, 0) for qq in queries)
     tmax = max(qq.t + max(qq.b, 0) for qq in queries)
+    scanned = _scanned.get()
+    if scanned is None:
+        scanned = {}
     blocks: list[_Block] = []
     for s2 in range(smax + 1):
         for t2 in range(tmax + 1):
             thr_pole, thr_nopole = _block_thresholds(queries, s2, t2)
             if thr_pole < 0 and thr_nopole < 0:
                 continue
-            blocks.append(_scan_block(field, s2, t2, thr_pole, thr_nopole, nworkers))
+            seen = scanned.get((field, s2, t2))
+            if seen is None or seen[0] < thr_pole or seen[1] < thr_nopole:
+                block = _scan_block(field, s2, t2, thr_pole, thr_nopole, nworkers)
+                seen = scanned[field, s2, t2] = (thr_pole, thr_nopole, block)
+            blocks.append(seen[2])
     return blocks
 
 
 def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
-    """Same member rows as the oracle: the member orbits of the scan tables,
-    expanded."""
+    """Same member rows and values as the oracle: the member orbits of the
+    scan tables, expanded."""
     F = query.field
-    blocks = _scan_blocks(F, [query], workers=workers)
-    rows = _pad_rows(
-        query,
-        [(b.t2, _orbit_rows(F, b.rows[_members(b, query)], b.t2 + 1)) for b in blocks],
-    )
-    return SfpResult(query, rows[np.lexsort(rows.T[::-1])])
+    pieces = [
+        (b.t2, *_orbit_rows(F, b.rows[_members(b, query)], b.t2 + 1))
+        for b in _scan_blocks(F, [query], workers=workers)
+    ]
+    rows = _pad_rows(query, [(dg, r) for dg, r, _ in pieces])
+    values = np.concatenate([v for _, _, v in pieces])
+    del pieces
+    order = np.lexsort(rows.T[::-1])
+    return SfpResult(query, rows[order], values[order])
 
 
 # -- grid maximization --------------------------------------------------------

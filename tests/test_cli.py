@@ -52,6 +52,33 @@ def test_sfp_explicit_cell_and_emit(tmp_path):
     assert pa.M == 20
 
 
+def test_sfp_emit_scans_each_block_once(tmp_path, monkeypatch):
+    # The emit reuses the block tables that the count scanned, and writes
+    # the array that a scan of its own would give.  Outside a command each
+    # scan is its own, so no table outlives a command.
+    scanned, scan_block = [], sfp._scan_block
+
+    def counted(field, s2, t2, *args):
+        scanned.append((s2, t2))
+        return scan_block(field, s2, t2, *args)
+
+    monkeypatch.setattr(sfp, "_scan_block", counted)
+    argv = ("sfp", "--q", "7", "--k", "2", "--variant", "q+1", "--emit")
+    for run in range(2):
+        scanned.clear()
+        code, out, _ = run_cli(*argv, str(tmp_path / f"{run}.txt"))
+        assert code == 0
+        assert scanned and sorted(scanned) == sorted(set(scanned))
+    query = sfp.best_count(7, 2, sfp.Variant.Q_PLUS_1).query
+    scanned.clear()
+    pa = pam.build_pa(query)
+    once = list(scanned)
+    sfp.enumerate_fast(query)
+    assert once and scanned == once * 2
+    assert (tmp_path / "1.txt").read_text() == pa_module.format_pa(pa)
+    assert pa.M == json.loads(out)["count"]
+
+
 def test_sfp_usage_errors():
     assert run_cli("sfp", "--q", "7")[0] == 2  # neither --k nor --s/--t
     assert run_cli("sfp", "--q", "7", "--k", "1", "--s", "1", "--t", "0")[0] == 2

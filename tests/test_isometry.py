@@ -189,6 +189,33 @@ def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
     assert calls == [pa.claimed_distance] * 2
 
 
+@pytest.mark.parametrize("name,params", [("agl1", {"q": 8}), ("pgl2", {"q": 7})])
+def test_candidates_stop_once_the_rows_form_one_orbit(name, params, monkeypatch):
+    # Right composition with the first two row candidates generates the
+    # group, so the rows form one orbit and the third candidate, which
+    # cannot change that, is never evaluated.
+    pa = group_to_pa(make_named(name, **params))
+    candidates = pa_module._candidate_isometries(pa)
+    assert len(candidates) == 3
+    evaluated = []
+
+    def counted(k):
+        def image_of(rows):
+            evaluated.append(k)
+            return candidates[k](rows)
+        return image_of
+
+    with monkeypatch.context() as m:
+        m.setattr(pa_module, "_candidate_isometries", lambda pa: candidates[:1])
+        assert len(pa_module._orbit_representatives(pa)) > 1
+    monkeypatch.setattr(
+        pa_module, "_candidate_isometries", lambda pa: [counted(k) for k in range(3)]
+    )
+    assert pa_module._orbit_representatives(pa).tolist() == [0]
+    assert sorted(set(evaluated)) == [0, 1]
+    assert _full(pa) == _tiled(pa)
+
+
 @pytest.mark.parametrize(
     "name,params", [("agl1", {"q": 7}), ("agl1", {"q": 16}), ("pgl2", {"q": 7}), ("pgl2", {"q": 8})]
 )

@@ -300,6 +300,38 @@ def test_sampled_mode_seeded():
     assert r1.min_observed >= exact_min_distance(pa)
 
 
+def _sampled_reference(rows, sample_pairs, seed):
+    """The sampled check row by row: the same seeded draws in the same
+    order, and the first closest pair drawn."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    M, best, witness, remaining = len(rows), rows.shape[1] + 1, (-1, -1), sample_pairs
+    while remaining > 0:
+        chunk = min(remaining, 1 << 17)
+        i = rng.integers(0, M, size=chunk)
+        j = rng.integers(0, M - 1, size=chunk)
+        j = j + (j >= i)
+        d = (rows[i] != rows[j]).sum(axis=1)
+        k = int(d.argmin())
+        if d[k] < best:
+            best, witness = int(d[k]), (int(i[k]), int(j[k]))
+        remaining -= chunk
+    return best, witness
+
+
+@pytest.mark.parametrize("m, n", [(400, 6), (60, 300)])
+def test_sampled_mode_matches_rowwise_reference(m, n):
+    # Many pairs tie at the minimum, so the witness tells the first closest
+    # pair from any other; n = 300 counts agreements in uint16.
+    rows = np.array(_random_rows(m, n, seed=n))[np.random.default_rng(n).permutation(m)]
+    pa = PermArray(rows, claimed_distance=n)
+    for seed in range(3):
+        for samples in (1, 1000, (1 << 17) + 5):
+            report = min_distance(pa, "sampled", sample_pairs=samples, seed=seed)
+            assert (report.min_observed, report.witness) == _sampled_reference(
+                rows, samples, seed
+            )
+
+
 def test_full_pair_cap(monkeypatch):
     rows = _random_rows(40, 8, seed=4)
     pa = PermArray(rows, claimed_distance=2)

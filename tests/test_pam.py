@@ -2,6 +2,7 @@
 distance guarantees, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from paforge.pam import build_pa, build_q1_pam, build_q_pam
 from paforge.poly import Poly
 from paforge.sfp import (
     OFFSET_CHOICES,
+    _member_values,
     SfpQuery,
     Variant,
     enumerate_fast,
@@ -87,6 +89,7 @@ def test_batched_build_matches_single_builders():
         SfpQuery(field_for_order(16), Variant.Q_PLUS_1, 1, 1, 0, 0),
     ):
         result = enumerate_fast(query)
+        assert np.array_equal(result.values, _member_values(query, result.rows))
         pa = build_pa(query, result=result)
         build = build_q_pam if query.variant is Variant.Q else build_q1_pam
         for idx, phi in enumerate(result.members):
@@ -100,7 +103,10 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     # Row length q or q+1 crosses 256, where rows move from uint8 to uint16.
     query = SfpQuery(field_for_order(q), variant, 1, 0)
     result = enumerate_fast(query)
-    sample = dataclasses.replace(result, rows=result.rows[::4099])
+    sample = dataclasses.replace(
+        result, rows=result.rows[::4099], values=result.values[::4099]
+    )
+    assert np.array_equal(sample.values, _member_values(query, sample.rows))
     pa = build_pa(query, result=sample)
     assert pa.rows.dtype == row_dtype(query.length())
     build = build_q_pam if variant is Variant.Q else build_q1_pam
@@ -113,9 +119,10 @@ def _scalar_rows(q, n, vals):
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 19, 25, 256])
-def test_bulk_completion_matches_scalar_reference(q):
+def test_bulk_completion_matches_scalar_reference(q, monkeypatch):
     # Value rows with no root, one root, several roots and only roots, with
-    # repeated values, and permutations (every value attained).
+    # repeated values, and permutations (every value attained); in one
+    # block, and in blocks of 7 rows.
     rng = np.random.default_rng(q)
     vals = rng.integers(0, q + 1, size=(300, q))
     vals[:60] %= q
@@ -127,7 +134,27 @@ def test_bulk_completion_matches_scalar_reference(q):
     roots = (vals == q).sum(axis=1)
     assert {0, 1, q}.issubset(set(roots.tolist())) and roots.max() >= 2
     for n in (q, q + 1):
-        assert pam._complete_rows(q, n, vals).tolist() == _scalar_rows(q, n, vals)
+        want = _scalar_rows(q, n, vals)
+        assert pam._complete_rows(q, n, vals).tolist() == want
+        with monkeypatch.context() as m:
+            m.setattr(pam, "_CELL_BUDGET", 7 * q)
+            assert pam._complete_rows(q, n, vals).tolist() == want
+
+
+@pytest.mark.parametrize("q, rows", [(19, 200_000), (509, 20_000)])
+def test_bulk_completion_peak_memory(q, rows):
+    # In blocks of rows, completion holds the int16 result and one block's
+    # tables: under 14 bytes a cell of the value rows (about 3 measured),
+    # where a stable int64 argsort of the rows takes 8 alone.
+    vals = np.random.default_rng(q).integers(0, q + 1, size=(rows, q), dtype=np.int16)
+    for n in (q, q + 1):
+        tracemalloc.start()
+        try:
+            pam._complete_rows(q, n, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * vals.size, (n, peak / vals.size)
 
 
 @pytest.mark.parametrize(
@@ -150,10 +177,13 @@ def test_build_pa_matches_scalar_completion(q, cells):
             query = SfpQuery(F, variant, s, t)
             result = enumerate_fast(query)
             if q == 256:
-                result = dataclasses.replace(result, rows=result.rows[::37])
+                result = dataclasses.replace(
+                    result, rows=result.rows[::37], values=result.values[::37]
+                )
+            assert np.array_equal(result.values, _member_values(query, result.rows))
             pa = build_pa(query, result=result)
             assert pa.rows.dtype == row_dtype(query.length())
-            want = _scalar_rows(q, query.length(), result.values())
+            want = _scalar_rows(q, query.length(), result.values)
             assert pa.rows.tolist() == want
 
 

@@ -155,6 +155,7 @@ def test_oracle_fast_equivalence_length_q(q, monkeypatch):
         assert [m.sort_key() for m in oracle.members] == [
             m.sort_key() for m in fast.members
         ], f"mismatch at {query.describe()}"
+        assert np.array_equal(fast.values, oracle.values)
         assert np.array_equal(fast.rows, want)
     for k, want in enumerate(best):
         got = best_count(q, k, Variant.Q)
@@ -179,6 +180,7 @@ def test_oracle_fast_equivalence_length_q_plus_1(q):
                 assert [m.sort_key() for m in oracle.members] == [
                     m.sort_key() for m in fast.members
                 ], f"mismatch at {query.describe()}"
+                assert np.array_equal(fast.values, oracle.values)
 
 
 def test_normalized_blocks_match_predicate():
@@ -242,8 +244,11 @@ def test_expand_orbit_rows_match_orbit(q, df, dg):
         assert q * (q - 1) // order == len(orbits[j])
     reps = np.unique(least, axis=0)
     assert len(reps) == len(fracs)
-    got = [tuple(r) for r in sfp._orbit_rows(F, reps, dg + 1).tolist()]
+    rows, values = sfp._orbit_rows(F, reps, dg + 1)
+    got = [tuple(r) for r in rows.tolist()]
     assert sorted(got) == sorted(set().union(*orbits))
+    num, den = sfp._eval_rows(F, rows[:, dg + 1 :]), sfp._eval_rows(F, rows[:, : dg + 1])
+    assert np.array_equal(values, sfp._ratio_rows(F, num, den))
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -265,6 +270,7 @@ def test_oracle_fast_equivalence_extension_fields(q):
                     assert [m.sort_key() for m in oracle.members] == [
                         m.sort_key() for m in fast.members
                     ], f"mismatch at {query.describe()}"
+                    assert np.array_equal(fast.values, oracle.values)
 
 
 @pytest.mark.parametrize(
@@ -288,6 +294,7 @@ def test_denominator_shift_cells_match_oracle(q, variant, s, t, a, b):
     fast = enumerate_fast(query)
     assert oracle.count > 0
     assert np.array_equal(oracle.rows, fast.rows)
+    assert np.array_equal(oracle.values, fast.values)
 
 
 def test_denominator_shift_matches_unreduced_scan(monkeypatch):
@@ -302,6 +309,8 @@ def test_denominator_shift_matches_unreduced_scan(monkeypatch):
     whole = enumerate_fast(query)
     assert fast.count > 0
     assert np.array_equal(fast.rows, whole.rows)
+    assert np.array_equal(fast.values, sfp._member_values(query, fast.rows))
+    assert np.array_equal(whole.values, fast.values)
 
 
 @pytest.mark.parametrize(
@@ -478,6 +487,22 @@ def test_best_count_cells_match_per_cell_enumeration():
             F = field_for_order(q)
             single = enumerate_fast(SfpQuery(F, variant, s, t, a, b))
             assert single.count == count, (q, k, variant, s, t, a, b)
+
+
+def test_scanning_once_rescans_a_block_for_wider_thresholds(monkeypatch):
+    # A table scanned for one cell holds that cell's survivors only; a grid
+    # that needs more of a block scans it again, and every count and row
+    # equals a fresh scan's.
+    want = best_count(7, 2, Variant.Q_PLUS_1)
+    for query in grid_queries(7, 2, Variant.Q_PLUS_1):
+        rows = enumerate_fast(query).rows
+        with sfp.scanning_once():
+            enumerate_fast(query)
+            got = best_count(7, 2, Variant.Q_PLUS_1)
+            assert np.array_equal(enumerate_fast(query).rows, rows)
+        assert (got.query, got.count, got.cell_counts) == (
+            want.query, want.count, want.cell_counts
+        )
 
 
 @pytest.mark.parametrize("q", [8191, 32749])
