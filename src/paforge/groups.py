@@ -368,8 +368,11 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
     if facts is None or not facts.exact:
         facts = minimal_degree(group, mode="exact")
     rows = np.concatenate(list(group.chain.element_chunks()))
+    # Two elements that agree on every base point are equal, so the columns
+    # past the last base point never break a tie.
+    keys = rows[:, : max(group.chain.base, default=0) + 1]
     return PermArray(
-        rows[np.lexsort(rows.T[::-1])],
+        rows[np.lexsort(keys.T[::-1])],
         claimed_distance=facts.minimal_degree,
         provenance=f"group:{group.name or 'anonymous'}",
     )

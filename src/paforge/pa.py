@@ -3,8 +3,10 @@ sharp transitivity checks, and the on-disk array format."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +51,16 @@ def row_dtype(n: int) -> type:
     if n > MAX_DEGREE:
         raise ValueError(f"degree {n} exceeds the limit {MAX_DEGREE}")
     return np.uint8 if n <= 256 else np.uint16
+
+
+def _narrowed(rows: np.ndarray, n: int) -> np.ndarray:
+    """A C-ordered copy of rows as row_dtype(n), checked first to be rows of
+    n integers in [0, n): narrowing first would wrap 256 to 0."""
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"rows of shape {rows.shape}, expected length {n}")
+    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"points must be integers in [0, {n})")
+    return rows.astype(row_dtype(n), order="C")
 
 
 def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
@@ -130,10 +142,7 @@ class PermArray:
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
         n = arr.shape[1]
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n):
-            raise ValueError(f"points must be integers in [0, {n})")
-        dtype = row_dtype(n)
-        arr = arr.astype(dtype, order="C", copy=True)
+        arr = _narrowed(arr, n)
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
@@ -347,7 +356,11 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
         index = np.empty(M, np.intp)
         for lo, hi in zip(starts, starts[1:]):
             image = image_of(pa.rows[lo:hi])
-            at = np.minimum(np.searchsorted(prefix, _prefix_keys(image)), M - 1)
+            # Needles in sorted order search faster: each lands near the last.
+            needles = _prefix_keys(image)
+            rank = np.argsort(needles)
+            at = np.empty(len(needles), np.intp)
+            at[rank] = np.minimum(np.searchsorted(prefix, needles[rank]), M - 1)
             tied = np.flatnonzero(shared[at])
             if len(tied):
                 at[tied] = np.minimum(np.searchsorted(keys, _sorted_keys(image[tied])), M - 1)
@@ -538,7 +551,8 @@ def _text_pieces(pa: PermArray) -> Iterator[bytes]:
 
     Every token is one of n strings, so a block is gathered from two token
     tables, `b"%d "` and `b"%d\\n"` for each point, NUL-padded to one
-    width; dropping the padding leaves each row's space-joined decimals.
+    machine word (4 bytes hold "999 ", 8 hold "65535 ") and gathered as
+    words; dropping the padding leaves each row's space-joined decimals.
     """
     n = pa.n
     inf = str(n - 1) if pa.infinity else "none"
@@ -547,9 +561,10 @@ def _text_pieces(pa: PermArray) -> Iterator[bytes]:
         f"inf={inf} provenance={pa.provenance}\n"
     )
     yield header.encode("utf-8")
-    width = f"S{len(str(n - 1)) + 1}"
-    spaced = np.array([b"%d " % v for v in range(n)], dtype=width)
-    ended = np.array([b"%d\n" % v for v in range(n)], dtype=width)
+    word = np.uint32 if n <= 1000 else np.uint64
+    width = f"S{np.dtype(word).itemsize}"
+    spaced = np.array([b"%d " % v for v in range(n)], dtype=width).view(word)
+    ended = np.array([b"%d\n" % v for v in range(n)], dtype=width).view(word)
     for lo in range(0, pa.M, _BLOCK_ROWS):
         block = pa.rows[lo : lo + _BLOCK_ROWS]
         tokens = spaced[block]
@@ -585,6 +600,11 @@ def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
             fh.writelines(_text_pieces(pa))
 
 
+# Bytes of text per block that `read_pa` parses; bounds its int64 scratch.
+_READ_BLOCK_BYTES = 1 << 20
+_LINE_END = re.compile(rb"[\r\n]")
+
+
 def _parse_header(line: str) -> dict[str, str]:
     if not line.startswith("PA "):
         raise ValueError("not a PA file: missing 'PA' header")
@@ -601,30 +621,45 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
+def _text_blocks(data: bytes, start: int) -> Iterator[np.ndarray]:
+    """The int64 rows of the body data[start:], one block of whole lines at a
+    time, each ending at the first line end _READ_BLOCK_BYTES past its start;
+    a block of whitespace only is skipped (loadtxt warns on it)."""
+    while start < len(data):
+        cut = _LINE_END.search(data, start + _READ_BLOCK_BYTES)
+        end = cut.end() if cut else len(data)
+        block = data[start:end].replace(b"\r", b"\n")
+        start = end
+        if not block.isspace():
+            yield np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2, comments=None)
+
+
 def read_pa(path: Union[str, Path]) -> PermArray:
-    """Parse either the text format or its JSON mirror."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
+    """Parse either the text format or its JSON mirror.
+
+    Text is read as bytes: the header line is decoded, and the body is
+    parsed in blocks of about _READ_BLOCK_BYTES straight into the row dtype,
+    so the int64 parse of one block is the only wide copy of any row.
+    Lines end with \\n, \\r\\n or \\r; blank lines are skipped."""
+    data = Path(path).read_bytes()
+    if data.lstrip().startswith(b"{"):
+        payload = json.loads(data.decode("utf-8"))
         n, m, d = payload["n"], payload["M"], payload["d"]
-        rows = np.asarray(payload["rows"] or np.empty((0, n), np.int64))
+        blocks = [np.asarray(payload["rows"] or np.empty((0, n), np.int64))]
         inf, provenance = payload.get("inf"), payload.get("provenance", "")
     else:
-        lines = text.splitlines()
-        if not lines:
+        if not data:
             raise ValueError("empty PA file")
-        head = _parse_header(lines[0])
+        cut = _LINE_END.search(data)
+        end = cut.start() if cut else len(data)
+        head = _parse_header(data[:end].decode("utf-8"))
         n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
+        blocks = _text_blocks(data, end + 1)
         inf = None if head["inf"] == "none" else head["inf"]
-        body = [line for line in lines[1:] if line.strip()]
-        rows = np.empty((0, n), np.int64)
-        if body:
-            rows = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
         provenance = head["provenance"]
     if inf is not None and str(inf) != str(n - 1):
         raise ValueError(f"unsupported infinity point {inf}")
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"rows of shape {rows.shape}, expected length {n}")
+    rows = np.concatenate([np.empty((0, n), row_dtype(n)), *(_narrowed(b, n) for b in blocks)])
     if len(rows) != m:
         raise ValueError(f"{len(rows)} rows, header says {m}")
     return PermArray(rows, d, provenance=provenance, infinity=inf is not None)

@@ -103,6 +103,33 @@ def test_group_to_pa_rows_match_closure():
         assert np.array_equal(group_to_pa(grp).rows, group_closure(grp))
 
 
+# Base [3, 5, 1]: points 6 and 7 lie past the last base point.
+SPREAD_BASE = "0 1 2 4 3 5 6 7\n0 1 2 3 4 6 7 5\n0 2 1 3 4 5 6 7\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_named("agl1", q=7),
+        lambda: make_named("pgl2", q=8),
+        lambda: make_named("agl", d=2, q=3),
+        lambda: make_named("sym", m=5),
+        lambda: make_named("sym_pairs", m=5),
+        lambda: parse_generator_text(SPREAD_BASE),
+    ],
+    ids=["agl1", "pgl2", "agl", "sym", "sym_pairs", "spread_base"],
+)
+def test_group_to_pa_sorts_by_base_columns_as_by_all(make):
+    grp = make()
+    rows = np.concatenate(list(grp.chain.element_chunks()))
+    assert np.array_equal(group_to_pa(grp).rows, rows[np.lexsort(rows.T[::-1])])
+
+
+def test_spread_base_leaves_columns_past_it():
+    grp = parse_generator_text(SPREAD_BASE)
+    assert grp.chain.base == [3, 5, 1] and group_order(grp) == 12
+
+
 def test_group_order_s4():
     g = PermGroup(4, ((1, 0, 2, 3), (1, 2, 3, 0)))
     assert group_order(g) == 24

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -549,7 +551,7 @@ def test_infinity_header(tmp_path):
 
 
 @pytest.mark.parametrize("suffix", [".txt", ".json"])
-@pytest.mark.parametrize("n", [2, 255, 256, 257])
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 1000, 1001, 65536])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_written_files_read_back_and_re_emit_byte_exact(tmp_path, suffix, n, m):
     rng = np.random.default_rng(n)
@@ -564,6 +566,81 @@ def test_written_files_read_back_and_re_emit_byte_exact(tmp_path, suffix, n, m):
     assert second.read_bytes() == first.read_bytes()
     assert (back.n, back.M, back.infinity) == (n, m, n > 255)
     assert back.rows.dtype == pa.rows.dtype and np.array_equal(back.rows, pa.rows)
+
+
+def reference_rows(path):
+    """The line reader that block parsing replaced: the text split into
+    lines, blank ones dropped, the rest parsed by one int64 loadtxt."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n = int(lines[0].split()[1][len("n="):])
+    body = [line for line in lines[1:] if line.strip()]
+    if not body:
+        return np.empty((0, n), np.int64)
+    return np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None)
+
+
+def untidy_text(rows, end):
+    """rows as text with the line ending `end`, blank and whitespace-only
+    lines, tabs and leading and trailing spaces, and no final line end."""
+    lines = [f"PA n={rows.shape[1]} M={len(rows)} d=2 inf=none provenance=p", ""]
+    for i, row in enumerate(rows.tolist()):
+        sep = "\t" if i % 3 == 0 else " " * (1 + i % 2)
+        lines.append(" " * (i % 4) + sep.join(map(str, row)) + " \t"[: i % 3])
+        if i % 5 == 1:
+            lines.append(" \t  " if i % 2 else "")
+    return end.join(lines).encode()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5, 64, 1 << 20])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("n", [12, 300])
+def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_bytes, end, n):
+    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "untidy.txt"
+    path.write_bytes(untidy_text(distinct_rows(n, 40, seed=n), end))
+    back = read_pa(path)
+    expected = reference_rows(path)
+    assert back.rows.dtype == pa_module.row_dtype(n) and len(expected) == 40
+    assert np.array_equal(back.rows, expected)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1 2\n1 2 0\n\n2 0\n", "rows of shape"),  # ragged across blocks
+        ("0 1 2\n1 2 0\n2 0 1 3\n", "rows of shape"),
+        ("0 1 2\n1 2 0\n256 0 1\n", "points must be integers in [0, 3)"),
+        ("0 1 2\n1 2 0\n-1 0 1\n", "points must be integers in [0, 3)"),
+    ],
+)
+def test_block_reader_rejects_rows_in_later_blocks(
+    tmp_path, monkeypatch, block_bytes, body, message
+):
+    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "bad.txt"
+    path.write_text("PA n=3 M=3 d=2 inf=none provenance=x\n" + body)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_pa(path)
+
+
+def test_read_peaks_under_12_bytes_a_cell(tmp_path):
+    # Sorted distinct rows, as emitted files hold them: 2.1M cells.  The
+    # line reader held the text, its lines and an int64 copy: 19 bytes a cell.
+    rng = np.random.default_rng(0)
+    rows = rng.permuted(np.tile(np.arange(20, dtype=np.uint8), (105_000, 1)), axis=1)
+    rows = np.unique(rows, axis=0)
+    path = tmp_path / "big.txt"
+    write_pa(PermArray(rows, claimed_distance=2), path)
+    del rows
+    tracemalloc.start()
+    try:
+        back = read_pa(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.rows.size >= 2_000_000
+    assert peak < 12 * back.rows.size
 
 
 def test_malformed_files_rejected(tmp_path):
