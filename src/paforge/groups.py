@@ -422,6 +422,8 @@ def _agl(d: int, q: int) -> PermGroup:
 
 
 def _sym(m: int) -> PermGroup:
+    if m < 2:
+        raise ValueError("symmetric group needs m >= 2")
     _check_points(f"sym({m})", m)
     swap = (1, 0) + tuple(range(2, m))
     cycle = tuple(range(1, m)) + (0,)
@@ -490,16 +492,22 @@ def _mathieu(n: int) -> PermGroup:
 def make_named(name: str, **params) -> PermGroup:
     """Build a named group; see the CLI for the accepted names."""
     key = name.lower()
+
+    def param(p: str) -> int:
+        if p not in params:
+            raise ValueError(f"{key} needs the parameter {p}")
+        return params[p]
+
     if key == "agl1":
-        return _agl(1, params["q"])
+        return _agl(1, param("q"))
     if key == "pgl2":
-        return _pgl2(params["q"])
+        return _pgl2(param("q"))
     if key == "agl":
-        return _agl(params["d"], params["q"])
+        return _agl(param("d"), param("q"))
     if key == "sym":
-        return _sym(params["m"])
+        return _sym(param("m"))
     if key == "sym_pairs":
-        return _sym_pairs(params["m"])
+        return _sym_pairs(param("m"))
     if key in ("mathieu22", "mathieu23", "mathieu24"):
         return _mathieu(int(key[-2:]))
     raise ValueError(f"unknown group name {name!r}")

@@ -176,8 +176,9 @@ class PermArray:
 class VerifyReport:
     """Outcome of a distance check.
 
-    FULL is a proof, by the tiled scan of every pair or through checked
-    isometries, and pairs_checked counts the pairs that the proof covers:
+    FULL is a proof, by one tiled scan of the pairs of each orbit
+    representative under checked isometries (every row, when none passes),
+    and pairs_checked counts the pairs that the proof covers:
     with a passing result every pair, and min_observed is the true minimum;
     a failing FULL check stops at the first violating pair in index order.
     SAMPLED results are evidence only.
@@ -205,34 +206,43 @@ class VerifyReport:
         return json.dumps(payload)
 
 
-# The FULL scan cuts the pairs i < j into tiles: a band of _TILE_ROWS rows
-# i against a block of _TILE_COLS rows j, the first block starting at j = i0 + 1.
-# _TILE_ROWS <= _TILE_COLS, so only a band's first block holds pairs j <= i.
+# The FULL scan pairs each orbit representative with the rows after it in
+# representative order, in tiles: a band of _TILE_ROWS representatives
+# against a block of columns, _TILE_ROWS * _TILE_COLS cells in all.
 _TILE_ROWS = 64
 _TILE_COLS = 8192
 
 
 def _scan_pairs(
-    pa: PermArray, claimed: int, workers: Optional[int]
+    pa: PermArray, claimed: int, reps: np.ndarray, workers: Optional[int]
 ) -> tuple[int, tuple[int, int], bool]:
-    """Exact tiled scan of all pairs: (distance, witness, violated).
+    """Exact tiled scan of the pairs (r, j) of a row r of the ascending
+    `reps` and a row j with rank[j] > rank[r], where rank is a row's place
+    in `reps` and M for any other row: (distance, witness, violated).
 
-    With no pair closer than `claimed` (always so for 0) this is the
-    minimum distance and the lex-first pair reaching it; otherwise the
-    lex-first pair closer than `claimed` and its distance.  A tile holds
-    agreement + 1 per pair, summed column by column over the column-major
-    rows, so masked pairs (j <= i) hold 0 and never tie a real pair.
-    Distinct rows agree in at most n - 2 points, so row_dtype(n) holds it
-    (a masked self pair may wrap before the mask zeroes it).
+    With reps = arange(M) these are all pairs r < j.  With no such pair
+    closer than `claimed` (always so for 0) this is their least distance and
+    the lex-first pair reaching it; otherwise the lex-first pair closer than
+    `claimed` and its distance.  A tile holds agreement + 1 per pair, summed
+    column by column over the column-major rows, so masked pairs hold 0 and
+    never tie a real pair.  Distinct rows agree in at most n - 2 points, so
+    row_dtype(n) holds it (a masked self pair may wrap before the mask
+    zeroes it).  Only columns up to a band's last row can be masked.
     """
-    n, M = pa.n, pa.M
+    n, M, k = pa.n, pa.M, len(reps)
     cols = np.ascontiguousarray(pa.rows.T)
     dtype = row_dtype(n)
     limit = n + 1 - claimed
+    rank = np.full(M, M)
+    rank[reps] = np.arange(k)
+    # The rows below `lead` are representatives, so the first row of rank
+    # above a is the lesser of lead and reps[a] + 1.
+    lead = int(np.count_nonzero(reps == np.arange(k)))
+    width = min(_TILE_ROWS * _TILE_COLS // min(k, _TILE_ROWS), M)
     tiles = [
-        (band, i0, j0)
-        for band, i0 in enumerate(range(0, M - 1, _TILE_ROWS))
-        for j0 in range(i0 + 1, M, _TILE_COLS)
+        (band, a, j0)
+        for band, a in enumerate(range(0, k, _TILE_ROWS))
+        for j0 in range(min(lead, reps[a] + 1), M, width)
     ]
     # A violation skips only later bands: a later block of the same band may
     # hold a lex-smaller one.  An unlocked min() can only lose a smaller band,
@@ -241,28 +251,30 @@ def _scan_pairs(
     buffers = threading.local()
 
     def scan(tile: tuple[int, int, int]) -> Optional[tuple[bool, int, int, int]]:
-        band, i0, j0 = tile
+        band, a, j0 = tile
         if band > first_bad[0]:
             return None
         if not hasattr(buffers, "agree"):
-            buffers.agree = np.empty(_TILE_ROWS * _TILE_COLS, dtype)
-            buffers.eq = np.empty(_TILE_ROWS * _TILE_COLS, np.bool_)
-        h, w = min(_TILE_ROWS, M - 1 - i0), min(_TILE_COLS, M - j0)
+            buffers.agree = np.empty(min(k, _TILE_ROWS) * width, dtype)
+            buffers.eq = np.empty(buffers.agree.size, np.bool_)
+        rows = reps[a : a + _TILE_ROWS]
+        h, w = len(rows), min(width, M - j0)
         agree = buffers.agree[: h * w].reshape(h, w)
         eq = buffers.eq[: h * w].reshape(h, w)
         agree.fill(1)
-        for col in cols:
-            np.equal(col[i0 : i0 + h, None], col[None, j0 : j0 + w], out=eq)
+        for col, mine in zip(cols, cols[:, rows]):
+            np.equal(mine[:, None], col[None, j0 : j0 + w], out=eq)
             agree += eq.view(np.uint8)
-        if j0 == i0 + 1:
-            agree *= np.arange(w)[None, :] >= np.arange(h)[:, None]
+        if j0 <= rows[-1]:
+            np.greater(rank[None, j0 : j0 + w], np.arange(a, a + h)[:, None], out=eq)
+            agree *= eq.view(np.uint8)
         flat = int(agree.argmax())
         violated = bool(agree.flat[flat] > limit)
         if violated:
             flat = int((agree > limit).argmax())
             first_bad[0] = min(first_bad[0], band)
         r, c = divmod(flat, w)
-        return violated, int(agree[r, c]), i0 + r, j0 + c
+        return violated, int(agree[r, c]), int(rows[r]), j0 + c
 
     found = [t for t in map_blocks(scan, tiles, resolve_workers(workers)) if t]
     bad = [t for t in found if t[0]]
@@ -380,68 +392,33 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     return np.flatnonzero(label == np.arange(M))
 
 
-def _representative_distances(
-    pa: PermArray, cols: np.ndarray, reps: np.ndarray, workers: Optional[int]
-) -> np.ndarray:
-    """Least distance from each row of `reps` to any other row, tiled as
-    `_scan_pairs` is, in tiles of as many cells: fewer representatives make
-    wider tiles.  A row's agreement with itself is zeroed (it may wrap in
-    row_dtype(n), which holds every other agreement, at most n - 2)."""
-    n, M = pa.n, pa.M
-    width = _TILE_ROWS * _TILE_COLS // min(len(reps), _TILE_ROWS)
-    tiles = [(a, j0) for a in range(0, len(reps), _TILE_ROWS) for j0 in range(0, M, width)]
-
-    def scan(tile: tuple[int, int]) -> np.ndarray:
-        a, j0 = tile
-        rows = reps[a : a + _TILE_ROWS]
-        agree = np.zeros((len(rows), min(width, M - j0)), row_dtype(n))
-        for col in cols:
-            agree += col[rows, None] == col[None, j0 : j0 + agree.shape[1]]
-        own = np.flatnonzero((rows >= j0) & (rows < j0 + agree.shape[1]))
-        agree[own, rows[own] - j0] = 0
-        return agree.max(axis=1)
-
-    best = np.zeros(len(reps), row_dtype(n))
-    for (a, _), top in zip(tiles, map_blocks(scan, tiles, resolve_workers(workers))):
-        np.maximum(best[a : a + len(top)], top, out=best[a : a + len(top)])
-    return n - best.astype(np.int64)
-
-
 def _full_scan(
     pa: PermArray, claimed: int, workers: Optional[int]
 ) -> tuple[int, tuple[int, int], bool]:
-    """`_scan_pairs`' result, proven through checked isometries when that
-    scans fewer pairs, and refused over FULL_PAIR_CAP pairs scanned.
+    """`_scan_pairs` over the orbit representatives of checked isometries,
+    refused over FULL_PAIR_CAP pairs scanned.
 
     The proof: an isometry h of the Hamming metric that permutes the rows
     maps every pair (x, y) to a pair at the same distance, and x = h(r) for
     the representative r of x's orbit under H.  So d(x, y) = d(r, h^-1 y),
-    and the least distance from the representatives to all other rows is
-    the minimum; reps x (M - 1) pairs instead of M(M - 1)/2.
+    and the pairs of a representative with every other row hold the
+    minimum; the scan takes each pair of two representatives once, so k
+    representatives scan k(M - 1) - k(k - 1)/2 pairs, M(M - 1)/2 when no
+    candidate passes and every row is its own representative.
 
-    The witness stays lex-first.  Let U be the union of the orbits whose
-    representative has a partner at the minimum (for a violation: closer
-    than `claimed`); every row of U has one, and no other row does.  Then
-    the lex-first pair starts at i* = min U, the least such representative:
-    were its partner j < i*, j would be in U.  One more scan of row i*
-    against the rows j > i* gives j*.
+    The scan's lex-first pair is the lex-first pair (i*, j*) of all.  Let U
+    be the union of the orbits whose representative has a partner at the
+    minimum (for a violation: closer than `claimed`); every row of U has
+    one, and no other row does.  So i* = min U, the least representative in
+    U, and no representative before it has such a partner.  Every partner
+    of i* is in U, so after i*: a representative after i* or not one at
+    all, which the scan pairs with i*; the least of them is j*.
     """
     M, reps = pa.M, _orbit_representatives(pa)
-    tiled = 2 * len(reps) >= M
-    pairs = M * (M - 1) // 2 if tiled else len(reps) * (M - 1)
+    pairs = len(reps) * (M - 1) - len(reps) * (len(reps) - 1) // 2
     if pairs > FULL_PAIR_CAP:
         raise ValueError(f"{pairs} pairs exceed the full-verification cap {FULL_PAIR_CAP}")
-    if tiled:
-        return _scan_pairs(pa, claimed, workers)
-    cols = np.ascontiguousarray(pa.rows.T)
-    least = _representative_distances(pa, cols, reps, workers)
-    violated = bool(least.min() < claimed)
-    i = int(reps[np.argmax(least < claimed if violated else least == least.min())])
-    d = np.zeros(M - 1 - i, np.int64)
-    for col in cols:
-        d += col[i + 1 :] != col[i]
-    j = int(np.argmax(d < claimed if violated else d == least.min()))
-    return int(d[j]), (i, i + 1 + j), violated
+    return _scan_pairs(pa, claimed, reps, workers)
 
 
 def min_distance(
@@ -453,11 +430,12 @@ def min_distance(
 ) -> VerifyReport:
     """Verify the claimed minimum distance exhaustively or by sampling.
 
-    FULL is a proof, by the tiled scan of every pair or through checked
-    isometries (`_full_scan`); both give the same report, and its
-    pairs_checked counts the pairs the proof covers (all of them, or those
-    up to the first violation).  FULL refuses more than FULL_PAIR_CAP pairs
-    actually scanned, read at call time."""
+    FULL is a proof, by one tiled scan of the pairs of each orbit
+    representative under checked isometries with the rows after it
+    (`_full_scan`); its pairs_checked counts the pairs the proof covers (all
+    of them, or those up to the first violation).  FULL refuses more than
+    FULL_PAIR_CAP scanned pairs, k(M - 1) - k(k - 1)/2 for k representatives,
+    read at call time."""
     M = pa.M
     if M < 2:
         raise ValueError("need at least two rows to measure a distance")
@@ -645,6 +623,8 @@ def read_pa(path: Union[str, Path]) -> PermArray:
     if data.lstrip().startswith(b"{"):
         payload = json.loads(data.decode("utf-8"))
         n, m, d = payload["n"], payload["M"], payload["d"]
+        if not all(type(v) is int for v in (n, m, d)):
+            raise ValueError("n, M and d must be integers")
         blocks = [np.asarray(payload["rows"] or np.empty((0, n), np.int64))]
         inf, provenance = payload.get("inf"), payload.get("provenance", "")
     else:

@@ -191,6 +191,7 @@ HEAD3 = "PA n=3 M={m} d=2 inf=none provenance=x\n"
         HEAD3.format(m=0),  # no rows at all
         HEAD3.format(m=2) + "\n   \n",  # blank lines only
         "PA n=3 M=1 d=2 inf=none\n0 1 2\n",  # header without provenance
+        "PA n=3 M=2 d=2.5 inf=none provenance=x\n0 1 2\n1 2 0\n",  # non-integer d
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -232,6 +233,10 @@ def test_verify_rejects_points_out_of_range(tmp_path, text):
         {"n": 3, "M": 2, "d": "x", "rows": [[0, 1, 2], [1, 2, 0]]},
         {"n": 3, "M": 2, "d": 3},
         {"n": 3, "M": 2, "d": 3, "inf": 0, "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2, "d": 2.5, "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2, "d": True, "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3, "M": 2.0, "d": 2, "rows": [[0, 1, 2], [1, 2, 0]]},
+        {"n": 3.0, "M": 2, "d": 2, "rows": [[0, 1, 2], [1, 2, 0]]},
     ],
 )
 def test_verify_rejects_malformed_json(tmp_path, payload):
@@ -273,6 +278,28 @@ def test_verify_sampled_mode(tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["mode"] == "SAMPLED" and report["pairs_checked"] == 500
+
+
+@pytest.mark.parametrize(
+    "argv,missing",
+    [
+        (("--name", "agl1"), "agl1 needs the parameter q"),
+        (("--name", "pgl2"), "pgl2 needs the parameter q"),
+        (("--name", "agl", "--d", "2"), "agl needs the parameter q"),
+        (("--name", "agl", "--q", "4"), "agl needs the parameter d"),
+        (("--name", "sym"), "sym needs the parameter m"),
+        (("--name", "sym_pairs"), "sym_pairs needs the parameter m"),
+    ],
+    ids=["agl1", "pgl2", "agl-q", "agl-d", "sym", "sym_pairs"],
+)
+def test_group_names_a_missing_parameter(argv, missing):
+    assert run_cli("group", *argv) == (2, "", f"cannot build group: {missing}\n")
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-2"])
+def test_group_sym_refuses_fewer_than_two_points(m):
+    code, out, err = run_cli("group", "--name", "sym", "--m", m)
+    assert (code, out, err) == (2, "", "cannot build group: symmetric group needs m >= 2\n")
 
 
 def test_group_command(tmp_path):

@@ -358,8 +358,10 @@ def test_sharp_transitivity_named():
 def test_make_named_rejects_unknown():
     with pytest.raises(ValueError):
         make_named("mystery")
-    with pytest.raises(KeyError):
-        make_named("agl1")  # missing q
+    with pytest.raises(ValueError, match="^agl1 needs the parameter q$"):
+        make_named("agl1")
+    with pytest.raises(ValueError, match="^agl needs the parameter d$"):
+        make_named("agl", q=4)
 
 
 def test_generator_file_parsing():

@@ -1,6 +1,6 @@
-"""FULL verification through checked isometries: the proof path must be the
-one taken where the arrays have symmetry, and every report must equal the
-tiled scan's and the brute-force oracle's."""
+"""FULL verification through checked isometries: the scan must be handed
+fewer representatives than rows where the arrays have symmetry, and every
+report must equal the scan of every pair's and the brute-force oracle's."""
 
 import random
 
@@ -35,8 +35,10 @@ def _full(pa, workers=None):
 
 
 def _tiled(pa, workers=2):
-    """The tiled scan's report, with min_distance's closed forms."""
-    observed, (i, j), violated = pa_module._scan_pairs(pa, pa.claimed_distance, workers)
+    """The report of the scan of every pair (each row its own
+    representative), with min_distance's closed forms."""
+    reps = np.arange(pa.M)
+    observed, (i, j), violated = pa_module._scan_pairs(pa, pa.claimed_distance, reps, workers)
     M = pa.M
     if violated:
         return observed, (i, j), i * (M - 1) - i * (i - 1) // 2 + (j - i), False
@@ -44,13 +46,20 @@ def _tiled(pa, workers=2):
 
 
 def _proven(pa, monkeypatch, workers):
-    """The FULL report with the tiled scan made unreachable."""
-    def no_tiles(*args, **kwargs):
-        raise AssertionError("the tiled scan ran")
+    """The FULL report, with the scan checked to be handed fewer
+    representatives than rows."""
+    handed = []
+    scan = pa_module._scan_pairs
+
+    def counted(pa, claimed, reps, workers):
+        handed.append(len(reps))
+        return scan(pa, claimed, reps, workers)
 
     with monkeypatch.context() as m:
-        m.setattr(pa_module, "_scan_pairs", no_tiles)
-        return _full(pa, workers), exact_min_distance(pa, workers)
+        m.setattr(pa_module, "_scan_pairs", counted)
+        result = _full(pa, workers), exact_min_distance(pa, workers)
+    assert len(handed) == 2 and max(handed) < pa.M
+    return result
 
 
 def _with_claim(pa, claimed):
@@ -168,7 +177,8 @@ def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
 def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
     # Permuted columns, renamed symbols and shuffled rows keep every
     # distance, but not the field maps the provenance names: no candidate
-    # passes, so the tiled scan runs and gives the oracle's report.
+    # passes, so every row is its own representative and the scan of every
+    # pair gives the oracle's report.
     pa = build_pa(SfpQuery(field_for_order(19), Variant.Q, 1, 2))
     rng = np.random.default_rng(3)
     rows = rng.permutation(19)[pa.rows[rng.permutation(pa.M)][:, rng.permutation(19)]]
@@ -177,16 +187,88 @@ def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
     calls = []
     scan = pa_module._scan_pairs
 
-    def counted(*args):
-        calls.append(args[1])
-        return scan(*args)
+    def counted(pa, claimed, reps, workers):
+        calls.append((claimed, reps.tolist()))
+        return scan(pa, claimed, reps, workers)
 
-    monkeypatch.setattr(pa_module, "_scan_pairs", counted)
     expected = _oracle(rows, pa.claimed_distance)
     assert expected[0] == min_distance(pa).min_observed
+    monkeypatch.setattr(pa_module, "_scan_pairs", counted)
     for workers in (1, 2):
         assert _full(relabeled, workers) == expected
-    assert calls == [pa.claimed_distance] * 2
+    assert calls == [(pa.claimed_distance, list(range(relabeled.M)))] * 2
+
+
+def _involution_closed(n, conjugate, seed):
+    """Random rows of n points closed under x -> n-1-x on the columns (with
+    conjugate, on the values too, and then with rows that commute with it,
+    its fixed points), shuffled, with a planted distance-2 pair."""
+    rng = random.Random(seed)
+    flip = list(range(n))[::-1]
+
+    def image(row):
+        return tuple(flip[row[x]] if conjugate else row[x] for x in flip)
+
+    rows = set()
+    for _ in range(40):
+        row = rng.sample(range(n), n)
+        rows |= {tuple(row), image(row)}
+    near = _swap(row, 0, 1)
+    rows |= {tuple(near), image(near)}
+    if conjugate:
+        for _ in range(20):
+            half = rng.sample(range(n // 2), n // 2)
+            rows.add(tuple(half + [n - 1 - v for v in reversed(half)]))
+    rows = sorted(rows)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("conjugate", [False, True], ids=["columns", "conjugation"])
+def test_rows_with_half_to_all_representatives_scan_fewer_pairs(conjugate, monkeypatch):
+    # Orbits of one or two rows under an involution: between M/2 and M
+    # representatives (exactly M/2 without fixed rows), which scan
+    # k(M - 1) - k(k - 1)/2 of the M(M - 1)/2 pairs.
+    n = 10
+    flip = np.arange(n)[::-1]
+    rows = _involution_closed(n, conjugate, seed=11)
+    image = (lambda r: flip[r][:, flip]) if conjugate else (lambda r: r[:, flip])
+    monkeypatch.setattr(pa_module, "_candidate_isometries", lambda pa: [image])
+    M = len(rows)
+    reps = pa_module._orbit_representatives(PermArray(rows, 2)).tolist()
+    k = len(reps)
+    assert M <= 2 * k < 2 * M and (2 * k > M) == conjugate
+    scanned = k * (M - 1) - k * (k - 1) // 2
+    least = _oracle(rows, 0)[0]
+    for claimed in (2, 3, 5):
+        pa = PermArray(rows, claimed)
+        expected = _oracle(rows, claimed)
+        for tile_rows, tile_cols in ((64, 8192), (2, 16)):
+            monkeypatch.setattr(pa_module, "_TILE_ROWS", tile_rows)
+            monkeypatch.setattr(pa_module, "_TILE_COLS", tile_cols)
+            for workers in (1, 2, 5):
+                assert _proven(pa, monkeypatch, workers) == (expected, least)
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned - 1)
+    with pytest.raises(ValueError, match=f"^{scanned} pairs exceed the full-verification cap"):
+        min_distance(pa, "full")
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned)
+    # One cell a tile: the unmasked cells are the pairs (r, j) of each
+    # representative r with every row but r and the representatives before.
+    cells = []
+    map_blocks = pa_module.map_blocks
+
+    def mapped(fn, tiles, workers):
+        found = map_blocks(fn, tiles, workers)
+        cells.extend(found)
+        return found
+
+    monkeypatch.setattr(pa_module, "map_blocks", mapped)
+    monkeypatch.setattr(pa_module, "_TILE_ROWS", 1)
+    monkeypatch.setattr(pa_module, "_TILE_COLS", 1)
+    assert exact_min_distance(pa, 1) == least
+    later = {(r, j) for a, r in enumerate(reps) for j in range(M) if j not in reps[: a + 1]}
+    assert {(i, j) for _, top, i, j in cells if top} == later
+    assert len(later) == scanned
 
 
 @pytest.mark.parametrize("name,params", [("agl1", {"q": 8}), ("pgl2", {"q": 7})])
@@ -226,9 +308,10 @@ def test_group_arrays_proven_under_a_cap_the_tiled_scan_exceeds(name, params, mo
     assert reps * M < M * (M - 1) // 2
     expected = _oracle(pa.rows, pa.claimed_distance)
     assert _tiled(pa) == expected
-    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", reps * M)
+    scanned = reps * (M - 1) - reps * (reps - 1) // 2
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned)
     for workers in (1, 2):
         assert _proven(pa, monkeypatch, workers) == (expected, expected[0])
-    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", reps * (M - 1) - 1)
-    with pytest.raises(ValueError, match="pairs exceed the full-verification cap"):
+    monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned - 1)
+    with pytest.raises(ValueError, match=f"^{scanned} pairs exceed the full-verification cap"):
         min_distance(pa, "full")
