@@ -1,13 +1,14 @@
 """Sub-normalized fractional maps f/g over GF(q).
 
 A fraction is kept with g monic and gcd(f, g) = 1; equality is componentwise.
-The scale-and-shift action  f/g  ->  a*f(x+b) / g(x+b)  (a != 0) preserves
-degrees, the value count, and pole existence, which is what makes orbit
-expansion a sound search reduction.
+The affine action  f/g  ->  a*f(cx+b) / g(cx+b)  (a, c != 0) preserves
+degrees, the value count, and pole existence, since x -> cx+b permutes
+GF(q); that is what makes orbit expansion a sound search reduction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field import Field, FieldElem
@@ -90,35 +91,63 @@ def value_count(phi: FracPoly) -> ValueProfile:
     )
 
 
-def transform(phi: FracPoly, alpha: FieldElem, beta: FieldElem) -> FracPoly:
-    """The image a*f(x+b)/g(x+b); shifts preserve lowest terms and monicity."""
-    if alpha == 0:
-        raise ValueError("scale factor must be nonzero")
-    num = phi.num.shift(beta).scale(alpha)
-    den = phi.den.shift(beta)
-    return FracPoly(num, den)
+def _substitute(poly: Poly, gamma: FieldElem, beta: FieldElem) -> Poly:
+    """The composition poly(gamma*x + beta): shift by beta, then scale x."""
+    F, power, out = poly.field, 1, []
+    for c in poly.shift(beta).coeffs:
+        out.append(F.mul(c, power))
+        power = F.mul(power, gamma)
+    return Poly(F, tuple(out))
+
+
+def transform(
+    phi: FracPoly, alpha: FieldElem, beta: FieldElem, gamma: FieldElem = 1
+) -> FracPoly:
+    """The image alpha*f(gamma*x+beta)/g(gamma*x+beta), its denominator made
+    monic; substitutions preserve lowest terms."""
+    if alpha == 0 or gamma == 0:
+        raise ValueError("scale factors must be nonzero")
+    F = phi.field
+    den = _substitute(phi.den, gamma, beta)
+    lead_inv = F.inv(den.coeffs[-1])
+    num = _substitute(phi.num, gamma, beta).scale(F.mul(alpha, lead_inv))
+    return FracPoly(num, den.scale(lead_inv))
 
 
 def is_normalized(phi: FracPoly) -> bool:
-    """Monic f, monic g, and a zero subleading coefficient when char does not
-    divide the numerator degree."""
-    f = phi.num
+    """Whether phi lies in the set that `sfp._scan_block` scans: f monic;
+    the shift pinned, f's x^(s-1) coefficient zero when p does not divide s,
+    else g's x^(t-1) coefficient zero when p does not divide t; and the
+    scale pinned, the top nonzero coefficient below the leading one, of f,
+    or of g when f = x^s, at x^j of a degree-D polynomial, with a discrete
+    log below gcd(D - j, q - 1)."""
+    f, g, F = phi.num, phi.den, phi.field
     if f.is_zero() or not f.is_monic():
         return False
-    s = int(f.degree)
-    if s % phi.field.p != 0 and f.coeff(s - 1) != 0:
+    s, t = int(f.degree), int(g.degree)
+    pinned = f.coeff(s - 1) if s % F.p else g.coeff(t - 1) if t % F.p else 0
+    if pinned:
         return False
+    for poly, deg in ((f, s), (g, t)):
+        for j in range(deg - 1, -1, -1):
+            if poly.coeff(j):
+                return F._log[poly.coeff(j)] < math.gcd(deg - j, F.q - 1)
     return True
 
 
 def orbit(phi: FracPoly) -> list[FracPoly]:
-    """All distinct scale-and-shift images, sorted by canonical encoding."""
+    """All distinct images a*f(cx+b)/g(cx+b), sorted by canonical encoding.
+
+    Each image with a = 1 is checked on construction; scaling its numerator
+    by a unit keeps it in lowest terms, so its scaled copies are not."""
     F = phi.field
     seen: dict[tuple, FracPoly] = {}
     for beta in F.elements():
-        shifted_num = phi.num.shift(beta)
-        shifted_den = phi.den.shift(beta)
-        for alpha in F.units():
-            img = FracPoly(shifted_num.scale(alpha), shifted_den)
-            seen.setdefault(img.sort_key(), img)
+        shifted = transform(phi, 1, beta)
+        for gamma in F.units():
+            base = transform(shifted, 1, 0, gamma)
+            for alpha in F.units():
+                img = object.__new__(FracPoly)
+                img.__dict__.update(num=base.num.scale(alpha), den=base.den)
+                seen.setdefault(img.sort_key(), img)
     return [seen[k] for k in sorted(seen)]

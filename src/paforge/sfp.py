@@ -8,14 +8,16 @@ relaxes the bound by one when g has a root (the pole absorbs one collision)
 and otherwise shifts the budgets to (s + a, t + b).
 
 Two enumerators are provided: a brute-force oracle over all coefficient
-tuples, and a fast scan that visits one normalized representative per
-scale-and-shift orbit a*f(x+b)/g(x+b).  Both return the same canonically
-sorted coefficient rows (`SfpResult.rows`).  The scan keeps one table row
-per orbit, with the orbit's size q(q-1)/|Stab|, so a cell's count is a sum
-of orbit sizes (`best_cell`, `best_count`); only `enumerate_fast`
-expands the member orbits into rows, and gathers each member's values from
-its representative's.  Inside `scanning_once` a scan reuses the block tables
-of an earlier one, so a command that counts and then emits scans once.
+tuples, and a fast scan over normalized representatives of the orbits of
+the affine group a*f(cx+b)/g(cx+b), a and c nonzero: x -> cx+b permutes
+GF(q), so it keeps every membership invariant.  Both return the same
+canonically sorted coefficient rows (`SfpResult.rows`).  The scan keeps one
+table row per orbit, with the orbit's size (q-1)q(q-1)/|Stab|, so a cell's
+count is a sum of orbit sizes (`best_cell`, `best_count`); only
+`enumerate_fast` expands the member orbits into rows, and gathers each
+member's values from its representative's.  Inside `scanning_once` a scan
+reuses the block tables of an earlier one, so a command that counts and
+then emits scans once.
 """
 
 from __future__ import annotations
@@ -264,15 +266,16 @@ def _member_values(query: SfpQuery, rows: np.ndarray) -> np.ndarray:
     return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
 
-# -- fast scan: normalized representatives + orbit expansion -----------------
+# -- fast scan: affine-normalized representatives + orbit expansion ----------
 
 
 class _Block(NamedTuple):
     """The scanned orbits of one exact-degree block, one row per orbit.
 
-    Each row is the orbit's least (den||num) row, f and g monic; m (= q - v)
-    and the pole flag are orbit invariants, and size is the number of
-    fractions in the orbit.
+    Each row is the least (den||num) row, f and g monic, of the orbit's part
+    of the scanned set (`_scan_block`); m (= q - v) and the pole flag are
+    orbit invariants, and size is the number of fractions in the orbit
+    under a*f(cx+b)/g(cx+b), (q-1) q(q-1)/|Stab|.
     """
 
     s2: int
@@ -311,11 +314,19 @@ def _monic_rows(field: Field, deg: int, free: int) -> np.ndarray:
     return out
 
 
-def _normalized_num_block(field: Field, s2: int) -> np.ndarray:
-    """Coefficient rows of all normalized numerators of exact degree s2: a
-    shift zeroes the x^(s2-1) coefficient unless p divides s2, since that
-    coefficient of f(x+b) is a_(s2-1) + s2*b*a_s2."""
-    return _monic_rows(field, s2, s2 - 1 if s2 % field.p else s2)
+def _canonical_rows(field: Field, deg: int, free: int) -> np.ndarray:
+    """x^deg, then the rows of `_monic_rows(field, deg, free)` whose top
+    nonzero coefficient below x^deg, at x^j, has a discrete log below
+    gcd(deg - j, q - 1).  The scale x -> cx, made monic, multiplies that
+    coefficient by c^(j - deg), which moves its log by every multiple of the
+    gcd, so some scale brings every row with its top coefficient at x^j in."""
+    pieces = [_monic_rows(field, deg, 0)]
+    for j in range(free):
+        low, d = _monic_rows(field, deg, j), int(np.gcd(deg - j, field.q - 1))
+        rows = np.repeat(low, d, axis=0)
+        rows[:, j] = np.tile(field._exp[:d], len(low))
+        pieces.append(rows)
+    return np.concatenate(pieces)
 
 
 def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
@@ -323,8 +334,9 @@ def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
 
     The one kernel that forks on the field kind, because each side wins
     where it runs (2-vCPU VM, numpy 2.4): on prime fields a Vandermonde
-    matmul mod p beats table Horner, 0.79 s against 4.2 s on the 2.48M
-    monic rows of q = 19, degree 5; on extension fields table Horner beats
+    matmul mod p beats table Horner, 0.77 s against 5.1 s on all 2.48M
+    monic rows of degree 5 over GF(19) in blocks of 2^17 rows (a kernel
+    timing: the scan keys far fewer); on extension fields table Horner beats
     an F_p-linear matmul on base-p digits, which does k^2 times the work,
     on the monic rows of degree 2: GF(256) 0.67 s against 7.0 s, GF(512)
     7.2 s against 75 s.
@@ -397,15 +409,80 @@ def _shifted(field: Field, c: np.ndarray, dw: int) -> np.ndarray:
     ).transpose(0, 2, 1)
 
 
-def _least_shifts(
+def _degree_gaps(width: int, dw: int) -> np.ndarray:
+    """D - j for each column of a (den||num) row: coefficient j of its
+    polynomial of degree D.  The two leading columns have gap 0."""
+    return np.r_[np.arange(dw - 1, -1, -1), np.arange(width - dw - 1, -1, -1)]
+
+
+def _scaled(field: Field, rows: np.ndarray, dw: int, logs: np.ndarray) -> np.ndarray:
+    """Each (den||num) row under x -> cx, f and g kept monic, for each
+    c = g^L in `logs` (shape (..., K), broadcast against the rows): shape
+    (..., K, width).  Coefficient j of a degree-D polynomial becomes
+    a_j / c^(D - j)."""
+    n, T = field.q - 1, _div_tables(field)[2]
+    powers = T[logs[..., None] * _degree_gaps(rows.shape[-1], dw) % n]
+    return _ratio_rows(field, rows[..., None, :], powers)
+
+
+def _least_images(
     field: Field, rows: np.ndarray, dw: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each (den||num) row's least shift, and how many of its q shifts equal
-    that least row: the order of the shifts that fix the row."""
-    shifted = _shifted(field, rows, dw)
-    first = np.lexsort(shifted.transpose(2, 0, 1)[::-1])[:, 0]
-    least = shifted[np.arange(len(rows)), first]
-    return least, (shifted == least[:, None, :]).all(axis=2).sum(axis=1)
+    """Each (den||num) row's table key, and how many of the maps x -> cx + b
+    that bring it into the scanned set give that key: |Stab|.
+
+    The maps are the one shift that zeroes the pinned coefficient (all q
+    shifts when p divides both degrees), each followed by the scales that
+    make the canonical coefficient canonical.  That coefficient is the top
+    nonzero one below the leading one, of f, or of g when f = x^s2: at x^j
+    of degree D, with log l and d = gcd(D - j, q - 1).  Scaling by c = g^L
+    sends l to l - (D - j)L mod q - 1, which is below d for exactly the d
+    logs L with (D - j)L = l - l mod d; the K columns of logs past d stand
+    for no map.  With no such coefficient the row is x^s2 over x^t2, fixed
+    by every scale: its one log, 0, stands for all q - 1.  The maps send
+    the row onto every member of its orbit's part of the scanned set, so
+    the key is that part's least row, the same for every survivor of the
+    orbit, and the maps that give it are one coset of the stabilizer.
+    """
+    p, n, w = field.p, field.q - 1, rows.shape[1]
+    s2, t2 = w - dw - 1, dw - 1
+    if s2 % p or t2 % p:
+        pin, deg = (w - 2, s2) if s2 % p else (dw - 2, t2)
+        # coefficient deg - 1 of P(x + b) is a_(deg-1) + deg*b; a scanned row
+        # has it zero already, so only other rows are shifted
+        beta = _ratio_rows(field, rows[:, pin], np.int16(-deg % p))
+        moved = np.flatnonzero(beta)
+        shifted = rows.copy()
+        moves = _shifted(field, rows[moved], dw)
+        shifted[moved] = moves[np.arange(len(moved)), beta[moved]]
+        shifted = shifted[:, None]
+    else:
+        shifted = _shifted(field, rows, dw)
+    gaps = _degree_gaps(w, dw)
+    cols = np.array([*range(w - 2, dw - 1, -1), *range(dw - 2, -1, -1), w - 1])
+    col = cols[(shifted[..., cols] != 0).argmax(axis=-1)]  # w - 1: none nonzero
+    gap, coef = gaps[col], np.take_along_axis(shifted, col[..., None], -1)[..., 0]
+    d = np.gcd(gap, n)
+    # x/gcd(x, n) is a unit mod n/gcd(x, n): L = (l // d) inv[D - j] mod n/d
+    gcds = np.gcd(np.arange(w), n).tolist()
+    inv = np.array([pow(x // e, -1, n // e) for x, e in enumerate(gcds)])
+    base = _div_tables(field)[0][coef] // d * inv[gap] % (n // d)
+    i = np.arange(np.gcd(gaps, n, where=gaps > 0, out=np.ones_like(gaps)).max())
+    moving, k = gap[..., None] > 0, shifted.shape[1] * len(i)
+    logs = np.where(moving, base[..., None] + i * (n // d)[..., None], 0)
+    count = np.where(moving, i < d[..., None], np.where(i == 0, n, 0))
+    count = count.reshape(len(rows), k)
+    images = _scaled(field, shifted, dw, logs).reshape(len(rows), k, w)
+    images[count == 0] = np.iinfo(np.int16).max
+    first = np.lexsort(images.transpose(2, 0, 1)[::-1])[:, 0]
+    least = images[np.arange(len(rows)), first]
+    return least, (count * (images == least[:, None, :]).all(axis=2)).sum(axis=1)
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows, in row order: the first of each."""
+    order, rises = _row_order(rows)
+    return np.flatnonzero(rises) if order is None else order[rises]
 
 
 def _orbit_rows(
@@ -413,31 +490,41 @@ def _orbit_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every fraction in the orbits of reps, (den||num) rows with f and g
     monic and one per orbit, and each fraction's value row: each distinct
-    shift of a representative, its numerator scaled by every unit.  Orbits
-    are disjoint, and a monic numerator tells its scales apart, so the rows
-    are distinct.
+    image of a representative under x -> cx + b, its numerator scaled by
+    every unit.  Orbits are disjoint, and a monic numerator tells its scales
+    apart, so the rows are distinct.
 
-    The values are gathered, not evaluated: the shift by beta of a
-    representative with values V, its numerator scaled by 1/u, has the value
-    V[x + beta] / u at x, and the pole sentinel q stays q.
+    The values are gathered, not evaluated.  The image under x -> cx + b of
+    a representative with values V is f(cx + b)/c^s2 over g(cx + b)/c^t2,
+    with the value V[cx + b] c^(t2 - s2) at x; its numerator divided by
+    u c^(t2 - s2) has the value V[cx + b] / u, and the pole sentinel q stays
+    q.
     """
-    q, w = field.q, reps.shape[1]
+    q, n, w = field.q, field.q - 1, reps.shape[1]
     shifted = _shifted(field, reps, dw).reshape(-1, w)
-    order, rises = _row_order(shifted)
-    kept = np.flatnonzero(rises) if order is None else order[rises]
-    shifts = shifted[kept]
-    orbits = np.repeat(shifts[:, None, :], q - 1, axis=1)  # (shifts, q-1, w)
-    units = np.arange(1, q, dtype=np.int16)[:, None]
-    orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], units)
-    rep, beta = np.divmod(kept, q)  # shifted row r*q + beta is rep r shifted by beta
+    shift = _first_rows(shifted)
+    scaled = _scaled(field, shifted[shift], dw, np.arange(n)).reshape(-1, w)
+    kept = _first_rows(scaled)
+    image, log_c = np.divmod(kept, n)  # scaled row i*n + L is image i under g^L
+    rep, beta = np.divmod(shift[image], q)  # shifted row r*q + beta: rep r, beta
+    T = _div_tables(field)[2]
+    c = T[log_c]
+    units = np.arange(1, q, dtype=np.int16)
+    divisor = _ratio_rows(field, units, T[log_c * (w - 2 * dw) % n][:, None])
+    orbits = np.repeat(scaled[kept][:, None, :], n, axis=1)  # (images, q-1, w)
+    orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], divisor[..., None])
     points = np.arange(q, dtype=np.int16)
-    at = field.tables()["add"][beta] if field.k > 1 else (points + beta[:, None]) % q
+    if field.k > 1:
+        tabs = field.tables()
+        at = tabs["add"][tabs["mul"][c[:, None], points], beta[:, None]]
+    else:
+        at = (points * c[:, None].astype(np.int64) + beta[:, None]) % q
     num, den = _eval_rows(field, reps[:, dw:]), _eval_rows(field, reps[:, :dw])
-    shift_values = _ratio_rows(field, num, den)[rep[:, None], at]
-    values = np.empty((len(shifts), q - 1, q), np.int16)
+    image_values = _ratio_rows(field, num, den)[rep[:, None], at]
+    values = np.empty((len(kept), n, q), np.int16)
     for u in range(1, q):
         over_u = np.append(_ratio_rows(field, points, np.int16(u)), np.int16(q))
-        values[:, u - 1] = over_u[shift_values]
+        values[:, u - 1] = over_u[image_values]
     return orbits.reshape(-1, w), values.reshape(-1, q)
 
 
@@ -446,53 +533,78 @@ def _scan_block(
 ) -> _Block:
     """Scan one exact-degree block into one row per orbit of its survivors.
 
-    Every orbit of f/g under a*f(x+b)/g(x+b) keeps a representative: f is
-    monic, and one shift zeroes f's x^(s2-1) coefficient when p does not
-    divide s2.  Otherwise every shift maps the monic numerator block onto
-    itself, so the shift zeroes g's x^(t2-1) coefficient instead when p does
-    not divide t2.  Either way each orbit has one survivor.  When p divides
-    both degrees no coefficient pins the shift, the blocks are scanned
-    whole, and all distinct shifts of a survivor survive too: up to q
-    survivors share an orbit, and share its least row, which keys the table.
-    m, the pole flag and coprimality are orbit invariants.  With f monic,
-    a*f(x+b) = f forces a = 1, so the orbit's stabilizer is the shifts that
-    fix the row, and the orbit holds q(q-1)/|Stab| fractions.
+    The group is f/g -> a f(cx + b)/g(cx + b), a and c nonzero: x -> cx + b
+    permutes GF(q), so m, the pole flag and coprimality are orbit
+    invariants.  With f monic, one shift zeroes f's x^(s2-1) coefficient
+    when p does not divide s2; otherwise every shift maps the monic
+    numerators onto themselves, and one shift zeroes g's x^(t2-1)
+    coefficient when p does not divide t2; when p divides both degrees,
+    nothing pins the shift.  A scale x -> cx keeps the pinned coefficient
+    zero and brings the canonical coefficient (the top nonzero one below
+    the leading one, of f, or of g when f = x^s2) to a discrete log below
+    gcd(D - j, q - 1) (`_canonical_rows`).  So two rectangles reach every
+    orbit: the canonical numerators but x^s2 with every denominator, and
+    x^s2 with the canonical denominators, x^t2 among them.
+
+    A survivor's key is its least image under the maps that bring it back
+    into this set (`_least_images`), so every survivor of an orbit has the
+    same key.  With f monic, a map x -> cx + b fixes the fraction for at
+    most one a, so Stab is the maps x -> cx + b that fix the monic pair;
+    those that take a survivor to its key are one coset of it, and the
+    orbit holds (q-1) q(q-1)/|Stab| fractions.
 
     The pair scan runs in tiles of at most `_CELL_BUDGET` ratio cells, near
     square when both ranges are long; each tile evaluates its own value
-    rows and shifts its own survivors.  v counts the distinct ratios, the
+    rows and keys its own survivors.  v counts the distinct ratios, the
     pole sentinel q left out.
     """
     q, p = field.q, field.p
-    fblock = _normalized_num_block(field, s2)
-    gblock = _monic_rows(field, t2, t2 - 1 if s2 % p == 0 and t2 % p else t2)
-    nf, ng = len(fblock), len(gblock)
+    ffree = s2 - 1 if s2 % p else s2
+    gfree = t2 - 1 if s2 % p == 0 and t2 % p else t2
+    fblock = _canonical_rows(field, s2, ffree)
+    if len(fblock) > 1:
+        gmonic = _monic_rows(field, t2, gfree)
+    else:  # x^s2 is the only numerator: the first rectangle is empty
+        gmonic = np.empty((0, t2 + 1), np.int16)
+    gblock = np.concatenate([gmonic, _canonical_rows(field, t2, gfree)])
+    ng = len(gmonic)
+    rects = [(1, len(fblock), 0, ng), (0, 1, ng, len(gblock))]  # row ranges
     side = max(1, isqrt(_CELL_BUDGET // q))
-    fstep = min(nf, max(side, _CELL_BUDGET // (q * ng)))
-    gstep = min(ng, max(1, _CELL_BUDGET // (q * fstep)))
-    tiles = [(f0, g0) for f0 in range(0, nf, fstep) for g0 in range(0, ng, gstep)]
+    tiles = []
+    for f0, f1, g0, g1 in rects:
+        if f1 > f0:
+            fstep = min(f1 - f0, max(side, _CELL_BUDGET // (q * (g1 - g0))))
+            gstep = min(g1 - g0, max(1, _CELL_BUDGET // (q * fstep)))
+            tiles += [
+                ((f, min(f + fstep, f1)), (g, min(g + gstep, g1)))
+                for f in range(f0, f1, fstep)
+                for g in range(g0, g1, gstep)
+            ]
 
-    def scan_tile(tile: tuple[int, int]) -> tuple[np.ndarray, ...]:
-        f, g = fblock[tile[0] : tile[0] + fstep], gblock[tile[1] : tile[1] + gstep]
+    def scan_tile(tile: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+        (f0, f1), (g0, g1) = tile
+        f, g = fblock[f0:f1], gblock[g0:g1]
         fvals, gvals = _eval_rows(field, f), _eval_rows(field, g)
         pole = (gvals == 0).any(axis=1)
         ratio = np.sort(_ratio_rows(field, fvals[:, None], gvals[None]), axis=-1)
         m = q - 1 + pole - (ratio[..., 1:] != ratio[..., :-1]).sum(-1, np.int16)
         fi, gi = np.nonzero(m <= np.where(pole, thr_pole, thr_nopole))
-        least, stab = _least_shifts(field, np.hstack([g[gi], f[fi]]), t2 + 1)
+        least, stab = _least_images(field, np.hstack([g[gi], f[fi]]), t2 + 1)
         return least, stab, m[fi, gi], pole[gi]
 
-    parts = map_blocks(scan_tile, tiles, workers)
+    # a block whose pairs fit one scan buffer is not worth a thread pool
+    cells = q * sum((f1 - f0) * (g1 - g0) for f0, f1, g0, g1 in rects if f1 > f0)
+    parts = map_blocks(scan_tile, tiles, workers if cells > _CELL_BUDGET else 1)
     least, stab, m, pole = map(np.concatenate, zip(*parts))
-    order, rises = _row_order(least)
-    kept = np.flatnonzero(rises) if order is None else order[rises]
+    kept = _first_rows(least)
     if s2 > 0 and t2 > 0:
         coprime = [
             gcd(Poly.of(field, r[: t2 + 1]), Poly.of(field, r[t2 + 1 :])).degree == 0
             for r in least[kept].tolist()
         ]
         kept = kept[np.array(coprime, dtype=bool)]
-    return _Block(s2, t2, least[kept], m[kept], pole[kept], q * (q - 1) // stab[kept])
+    size = (q - 1) * q * (q - 1) // stab[kept]
+    return _Block(s2, t2, least[kept], m[kept], pole[kept], size)
 
 
 #: The blocks scanned so far inside `scanning_once`, by (field, s2, t2),

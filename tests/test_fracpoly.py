@@ -1,5 +1,5 @@
-"""Fractions in lowest terms: value counts, the scale-and-shift action,
-normalized forms, and orbit structure."""
+"""Fractions in lowest terms: value counts, the affine action
+a*f(cx+b)/g(cx+b), normalized forms, and orbit structure."""
 
 import itertools
 
@@ -94,20 +94,28 @@ def test_transform_examples():
     assert img.num.coeffs == (2, 2) and img.den.coeffs == (1,)
     with pytest.raises(ValueError):
         transform(phi, 0, 1)
+    with pytest.raises(ValueError):
+        transform(phi, 1, 1, 0)
+    # x^2/(x+1) under x -> 2x + 1: (2x+1)^2/(2x+2) = (4x^2+4x+1)/(2(x+1)),
+    # made monic in g: (2x^2 + 2x + 3)/(x + 1) over GF(5)
+    img = transform(frac(F5, (0, 0, 1), (1, 1)), 1, 1, 2)
+    assert img.num.coeffs == (3, 2, 2) and img.den.coeffs == (1, 1)
 
 
 def test_transform_preserves_profile_exhaustive():
     # Exhaustive over all fractions with degrees <= 2 at q = 5 and q = 7.
-    # The scale and shift maps commute and compose coordinatewise, so the two
-    # transforms (primitive, 0) and (1, 1) generate the whole action; profile
-    # equality along those edges gives equality on every orbit.
+    # The value scale by the primitive element, the shift x -> x + 1 and the
+    # variable scale x -> wx by the primitive element generate the whole
+    # action (x -> cx + b is x -> c(x + b/c)); profile equality along those
+    # edges gives equality on every orbit.
     for field in (F5, F7):
         fractions = all_subnormalized(field, 2, 2)
         profile = {phi.sort_key(): value_count(phi) for phi in fractions}
+        w = field.primitive
         for phi in fractions:
             ref = profile[phi.sort_key()]
-            for alpha, beta in ((field.primitive, 0), (1, 1)):
-                img = transform(phi, alpha, beta)
+            for alpha, beta, gamma in ((w, 0, 1), (1, 1, 1), (1, 0, w)):
+                img = transform(phi, alpha, beta, gamma)
                 assert profile[img.sort_key()] == ref
 
 
@@ -115,6 +123,22 @@ def test_is_normalized_examples():
     assert is_normalized(frac(F5, (0, 0, 1), (1, 1)))  # x^2/(x+1)
     assert not is_normalized(frac(F5, (0, 1, 1)))  # x^2 + x
     assert not is_normalized(frac(F5, (0, 2)))  # 2x not monic
+    # The scale rule: in GF(7), primitive 3, the constant of x^2 + a has
+    # gap 2 and gcd(2, 6) = 2, so a = 1 and a = 3 (logs 0, 1) are kept, and
+    # a = 2 = 3^2 goes to 1 under x -> 3x, (9x^2 + 2)/9 = x^2 + 1.
+    assert is_normalized(frac(F7, (1, 0, 1))) and is_normalized(frac(F7, (3, 0, 1)))
+    assert not is_normalized(frac(F7, (2, 0, 1)))
+    assert transform(frac(F7, (2, 0, 1)), 4, 0, 3) == frac(F7, (1, 0, 1))
+    # x^3 + x: gap 2, the coefficient 1 has log 0; x^3 + 2x + 5: log 2 >= 2
+    assert is_normalized(frac(F7, (0, 1, 0, 1)))
+    assert not is_normalized(frac(F7, (5, 2, 0, 1)))
+    # f = x^s2: the rule moves to g, x/(x^2 + 2) has log 2 >= gcd(2, 6)
+    assert is_normalized(frac(F7, (0, 1), (3, 0, 1)))
+    assert not is_normalized(frac(F7, (0, 1), (2, 0, 1)))
+    # p | s2: the shift pins g instead, x^3/(x + 1) in GF(9) is not normalized
+    F9 = Field(3, 2)
+    assert not is_normalized(frac(F9, (0, 0, 0, 1), (1, 1)))
+    assert is_normalized(frac(F9, (1, 0, 0, 1), (0, 1)))
 
 
 def test_orbit_contains_normalized_small():
@@ -139,8 +163,9 @@ def test_orbit_members_subnormalized_and_closed():
     keys = {img.sort_key() for img in orb}
     assert phi.sort_key() in keys
     for img in orb:
-        ref = transform(img, 3, 2)
-        assert ref.sort_key() in keys
+        for gamma in (1, 2):
+            ref = transform(img, 3, 2, gamma)
+            assert ref.sort_key() in keys
 
 
 def test_cross_difference_lemma_exhaustive():

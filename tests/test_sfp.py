@@ -183,22 +183,42 @@ def test_oracle_fast_equivalence_length_q_plus_1(q):
                 assert np.array_equal(fast.values, oracle.values)
 
 
-def test_normalized_blocks_match_predicate():
+def test_normalized_blocks_match_predicate(monkeypatch):
+    # The two rectangles of a block are the pairs that `is_normalized`
+    # accepts, each scanned once.  With thresholds every pair passes, the
+    # rows the scan keys are the scanned pairs; their coprime ones must be
+    # the predicate's pick of every monic pair of the block.  The grid has
+    # gcd(D - j, q - 1) > 1 (q = 5, 7, 13), p | s2 (q = 4, 9), p dividing
+    # both degrees (q = 4, blocks (2, 0) and (2, 2); q = 9, block (3, 0)),
+    # and numerators x^s2 in every block.
     from paforge.fracpoly import FracPoly, is_normalized
-    from paforge.sfp import _normalized_num_block
 
-    for field in (F5, Field(2, 2), Field(3, 2)):
-        one = Poly.one(field)
-        for s2 in range(0, 4):
-            block = {
-                tuple(int(c) for c in row) for row in _normalized_num_block(field, s2)
-            }
-            expected = set()
-            for coeffs in itertools.product(range(field.q), repeat=s2):
-                f = Poly.of(field, coeffs + (1,))
-                if is_normalized(FracPoly(f, one)):
-                    expected.add(f.coeffs)
-            assert block == expected
+    keyed, least_images = [], sfp._least_images
+
+    def recorded(field, rows, dw):
+        keyed.append(rows)
+        return least_images(field, rows, dw)
+
+    monkeypatch.setattr(sfp, "_least_images", recorded)
+    for q, top in ((5, 4), (4, 4), (7, 3), (9, 3), (13, 3)):
+        F = field_for_order(q)
+        for s2 in range(top + 1):
+            for t2 in range(top + 1 - s2):
+                keyed.clear()
+                sfp._scan_block(F, s2, t2, q, q, 1)
+                scanned = np.concatenate(keyed)
+                assert len(np.unique(scanned, axis=0)) == len(scanned)
+                got = set()
+                for r in scanned.tolist():
+                    g, f = Poly.of(F, r[: t2 + 1]), Poly.of(F, r[t2 + 1 :])
+                    if gcd(f, g).degree == 0:
+                        got.add(tuple(r))
+                want = set()
+                for low in itertools.product(range(q), repeat=s2 + t2):
+                    g, f = Poly.of(F, low[:t2] + (1,)), Poly.of(F, low[t2:] + (1,))
+                    if gcd(f, g).degree == 0 and is_normalized(FracPoly(f, g)):
+                        want.add(g.coeffs + f.coeffs)
+                assert got == want, (q, s2, t2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 256, 257, 1024, 32749])
@@ -217,31 +237,45 @@ def test_ratio_rows_match_field_division(q):
     assert got.ravel().tolist() == want
 
 
-@pytest.mark.parametrize("q, df, dg", [(4, 3, 2), (8, 4, 3), (9, 4, 3), (27, 3, 4)])
+@pytest.mark.parametrize(
+    "q, df, dg",
+    [
+        (4, 3, 2), (8, 4, 3), (9, 4, 3), (27, 3, 4),  # p divides a degree
+        (4, 2, 2), (8, 2, 2), (9, 3, 0), (25, 5, 0),  # p divides both
+        (7, 2, 1), (13, 3, 2), (19, 2, 1), (25, 2, 1),  # gcd(D - j, q - 1) > 1
+    ],
+)
 def test_expand_orbit_rows_match_orbit(q, df, dg):
     # Degrees >= p make binomials C(m+i, i) vanish mod p in the shift.  One
-    # batch holds every shift of three coprime fractions, shuffled, so each
-    # orbit arrives q times: every shift must give its orbit's least row and
-    # stabilizer order, and expanding the three least rows gives the orbits.
+    # batch holds every image under x -> cx + b of three coprime fractions
+    # from three orbits, the first with numerator x^df, shuffled, so each
+    # orbit arrives q(q-1) times: every image must give its orbit's least
+    # row in the scanned set (`is_normalized`) and its stabilizer order, and
+    # expanding the three keys gives the orbits.
+    from paforge.fracpoly import is_normalized, transform
+
     F = field_for_order(q)
     rng = np.random.default_rng(q)
-    fracs = []
+    fracs, orbits = [], []
     while len(fracs) < 3:
-        f = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=df)) + (1,))
+        low = tuple(int(c) for c in rng.integers(0, q, size=df)) if fracs else (0,) * df
+        f = Poly.of(F, low + (1,))
         g = Poly.of(F, tuple(int(c) for c in rng.integers(0, q, size=dg)) + (1,))
-        if gcd(f, g).degree == 0:
+        if gcd(f, g).degree == 0 and all(g.coeffs + f.coeffs not in o for o in orbits):
             fracs.append(make(f, g))
-    orbits = [{m.den.coeffs + m.num.coeffs for m in orbit(phi)} for phi in fracs]
-    batch = [(j, beta) for j in range(len(fracs)) for beta in range(q)]
+            orbits.append({m.den.coeffs + m.num.coeffs: m for m in orbit(fracs[-1])})
+    keys = [min(k for k, m in orb.items() if is_normalized(m)) for orb in orbits]
+    batch = [(j, b, c) for j in range(len(fracs)) for b in range(q) for c in range(1, q)]
     batch = [batch[i] for i in rng.permutation(len(batch))]
+    images = [transform(fracs[j], 1, b, c) for j, b, c in batch]
     rows = np.array([
-        fracs[j].den.shift(beta).coeffs + fracs[j].num.shift(beta).coeffs
-        for j, beta in batch
+        img.den.coeffs + img.num.scale(F.inv(img.num.coeffs[-1])).coeffs
+        for img in images
     ])
-    least, stab = sfp._least_shifts(F, rows, dg + 1)
-    for (j, _), row, order in zip(batch, least.tolist(), stab.tolist()):
-        assert tuple(row) == min(r for r in orbits[j] if r[-1] == 1)
-        assert q * (q - 1) // order == len(orbits[j])
+    least, stab = sfp._least_images(F, rows, dg + 1)
+    for (j, _, _), row, order in zip(batch, least.tolist(), stab.tolist()):
+        assert tuple(row) == keys[j]
+        assert (q - 1) * q * (q - 1) // order == len(orbits[j])
     reps = np.unique(least, axis=0)
     assert len(reps) == len(fracs)
     rows, values = sfp._orbit_rows(F, reps, dg + 1)
@@ -314,17 +348,26 @@ def test_denominator_shift_matches_unreduced_scan(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "q, s2, t2", [(4, 2, 1), (4, 2, 2), (4, 0, 2), (8, 2, 1), (8, 2, 2), (9, 3, 1)]
+    "q, s2, t2",
+    [
+        (4, 2, 1), (4, 2, 2), (4, 0, 2), (8, 2, 1), (8, 2, 2), (9, 3, 1),
+        (7, 2, 1), (7, 3, 0), (7, 0, 2), (13, 2, 1), (13, 3, 0), (19, 2, 1),
+        (25, 2, 1), (25, 0, 2),
+    ],
 )
 def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
     # With thresholds no pair misses, a block's orbits are all its coprime
     # fractions, whatever the members: the orbit sizes add up to the
     # (q-1) q^(s2+t2) fractions with monic g, less the q^(s2+t2-1) monic
-    # pairs with a common factor when both degrees are positive.  When p
-    # divides t2 a shift cannot change g's x^(t2-1) coefficient, so only a
-    # whole block reaches them all.  Every m passes these thresholds, so
-    # each row must carry its own orbit's m and pole flag, checked against
-    # `value_count` on sampled rows.
+    # pairs with a common factor when both degrees are positive.  The grid
+    # has p | s2 (q = 8, 9), p dividing both degrees (q = 4; q = 8, block
+    # (2, 2)), gcd(D - j, q - 1) > 1 (q = 7, 13, 19, 25), and numerators
+    # x^s2 in every block.  Every m passes these thresholds, so each row
+    # must carry its own orbit's m and pole flag, checked against
+    # `value_count` on sampled rows.  The table must not change when every
+    # monic pair is scanned (`_monic_rows` unreduced: the rectangles then
+    # hold every pair, some more than once), nor when tiles of 4q cells
+    # split both ranges of every rectangle.
     F = field_for_order(q)
     rng = np.random.default_rng(q + s2 + t2)
     pairs = q ** (s2 + t2) - (q ** (s2 + t2 - 1) if s2 and t2 else 0)
@@ -339,31 +382,51 @@ def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
         return block
 
     reduced = orbit_table()
+    with monkeypatch.context() as patch:
+        patch.setattr(sfp, "_CELL_BUDGET", 4 * q)
+        tiled = orbit_table()
     monic_rows = sfp._monic_rows
     monkeypatch.setattr(
         sfp, "_monic_rows", lambda field, deg, free: monic_rows(field, deg, deg)
     )
     whole = orbit_table()
-    for got, want in zip(reduced[2:], whole[2:]):
+    for got, tiles, want in zip(reduced[2:], tiled[2:], whole[2:]):
         assert np.array_equal(got, want)
+        assert np.array_equal(tiles, want)
 
 
 @pytest.mark.parametrize(
-    "q, s2, t2", [(4, 2, 0), (4, 2, 2), (8, 2, 1), (8, 4, 0), (9, 3, 0), (9, 3, 1), (27, 3, 0)]
+    "q, s2, t2",
+    [
+        (4, 2, 0), (4, 2, 2), (8, 2, 1), (8, 4, 0), (9, 3, 0), (9, 3, 1), (27, 3, 0),
+        (4, 0, 2), (8, 2, 2), (7, 2, 1), (7, 0, 3), (13, 3, 1), (19, 2, 2), (25, 2, 1),
+    ],
 )
 def test_block_sizes_match_orbit(q, s2, t2):
-    # Each table row's size is q(q-1)/|Stab|; check it against the orbit
-    # itself on random rows and on the smallest orbits.  p | s2 lets a
-    # nonzero shift fix f, as x^2 + x fixed by x -> x + 1 in characteristic 2.
+    # Each table row's size is (q-1) q(q-1)/|Stab|; check it against the
+    # orbit under a f(cx+b)/g(cx+b) itself on random rows and on the
+    # smallest orbits.  p | s2 lets a nonzero shift fix f, as x^2 + x fixed
+    # by x -> x + 1 in characteristic 2; when p divides both degrees some
+    # sampled row must have such a stabilizer, so that the sizes cover it.
+    from paforge.fracpoly import transform
+
     F = field_for_order(q)
     block = sfp._scan_block(F, s2, t2, q, q, 1)
     rng = np.random.default_rng(q + s2 + t2)
     sample = np.concatenate([rng.choice(len(block.rows), 5), np.argsort(block.size)[:5]])
+    fixed_by_a_shift = False
     for i in sample:
         den, num = block.rows[i, : t2 + 1].tolist(), block.rows[i, t2 + 1 :].tolist()
-        assert block.size[i] == len(orbit(make(Poly.of(F, num), Poly.of(F, den))))
+        phi = make(Poly.of(F, num), Poly.of(F, den))
+        assert block.size[i] == len(orbit(phi))
+        if s2 % F.p == 0 and t2 % F.p == 0:
+            images = [transform(phi, 1, b, c) for b in range(1, q) for c in range(1, q)]
+            fixed_by_a_shift |= any(
+                img.den == phi.den and img.num.scale(F.inv(img.num.coeffs[-1])) == phi.num
+                for img in images
+            )
     if s2 % F.p == 0 and t2 % F.p == 0:
-        assert block.size[sample].min() < q * (q - 1)
+        assert fixed_by_a_shift
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -396,37 +459,42 @@ def test_membership_monotone_in_budgets():
 
 
 def test_membership_invariant_under_transform():
-    # Exhaustive at q = 5: every fraction with degrees <= 2, every (alpha,
-    # beta), every admissible budget in both variants.
+    # Exhaustive at q = 5 and q = 4: every fraction with degrees <= 2, every
+    # map a f(cx+b)/g(cx+b), every admissible budget in both variants.  The
+    # fractions are closed under the maps, so each image's flags are read
+    # from its own `value_count`, computed once per fraction.
     from paforge.fracpoly import transform
 
-    field = F5
-    fractions = set()
-    for fc in itertools.product(range(5), repeat=3):
-        f = Poly.of(field, fc)
-        if f.is_zero():
-            continue
-        for d in range(3):
-            for tail in itertools.product(range(5), repeat=d):
-                phi = make(f, Poly.of(field, tail + (1,)))
-                fractions.add(phi)
-    queries = []
-    for s in range(0, 4):
-        for t in range(0, 4 - s):
-            queries.append(SfpQuery(field, Variant.Q, s, t))
-            for a, b in OFFSET_CHOICES:
-                try:
-                    queries.append(SfpQuery(field, Variant.Q_PLUS_1, s, t, a, b))
-                except ValueError:
-                    pass
-    for phi in fractions:
-        prof = value_count(phi)
-        flags = [is_member(phi, query, prof) for query in queries]
-        for alpha in range(1, 5):
-            for beta in range(5):
-                img = transform(phi, alpha, beta)
-                img_prof = value_count(img)
-                assert [is_member(img, query, img_prof) for query in queries] == flags
+    for q in (5, 4):
+        field = field_for_order(q)
+        fractions = set()
+        for fc in itertools.product(range(q), repeat=3):
+            f = Poly.of(field, fc)
+            if f.is_zero():
+                continue
+            for d in range(3):
+                for tail in itertools.product(range(q), repeat=d):
+                    phi = make(f, Poly.of(field, tail + (1,)))
+                    fractions.add(phi)
+        queries = []
+        for s in range(0, q - 1):
+            for t in range(0, q - 1 - s):
+                queries.append(SfpQuery(field, Variant.Q, s, t))
+                for a, b in OFFSET_CHOICES:
+                    try:
+                        queries.append(SfpQuery(field, Variant.Q_PLUS_1, s, t, a, b))
+                    except ValueError:
+                        pass
+        flags = {}
+        for phi in fractions:
+            prof = value_count(phi)
+            flags[phi] = [is_member(phi, query, prof) for query in queries]
+        for phi in fractions:
+            for beta in range(q):
+                shifted = transform(phi, 1, beta)
+                for alpha in range(1, q):
+                    for gamma in range(1, q):
+                        assert flags[transform(shifted, alpha, 0, gamma)] == flags[phi]
 
 
 def test_inequality_lemma_exhaustive():
@@ -517,6 +585,36 @@ def test_large_field_counts_by_orbit_size(q):
         tracemalloc.stop()
     assert (bc.query.s, bc.query.t, bc.count) == (1, 0, q * (q - 1))
     assert peak < 64 << 20
+
+
+Q_LARGE = 32749
+
+
+@pytest.mark.parametrize(
+    "s2, t2, sizes",
+    [
+        (0, 0, [Q_LARGE - 1]),  # the constants
+        (0, 1, [Q_LARGE * (Q_LARGE - 1)]),  # a/(x + b)
+        (2, 0, [Q_LARGE * (Q_LARGE - 1)] + [(Q_LARGE - 1) ** 2 * Q_LARGE // 2] * 2),
+    ],
+)
+def test_large_field_blocks_key_without_brute_force(s2, t2, sizes):
+    # At q = 32749 a brute force over the q(q-1) images of one row would
+    # hold gigabytes.  Block (0, 0) keys 1/1 over q shifts that each count
+    # all q - 1 scales without building them; block (0, 1) keys 1/x through
+    # its one pinned shift; block (2, 0) keys x^2, x^2 + 1 and x^2 + w (w
+    # primitive) through at most gcd(2, q - 1) = 2 scales each, and x^2 + 1
+    # and x^2 + w are fixed by x -> -x.
+    F = field_for_order(Q_LARGE)
+    tracemalloc.start()
+    try:
+        block = sfp._scan_block(F, s2, t2, Q_LARGE, Q_LARGE, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert block.size.tolist() == sizes
+    assert sum(sizes) == (Q_LARGE - 1) * Q_LARGE ** (s2 + t2)
 
 
 def test_grid_queries_and_tie_break():
