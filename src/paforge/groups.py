@@ -33,6 +33,7 @@ import numpy as np
 
 from .field import field_for_order
 from .pa import (
+    _BLOCK_CELLS,
     MAX_DEGREE,
     PermArray,
     Permutation,
@@ -43,9 +44,10 @@ from .pa import (
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
 #: Most rows x points cells that one emit holds.  Measured peaks: an `sfp`
-#: emit takes about 8 bytes a cell (q = 509, k = 1: 131.6M cells, 1.05 GB),
-#: a group emit about 4 (sym(10): 36.3M cells, 170 MB).  The cap admits the
-#: M23 array of the published bounds (234.6M cells).
+#: emit takes about 6 bytes a cell (q = 509, k = 1: 131.6M cells, 797 MB),
+#: a group emit about 2 (sym(10): 36.3M cells, 75 MB, 31 MB of it the
+#: import).  The cap admits the M23 array of the published bounds (234.6M
+#: cells).
 EMIT_CELL_CAP = 1 << 28
 
 #: Most steps, and most walk cells (steps times degree), of one segment of
@@ -203,6 +205,16 @@ class StabilizerChain:
         p = np.asarray(p, dtype=self._identity.dtype)
         return self.sift(p).tobytes() == self._identity_bytes
 
+    def transversal_product(self, start: int, stop: Optional[int] = None) -> np.ndarray:
+        """Every product u_start[u_(start+1)[...]] of one coset representative
+        per level of base[start:stop], as rows, the deepest level varying
+        fastest: one element of each coset of the pointwise stabilizer of
+        base[:stop] in that of base[:start]."""
+        block = self._identity[None, :]
+        for orbit in reversed(self.orbits[start:stop]):
+            block = np.concatenate([u[block] for u, _ in orbit.values()], axis=0)
+        return block
+
     def element_chunks(self, depth: int = 0) -> Iterator[np.ndarray]:
         """Every element of the pointwise stabilizer of base[:depth] exactly
         once, as arrays of image rows.
@@ -218,9 +230,7 @@ class StabilizerChain:
         while split > 0 and inner * len(transversals[split - 1]) <= _CHUNK_ROWS:
             split -= 1
             inner *= len(transversals[split])
-        block = self._identity[None, :]
-        for us in reversed(transversals[split:]):
-            block = np.concatenate([u[block] for u in us], axis=0)
+        block = self.transversal_product(depth + split)
         for combo in itertools.product(*transversals[:split]):
             u = self._identity
             for v in combo:
@@ -357,22 +367,89 @@ def _walk_segment(
     return prefix[-1][local[-1, -1]], least
 
 
+def _lex_stages(chain: StabilizerChain) -> list[tuple[int, int, np.ndarray]]:
+    """The stages (start, stop, key points) of `group_to_pa`'s listing: a
+    stage ends at the first level stop after which every point moved by
+    the stabilizer of base[:stop] lies past b, the largest of
+    base[start:stop], or at the last level; its key points are those up to
+    b that the stabilizer of base[:start] moves."""
+    moved = [
+        np.flatnonzero((np.stack(gens) != chain._identity).any(axis=0)) for gens in chain.gens
+    ]
+    stages: list[tuple[int, int, np.ndarray]] = []
+    start = 0
+    while start < len(chain.base):
+        stop = start + 1
+        while stop < len(chain.base) and max(chain.base[start:stop]) > moved[stop][0]:
+            stop += 1
+        top = max(chain.base[start:stop])
+        stages.append((start, stop, moved[start][moved[start] <= top]))
+        start = stop
+    return stages
+
+
+def _lex_fill(
+    stages: list[tuple[np.ndarray, np.ndarray]], prefixes: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill out with the products p[q_1[q_2[...]]] of each of the ordered
+    prefixes p with one transversal product q_i per stage, in lexicographic
+    order.  A block of prefixes at a time, bounded in cells, each prefix's
+    products with the first stage's are sorted by that stage's key points,
+    then passed on to the next stage or, at the last, gathered into out."""
+    if not stages:
+        out[...] = prefixes
+        return
+    (products, keys), rest = stages[0], stages[1:]
+    n, per = products.shape[1], len(out) // len(prefixes)
+    step = max(1, _BLOCK_CELLS // products.size)
+    for lo in range(0, len(prefixes), step):
+        block = prefixes[lo : lo + step]
+        order = np.lexsort(np.moveaxis(block[:, products[:, keys[::-1]]], 2, 0), axis=-1)
+        order += np.arange(0, order.size, len(products))[:, None]
+        children = block[:, products].reshape(-1, n)
+        chunk = out[lo * per : (lo + len(block)) * per]
+        if rest:
+            _lex_fill(rest, children[order.ravel()], chunk)
+        else:  # indices in range; mode="raise" would buffer the output
+            np.take(children, order.ravel(), axis=0, out=chunk, mode="clip")
+
+
 def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArray:
     """Materialize the group as a permutation array with distance = minimal
     degree (computed exactly when not supplied or not exact).
 
-    Rows are the chain's elements in lexicographic order.  More rows or
-    cells than `check_row_cap` admits are refused before any row is built.
+    Rows are the chain's elements in lexicographic order, listed stage by
+    stage into one row buffer, with no sort of the whole list.  Let G_i fix
+    base[:i] pointwise.  A stage is a run of levels start..stop
+    (`_lex_stages`); every element reads p[q[k]], with p a product of coset
+    representatives of the levels before the stage, q one of the stage's
+    levels (`transversal_product`) and k in G_stop.  At every point that
+    G_start fixes the element reads p, and at every point that G_stop fixes
+    it reads p[q].  The stage ends at the first stop where every point that
+    G_stop moves lies past b, the stage's largest base point, or at the
+    last level.  Two distinct q lie in distinct cosets of G_stop, so they
+    differ at a base point of the stage; two elements of one coset
+    p G_start with distinct q therefore first differ at a point up to b
+    that G_start moves and G_stop fixes, where they read p[q].  So sorting
+    each prefix's products p[q] by those key points and expanding them in
+    that order, stage after stage, lists the rows in lexicographic order;
+    at the last stage k is the identity.
+
+    More rows or cells than `check_row_cap` admits are refused before any
+    row is built.
     """
-    check_row_cap(group_order(group), group.degree)
+    chain = group.chain
+    check_row_cap(chain.order(), group.degree)
     if facts is None or not facts.exact:
         facts = minimal_degree(group, mode="exact")
-    rows = np.concatenate(list(group.chain.element_chunks()))
-    # Two elements that agree on every base point are equal, so the columns
-    # past the last base point never break a tie.
-    keys = rows[:, : max(group.chain.base, default=0) + 1]
+    stages = [
+        (chain.transversal_product(start, stop), keys)
+        for start, stop, keys in _lex_stages(chain)
+    ]
+    rows = np.empty((chain.order(), group.degree), row_dtype(group.degree))
+    _lex_fill(stages, chain._identity[None, :], rows)
     return PermArray(
-        rows[np.lexsort(keys.T[::-1])],
+        rows,
         claimed_distance=facts.minimal_degree,
         provenance=f"group:{group.name or 'anonymous'}",
     )

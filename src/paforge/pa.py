@@ -54,13 +54,15 @@ def row_dtype(n: int) -> type:
 
 
 def _narrowed(rows: np.ndarray, n: int) -> np.ndarray:
-    """A C-ordered copy of rows as row_dtype(n), checked first to be rows of
-    n integers in [0, n): narrowing first would wrap 256 to 0."""
+    """rows as C-ordered row_dtype(n), checked first to be rows of n
+    integers in [0, n): narrowing first would wrap 256 to 0.  Rows that
+    already have that dtype and layout are returned as they are; any other
+    input is copied."""
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"rows of shape {rows.shape}, expected length {n}")
     if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"points must be integers in [0, {n})")
-    return rows.astype(row_dtype(n), order="C")
+    return np.asarray(rows, dtype=row_dtype(n), order="C")
 
 
 def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
@@ -70,9 +72,9 @@ def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
     return sum(1 for a, b in zip(p, r) if a != b)
 
 
-# Rows per block of the row checks and of the text writer; bounds their
-# scratch memory.
-_BLOCK_ROWS = 1 << 14
+# Cells (rows x points) per block of the row checks and of the text writer;
+# bounds their scratch memory at any degree.
+_BLOCK_CELLS = 1 << 18
 
 
 def _all_permutations(arr: np.ndarray) -> bool:
@@ -80,10 +82,11 @@ def _all_permutations(arr: np.ndarray) -> bool:
     once: row i of a block marks cell i*n + x for each entry x, and n marks
     per row cover all n cells of the row only when no point repeats."""
     m, n = arr.shape
-    offsets = np.arange(0, min(m, _BLOCK_ROWS) * n, n)[:, None]
+    step = max(1, _BLOCK_CELLS // n)
+    offsets = np.arange(0, min(m, step) * n, n)[:, None]
     seen = np.empty(offsets.size * n, dtype=bool)
-    for start in range(0, m, _BLOCK_ROWS):
-        block = arr[start:start + _BLOCK_ROWS]
+    for start in range(0, m, step):
+        block = arr[start:start + step]
         cells = seen[: block.size]
         cells[:] = False
         cells[(block + offsets[: len(block)]).ravel()] = True
@@ -105,11 +108,12 @@ def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
     if m < 2 or not arr.shape[1]:
         return None, np.arange(m) < 1
     rises = np.ones(m, dtype=bool)
+    step = max(1, _BLOCK_CELLS // arr.shape[1])
     order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else np.lexsort(arr.T[::-1])
     while True:
         srt = arr if order is None else arr[order]
-        for start in range(0, m - 1, _BLOCK_ROWS):
-            later = srt[start + 1 : start + 1 + _BLOCK_ROWS]
+        for start in range(0, m - 1, step):
+            later = srt[start + 1 : start + 1 + step]
             rows = np.arange(len(later))
             first = (later != srt[start : start + len(later)]).argmax(axis=1)
             above, below = later[rows, first], srt[start + rows, first]
@@ -125,10 +129,13 @@ class PermArray:
     """A set of permutations of n points with a claimed minimum distance.
 
     Point n-1 encodes the extra symbol of length-(q+1) constructions when
-    `infinity` is set; rows are stored as a dense integer matrix and are
-    required to be pairwise distinct.  `_order` keeps the lexicographic
-    order that the distinctness check found (None: the rows are in order),
-    the row index that FULL verification searches.
+    `infinity` is set; rows are stored as a dense row_dtype(n) matrix and
+    are required to be pairwise distinct.  An input that already has that
+    dtype in C order is kept, not copied: `rows` is a read-only view of it,
+    so the caller's array stays writable and must not be written after.
+    Any other input is checked and copied.  `_order` keeps the
+    lexicographic order that the distinctness check found (None: the rows
+    are in order), the row index that FULL verification searches.
     """
 
     def __init__(
@@ -142,7 +149,7 @@ class PermArray:
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
         n = arr.shape[1]
-        arr = _narrowed(arr, n)
+        arr = _narrowed(arr, n).view()
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
@@ -360,7 +367,7 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     shared = np.append(prefix[1:] == prefix[:-1], False)
     keys = _sorted_keys(srt) if shared.any() else None
     # A small first block rejects most failing candidates at once.
-    starts = [0, *range(min(_TILE_ROWS, M), M, _BLOCK_ROWS), M]
+    starts = [0, *range(min(_TILE_ROWS, M), M, max(1, _BLOCK_CELLS // pa.n)), M]
     maps, label = [], np.arange(M)
     for image_of in _candidate_isometries(pa):
         if not label.any():  # one orbit: no further map can change it
@@ -543,8 +550,9 @@ def _text_pieces(pa: PermArray) -> Iterator[bytes]:
     width = f"S{np.dtype(word).itemsize}"
     spaced = np.array([b"%d " % v for v in range(n)], dtype=width).view(word)
     ended = np.array([b"%d\n" % v for v in range(n)], dtype=width).view(word)
-    for lo in range(0, pa.M, _BLOCK_ROWS):
-        block = pa.rows[lo : lo + _BLOCK_ROWS]
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, pa.M, step):
+        block = pa.rows[lo : lo + step]
         tokens = spaced[block]
         tokens[:, -1] = ended[block[:, -1]]
         yield tokens.tobytes().translate(None, b"\0")
@@ -612,21 +620,48 @@ def _text_blocks(data: bytes, start: int) -> Iterator[np.ndarray]:
             yield np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2, comments=None)
 
 
+def _text_rows(data: bytes, start: int, n: int, m: int) -> np.ndarray:
+    """The m rows of the body data[start:] in one row_dtype(n) buffer, each
+    parsed block checked and narrowed into its slice.
+
+    A row takes at least 2n bytes (n points of one digit or more, each
+    followed by a space or a line end; the last line end may be missing),
+    so a header M that the body cannot hold is refused before the buffer
+    is allocated, and a row past the m-th as soon as its block is read."""
+    most = (len(data) - start + 1) // max(2 * n, 1)
+    if not 0 <= m <= most:
+        raise ValueError(f"header says {m} rows, the body holds at most {most}")
+    rows = np.empty((m, n), row_dtype(n))
+    filled = 0
+    for block in _text_blocks(data, start):
+        block = _narrowed(block, n)
+        if filled + len(block) > m:
+            raise ValueError(f"a row past the header's M={m}")
+        rows[filled : filled + len(block)] = block
+        filled += len(block)
+    if filled != m:
+        raise ValueError(f"{filled} rows, header says {m}")
+    return rows
+
+
 def read_pa(path: Union[str, Path]) -> PermArray:
     """Parse either the text format or its JSON mirror.
 
     Text is read as bytes: the header line is decoded, and the body is
-    parsed in blocks of about _READ_BLOCK_BYTES straight into the row dtype,
-    so the int64 parse of one block is the only wide copy of any row.
-    Lines end with \\n, \\r\\n or \\r; blank lines are skipped."""
+    parsed in blocks of about _READ_BLOCK_BYTES straight into one row_dtype
+    buffer that the array keeps (`_text_rows`), so the int64 parse of one
+    block is the only other copy of any row.  Lines end with \\n, \\r\\n
+    or \\r; blank lines are skipped."""
     data = Path(path).read_bytes()
     if data.lstrip().startswith(b"{"):
         payload = json.loads(data.decode("utf-8"))
         n, m, d = payload["n"], payload["M"], payload["d"]
         if not all(type(v) is int for v in (n, m, d)):
             raise ValueError("n, M and d must be integers")
-        blocks = [np.asarray(payload["rows"] or np.empty((0, n), np.int64))]
         inf, provenance = payload.get("inf"), payload.get("provenance", "")
+        rows = _narrowed(np.asarray(payload["rows"] or np.empty((0, n), np.int64)), n)
+        if len(rows) != m:
+            raise ValueError(f"{len(rows)} rows, header says {m}")
     else:
         if not data:
             raise ValueError("empty PA file")
@@ -634,12 +669,9 @@ def read_pa(path: Union[str, Path]) -> PermArray:
         end = cut.start() if cut else len(data)
         head = _parse_header(data[:end].decode("utf-8"))
         n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
-        blocks = _text_blocks(data, end + 1)
         inf = None if head["inf"] == "none" else head["inf"]
         provenance = head["provenance"]
+        rows = _text_rows(data, end + 1, n, m)
     if inf is not None and str(inf) != str(n - 1):
         raise ValueError(f"unsupported infinity point {inf}")
-    rows = np.concatenate([np.empty((0, n), row_dtype(n)), *(_narrowed(b, n) for b in blocks)])
-    if len(rows) != m:
-        raise ValueError(f"{len(rows)} rows, header says {m}")
     return PermArray(rows, d, provenance=provenance, infinity=inf is not None)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fracpoly import FracPoly
-from .pa import PermArray, Permutation
+from .pa import PermArray, Permutation, _narrowed, row_dtype
 from .sfp import _CELL_BUDGET, SfpQuery, SfpResult, Variant, enumerate_fast
 
 
@@ -37,13 +37,15 @@ def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
 
 
 def _complete_rows(q: int, n: int, vals: np.ndarray) -> np.ndarray:
-    """`_complete` on every row of an (N, q) value array, in blocks of rows
-    that fit one scan buffer of cells, so that besides the result nothing
-    larger than a block is held and each block's columns stay in cache."""
-    images = np.empty((len(vals), n), dtype=np.int16)
+    """`_complete` on every row of an (N, q) value array, as row_dtype(n)
+    rows, in blocks of rows that fit one scan buffer of cells, so that
+    besides the result nothing larger than a block is held and each block's
+    columns stay in cache.  Each block is range-checked before the narrowing
+    cast (`_narrowed`): a hole left at -1 must not wrap to a valid point."""
+    images = np.empty((len(vals), n), dtype=row_dtype(n))
     step = max(1, _CELL_BUDGET // q)
     for lo in range(0, len(vals), step):
-        images[lo : lo + step] = _complete_block(q, n, vals[lo : lo + step])
+        images[lo : lo + step] = _narrowed(_complete_block(q, n, vals[lo : lo + step]), n)
     return images
 
 

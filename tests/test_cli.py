@@ -183,6 +183,7 @@ HEAD3 = "PA n=3 M={m} d=2 inf=none provenance=x\n"
     [
         HEAD3.format(m=2) + "0 1 2\n",  # fewer rows than the header's M
         HEAD3.format(m=1) + "0 1 2\n1 2 0\n",  # more rows than M
+        HEAD3.format(m=10**15) + "0 1 2\n1 2 0\n",  # an M the body cannot hold
         HEAD3.format(m=2) + "0 1 2 3\n1 2 0 3\n",  # every row longer than n
         HEAD3.format(m=2) + "0 1 2\n1 2\n",  # ragged rows
         HEAD3.format(m=2) + "0 1 2\n1 x 0\n",  # non-integer token

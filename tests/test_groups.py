@@ -17,6 +17,7 @@ from paforge import groups as groups_module
 from paforge.groups import (
     PermGroup,
     StabilizerChain,
+    _lex_stages,
     _scan_depth,
     group_order,
     group_to_pa,
@@ -81,11 +82,13 @@ def test_agl1_closure_size():
 
 
 def test_closure_cap(monkeypatch):
-    # sym(11) has order 39916800 > 2**24: refused before any row is listed.
+    # sym(11) has order 39916800 > 2**24: refused before any row is listed,
+    # by the chunks of the scan or by the products of the ordered listing.
     def no_listing(*args, **kwargs):
         raise AssertionError("rows were materialized")
 
     monkeypatch.setattr(StabilizerChain, "element_chunks", no_listing)
+    monkeypatch.setattr(StabilizerChain, "transversal_product", no_listing)
     with pytest.raises(ValueError, match="row cap"):
         group_to_pa(make_named("sym", m=11))
 
@@ -106,6 +109,10 @@ def test_group_to_pa_rows_match_closure():
 # Base [3, 5, 1]: points 6 and 7 lie past the last base point.
 SPREAD_BASE = "0 1 2 4 3 5 6 7\n0 1 2 3 4 6 7 5\n0 2 1 3 4 5 6 7\n"
 
+# Sym{3, 5, 6, 8} x Sym{1, 2}, base [5, 1, 3, 6]: the stabilizer of 5 still
+# moves 1, 2 and 3, so the listing's first stage takes three levels.
+LATE_BASE = "0 1 2 3 4 6 8 7 5\n0 1 2 5 4 3 6 7 8\n0 2 1 3 4 5 6 7 8\n"
+
 
 @pytest.mark.parametrize(
     "make",
@@ -116,10 +123,13 @@ SPREAD_BASE = "0 1 2 4 3 5 6 7\n0 1 2 3 4 6 7 5\n0 2 1 3 4 5 6 7\n"
         lambda: make_named("sym", m=5),
         lambda: make_named("sym_pairs", m=5),
         lambda: parse_generator_text(SPREAD_BASE),
+        lambda: parse_generator_text(LATE_BASE),
+        lambda: make_named("mathieu22"),
     ],
-    ids=["agl1", "pgl2", "agl", "sym", "sym_pairs", "spread_base"],
+    ids=["agl1", "pgl2", "agl", "sym", "sym_pairs", "spread_base", "late_base", "mathieu22"],
 )
 def test_group_to_pa_sorts_by_base_columns_as_by_all(make):
+    # Oracle: the chain's elements, lexsorted over every column.
     grp = make()
     rows = np.concatenate(list(grp.chain.element_chunks()))
     assert np.array_equal(group_to_pa(grp).rows, rows[np.lexsort(rows.T[::-1])])
@@ -128,6 +138,46 @@ def test_group_to_pa_sorts_by_base_columns_as_by_all(make):
 def test_spread_base_leaves_columns_past_it():
     grp = parse_generator_text(SPREAD_BASE)
     assert grp.chain.base == [3, 5, 1] and group_order(grp) == 12
+
+
+def test_late_base_merges_listing_stages():
+    grp = parse_generator_text(LATE_BASE)
+    assert grp.chain.base == [5, 1, 3, 6] and group_order(grp) == 48
+    stages = [(start, stop, keys.tolist()) for start, stop, keys in _lex_stages(grp.chain)]
+    assert stages == [(0, 3, [1, 2, 3, 5]), (3, 4, [6])]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ordered_listing_matches_lexsort_on_random_groups(seed):
+    # Generators permute random subsets of 10 points, so bases start late,
+    # skip points and leave moved points below fixed ones.
+    rng = random.Random(seed)
+    n, order = 10, 1
+    while not 1 < order <= 50_000:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(2, 6))
+            g = list(range(n))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                g[a] = b
+            gens.append(tuple(g))
+        grp = PermGroup(n, tuple(gens))
+        order = group_order(grp)
+    rows = np.concatenate(list(grp.chain.element_chunks()))
+    assert np.array_equal(group_to_pa(grp).rows, rows[np.lexsort(rows.T[::-1])])
+
+
+def test_mathieu22_listing_peaks_under_2_bytes_a_cell():
+    # One row buffer and blocks of scratch; the concatenate-lexsort-copy
+    # listing peaked at 3.36 bytes a cell.
+    grp = make_named("mathieu22")
+    tracemalloc.start()
+    try:
+        pa = group_to_pa(grp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pa.M == 443520 and peak <= 2 * pa.rows.size, peak / pa.rows.size
 
 
 def test_group_order_s4():

@@ -162,11 +162,11 @@ def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
     monkeypatch.setattr(pa_module, "_candidate_isometries", lambda pa: [_column_shift])
     full = PermArray(rows, 2)
     assert len(pa_module._orbit_representatives(full)) == 4
-    # The check reads a first block of _TILE_ROWS rows, then _BLOCK_ROWS
-    # at a time.
-    for first, block in ((pa_module._TILE_ROWS, pa_module._BLOCK_ROWS), (4, 8)):
+    # The check reads a first block of _TILE_ROWS rows, then blocks of
+    # _BLOCK_CELLS cells (8 rows of n points in the second round).
+    for first, cells in ((pa_module._TILE_ROWS, pa_module._BLOCK_CELLS), (4, 8 * n)):
         monkeypatch.setattr(pa_module, "_TILE_ROWS", first)
-        monkeypatch.setattr(pa_module, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(pa_module, "_BLOCK_CELLS", cells)
         for gone in (0, 17, len(rows) - 1):
             kept = rows[:gone] + rows[gone + 1 :]
             pa = PermArray(kept, 2)

@@ -171,6 +171,54 @@ def test_duplicate_rows_rejected():
         PermArray(cols, claimed_distance=1)
 
 
+@pytest.mark.parametrize("n, dtype", [(4, np.uint8), (300, np.uint16)])
+def test_row_dtype_input_is_kept_read_only_without_a_copy(n, dtype):
+    rows = np.ascontiguousarray(distinct_rows(n, 24, seed=n), dtype=dtype)
+    pa = PermArray(rows, claimed_distance=2)
+    assert np.shares_memory(pa.rows, rows)
+    assert not pa.rows.flags.writeable and rows.flags.writeable
+    # Other dtypes, a column-major layout and a strided view are copied
+    # into C-ordered row_dtype(n) rows.
+    copied = (rows.astype(np.int64), rows.astype(np.uint32), np.asfortranarray(rows), rows[::2])
+    for other in copied:
+        pa = PermArray(other, claimed_distance=2)
+        assert not np.shares_memory(pa.rows, other)
+        assert pa.rows.dtype == dtype and pa.rows.flags.c_contiguous
+        assert np.array_equal(pa.rows, other) and other.flags.writeable
+
+
+def traced_peak(call):
+    """call's result and the traced peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checks_writer_and_reader_bounded_in_cells_at_a_wide_degree(tmp_path):
+    # 1000 sorted rows of 20000 points, 38 MiB of uint16.  Blocks of 2^14
+    # rows took the whole array at once: the constructor peaked at 210 MiB,
+    # the writer at 458 MiB and the reader at 352 MiB (traced).
+    n, m = 20000, 1000
+    rng = np.random.default_rng(7)
+    rows = np.empty((m, n), np.uint16)
+    for row in rows:
+        row[:] = rng.permutation(n)
+    rows = rows[np.lexsort(rows.T[1::-1])]
+    path = tmp_path / "wide.txt"
+    pa, built = traced_peak(lambda: PermArray(rows, claimed_distance=2))
+    _, written = traced_peak(lambda: write_pa(pa, path))
+    back, read = traced_peak(lambda: read_pa(path))
+    text = path.stat().st_size
+    path.unlink()
+    assert np.array_equal(back.rows, rows)
+    # The constructor and the writer hold blocks of cells besides the rows;
+    # the reader holds the file's bytes, its one row buffer and a block.
+    assert built < rows.nbytes / 4 and written < rows.nbytes / 4, (built, written)
+    assert read < text + 1.25 * rows.nbytes, (read, text)
+
+
 def test_row_dtype_refuses_degrees_past_the_limit():
     assert pa_module.row_dtype(256) is np.uint8
     assert pa_module.row_dtype(MAX_DEGREE) is np.uint16
@@ -185,15 +233,16 @@ def test_nonpermutation_rejected():
 
 def block_spanning_rows(n):
     """2^15 + 5 distinct permutations of n >= 8 points: the first 8 points
-    permuted, the rest fixed.  They span two whole check blocks of 2^14
-    rows and part of a third."""
+    permuted, the rest fixed.  With check blocks of 2^14 rows (2^14 * n
+    cells) they span two whole blocks and part of a third."""
     head = np.array(list(itertools.islice(itertools.permutations(range(8)), 2**15 + 5)))
     tail = np.broadcast_to(np.arange(8, n), (len(head), n - 8))
     return np.concatenate([head, tail], axis=1)
 
 
 @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (300, np.uint16)])
-def test_bad_rows_rejected_past_the_first_block(n, dtype):
+def test_bad_rows_rejected_past_the_first_block(n, dtype, monkeypatch):
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * n)
     rows = block_spanning_rows(n)
     assert PermArray(rows, claimed_distance=2).rows.dtype == dtype
     for index in (2**14, 2**15 - 1, len(rows) - 1):
@@ -209,6 +258,7 @@ def test_bad_rows_rejected_past_the_first_block(n, dtype):
 
 @pytest.mark.parametrize("n", [8, 300])
 def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * n)
     rows = block_spanning_rows(n)  # lexicographically sorted
     lexsort_calls = []
     lexsort = np.lexsort
@@ -399,10 +449,12 @@ def test_non_group_rows_fail_the_closure_check():
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16])
 @pytest.mark.parametrize("m", [0, 1, 2, 2**14, 2**14 + 1])
 @pytest.mark.parametrize("presorted", [False, True])
-def test_row_order_matches_first_occurrences(dtype, m, presorted):
+def test_row_order_matches_first_occurrences(dtype, m, presorted, monkeypatch):
     # Oracle: a dict of each row's first index.  Entries are the dtype's
     # extremes and a few random values, so rows repeat and tie over leading
-    # columns; one repeat is planted at the far end.
+    # columns; one repeat is planted at the far end.  Blocks of 2^14 rows:
+    # m = 2^14 + 1 spans two.
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * 4)
     info = np.iinfo(dtype)
     rng = np.random.default_rng(m)
     extremes = [info.min, info.min + 1, info.max]
@@ -492,7 +544,8 @@ def distinct_rows(n, m, seed):
     return rng.permutation(n)[rows][:, rng.permutation(n)]
 
 
-_B = pa_module._BLOCK_ROWS
+# Rows per writer block in the test below: m = _B + 1 spans two blocks.
+_B = 1 << 14
 
 
 @pytest.mark.parametrize(
@@ -504,7 +557,8 @@ _B = pa_module._BLOCK_ROWS
         if m <= math.factorial(n)
     ],
 )
-def test_writer_matches_row_by_row_formatter(tmp_path, n, m):
+def test_writer_matches_row_by_row_formatter(tmp_path, monkeypatch, n, m):
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", _B * n)
     rows = distinct_rows(n, m, seed=n + m)
     body = reference_body(rows)
     for infinity in (False, True):
@@ -621,6 +675,32 @@ def test_block_reader_rejects_rows_in_later_blocks(
     path = tmp_path / "bad.txt"
     path.write_text("PA n=3 M=3 d=2 inf=none provenance=x\n" + body)
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_pa(path)
+
+
+@pytest.mark.parametrize("m", [3, 10**15, -1])
+def test_header_rows_the_body_cannot_hold_are_refused_unallocated(tmp_path, monkeypatch, m):
+    # A row of n points takes at least 2n bytes, less the last line end:
+    # this 11-byte body holds two rows of 3 points and no more.
+    path = tmp_path / "short.txt"
+    body = "0 1 2\n1 2 0"
+    path.write_text(f"PA n=3 M=2 d=2 inf=none provenance=x\n{body}")
+    assert read_pa(path).M == 2
+    path.write_text(f"PA n=3 M={m} d=2 inf=none provenance=x\n{body}")
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("a row buffer was allocated")
+
+    monkeypatch.setattr(pa_module.np, "empty", no_buffer)
+    with pytest.raises(ValueError, match=f"header says {m} rows, the body holds at most 2"):
+        read_pa(path)
+
+
+def test_surplus_row_refused_before_later_blocks_are_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", 1)  # one line a block
+    path = tmp_path / "long.txt"
+    path.write_text("PA n=3 M=2 d=2 inf=none provenance=x\n0 1 2\n1 2 0\n2 0 1\nnot a row\n")
+    with pytest.raises(ValueError, match="a row past the header's M=2"):
         read_pa(path)
 
 

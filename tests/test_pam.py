@@ -141,6 +141,28 @@ def test_bulk_completion_matches_scalar_reference(q, monkeypatch):
             assert pam._complete_rows(q, n, vals).tolist() == want
 
 
+@pytest.mark.parametrize("q, n", [(256, 256), (255, 256), (256, 257)])
+def test_completion_range_checks_each_block_before_narrowing(q, n, monkeypatch):
+    # Completed rows come back as row_dtype(n), written block by block into
+    # one buffer; a hole left at -1 must be refused, not wrapped to the
+    # valid point 255 of n = 256.
+    vals = np.random.default_rng(q).integers(0, q + 1, size=(40, q), dtype=np.int16)
+    rows = pam._complete_rows(q, n, vals)
+    assert rows.dtype == row_dtype(n) and rows.flags.c_contiguous
+    assert rows.tolist() == _scalar_rows(q, n, vals)
+    complete_block = pam._complete_block
+
+    def leaves_a_hole(q, n, vals):
+        images = complete_block(q, n, vals)
+        images[-1, 0] = -1
+        return images
+
+    monkeypatch.setattr(pam, "_complete_block", leaves_a_hole)
+    monkeypatch.setattr(pam, "_CELL_BUDGET", 7 * q)  # the hole in a later block
+    with pytest.raises(ValueError, match="points must be integers"):
+        pam._complete_rows(q, n, vals)
+
+
 @pytest.mark.parametrize("q, rows", [(19, 200_000), (509, 20_000)])
 def test_bulk_completion_peak_memory(q, rows):
     # In blocks of rows, completion holds the int16 result and one block's
