@@ -44,9 +44,9 @@ from .pa import (
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
 #: Most rows x points cells that one emit holds.  Measured peaks: an `sfp`
-#: emit takes about 6 bytes a cell (q = 509, k = 1: 131.6M cells, 797 MB),
-#: a group emit about 2 (sym(10): 36.3M cells, 75 MB, 31 MB of it the
-#: import).  The cap admits the M23 array of the published bounds (234.6M
+#: emit takes about 2.2 bytes a cell (q = 509, k = 1: 131.6M cells, 295 MB),
+#: a group emit about 2 (sym(10): 36.3M cells, 75 MB); 31 MB of each is the
+#: import.  The cap admits the M23 array of the published bounds (234.6M
 #: cells).
 EMIT_CELL_CAP = 1 << 28
 
@@ -54,9 +54,6 @@ EMIT_CELL_CAP = 1 << 28
 #: the sampled scan; they bound its scratch memory.
 _WALK_SEGMENT = 1 << 16
 _WALK_CELLS = 1 << 22
-
-#: Most rows in one block of `StabilizerChain.element_chunks`.
-_CHUNK_ROWS = 1 << 20
 
 #: Walk length of the sampled minimal-degree scan unless one is given.
 DEFAULT_TRIALS = 10**5
@@ -220,14 +217,19 @@ class StabilizerChain:
         once, as arrays of image rows.
 
         Elements are coset products down the chain, so no deduplication is
-        needed and memory stays bounded by _CHUNK_ROWS rows per yield.
+        needed.  A block holds the products of the deepest levels whose
+        product fits _BLOCK_CELLS cells, and at least the deepest level, so
+        memory stays bounded in cells per yield at any degree.
         """
         transversals = [
             [u for u, _ in orbit.values()] for orbit in self.orbits[depth:]
         ]
+        rows = max(1, _BLOCK_CELLS // self.degree)
         split = len(transversals)
         inner = 1
-        while split > 0 and inner * len(transversals[split - 1]) <= _CHUNK_ROWS:
+        while split > 0 and (
+            split == len(transversals) or inner * len(transversals[split - 1]) <= rows
+        ):
             split -= 1
             inner *= len(transversals[split])
         block = self.transversal_product(depth + split)

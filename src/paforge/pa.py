@@ -6,7 +6,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import re
+import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,7 +104,9 @@ def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
     so False marks a repeat and the rising rows are the first occurrences
     (lexsort is stable).  Rows with a non-decreasing first column, as group
     arrays have, are compared with their neighbours one block at a time
-    first; only a row below its neighbour sends them to lexsort.
+    first; only a row below its neighbour sends them to lexsort.  Sorted
+    neighbours are gathered through the order one block at a time, so no
+    sorted copy of arr is held.
     """
     m = len(arr)
     if m < 2 or not arr.shape[1]:
@@ -111,15 +115,16 @@ def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
     step = max(1, _BLOCK_CELLS // arr.shape[1])
     order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else np.lexsort(arr.T[::-1])
     while True:
-        srt = arr if order is None else arr[order]
         for start in range(0, m - 1, step):
-            later = srt[start + 1 : start + 1 + step]
+            stop = min(start + step, m - 1)
+            block = arr[start : stop + 1] if order is None else arr[order[start : stop + 1]]
+            later, earlier = block[1:], block[:-1]
             rows = np.arange(len(later))
-            first = (later != srt[start : start + len(later)]).argmax(axis=1)
-            above, below = later[rows, first], srt[start + rows, first]
+            first = (later != earlier).argmax(axis=1)
+            above, below = later[rows, first], earlier[rows, first]
             if order is None and (above < below).any():
                 break
-            np.greater(above, below, out=rises[start + 1 : start + 1 + len(later)])
+            np.greater(above, below, out=rises[start + 1 : stop + 1])
         else:
             return order, rises
         order = np.lexsort(arr.T[::-1])
@@ -473,7 +478,7 @@ def min_distance(
             chunk = min(remaining, 1 << 17)
             i = rng.integers(0, M, size=chunk)
             j = rng.integers(0, M - 1, size=chunk)
-            j = j + (j >= i)
+            j += j >= i
             agree = np.zeros(chunk, row_dtype(pa.n))
             for col in cols:
                 agree += col[i] == col[j]
@@ -586,8 +591,10 @@ def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
             fh.writelines(_text_pieces(pa))
 
 
-# Bytes of text per block that `read_pa` parses; bounds its int64 scratch.
-_READ_BLOCK_BYTES = 1 << 20
+# Bytes of text per block that `read_pa` reads and parses; bounds its
+# scratch.  2^18 reads the q=19 k=5 q+1 file at 2.2 bytes a cell (traced),
+# 2^20 at 3.9, no faster.
+_READ_BLOCK_BYTES = 1 << 18
 _LINE_END = re.compile(rb"[\r\n]")
 
 
@@ -607,33 +614,50 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
-def _text_blocks(data: bytes, start: int) -> Iterator[np.ndarray]:
-    """The int64 rows of the body data[start:], one block of whole lines at a
-    time, each ending at the first line end _READ_BLOCK_BYTES past its start;
-    a block of whitespace only is skipped (loadtxt warns on it)."""
-    while start < len(data):
-        cut = _LINE_END.search(data, start + _READ_BLOCK_BYTES)
-        end = cut.end() if cut else len(data)
-        block = data[start:end].replace(b"\r", b"\n")
-        start = end
+def _cut(buf: bytes, chunks: Iterator[bytes], at: int) -> tuple[bytes, int]:
+    """buf, extended from chunks until it holds a line end at or past `at`,
+    and the offset just past that line end; len(buf) + 1 when the chunks
+    run out first."""
+    while True:
+        cut = _LINE_END.search(buf, at)
+        if cut:
+            return buf, cut.end()
+        chunk = next(chunks, b"")
+        if not chunk:
+            return buf, len(buf) + 1
+        at = max(at, len(buf))
+        buf += chunk
+
+
+def _text_blocks(buf: bytes, chunks: Iterator[bytes]) -> Iterator[np.ndarray]:
+    """The int64 rows of the body that starts with buf and goes on in
+    chunks, one block of whole lines at a time, each ending at the first
+    line end _READ_BLOCK_BYTES past its start; a block of whitespace only is
+    skipped (loadtxt warns on it)."""
+    while True:
+        buf, stop = _cut(buf, chunks, _READ_BLOCK_BYTES)
+        if not buf:
+            return
+        block, buf = buf[:stop].replace(b"\r", b"\n"), buf[stop:]
         if not block.isspace():
             yield np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2, comments=None)
 
 
-def _text_rows(data: bytes, start: int, n: int, m: int) -> np.ndarray:
-    """The m rows of the body data[start:] in one row_dtype(n) buffer, each
-    parsed block checked and narrowed into its slice.
+def _text_rows(blocks: Iterator[np.ndarray], body: int, n: int, m: int) -> np.ndarray:
+    """The m rows of a body of `body` bytes, parsed into `blocks`, in one
+    row_dtype(n) buffer, each block checked and narrowed into its slice.
 
     A row takes at least 2n bytes (n points of one digit or more, each
     followed by a space or a line end; the last line end may be missing),
     so a header M that the body cannot hold is refused before the buffer
-    is allocated, and a row past the m-th as soon as its block is read."""
-    most = (len(data) - start + 1) // max(2 * n, 1)
+    is allocated or any block is read, and a row past the m-th as soon as
+    its block is read."""
+    most = (body + 1) // max(2 * n, 1)
     if not 0 <= m <= most:
         raise ValueError(f"header says {m} rows, the body holds at most {most}")
     rows = np.empty((m, n), row_dtype(n))
     filled = 0
-    for block in _text_blocks(data, start):
+    for block in blocks:
         block = _narrowed(block, n)
         if filled + len(block) > m:
             raise ValueError(f"a row past the header's M={m}")
@@ -647,31 +671,43 @@ def _text_rows(data: bytes, start: int, n: int, m: int) -> np.ndarray:
 def read_pa(path: Union[str, Path]) -> PermArray:
     """Parse either the text format or its JSON mirror.
 
-    Text is read as bytes: the header line is decoded, and the body is
-    parsed in blocks of about _READ_BLOCK_BYTES straight into one row_dtype
-    buffer that the array keeps (`_text_rows`), so the int64 parse of one
-    block is the only other copy of any row.  Lines end with \\n, \\r\\n
-    or \\r; blank lines are skipped."""
-    data = Path(path).read_bytes()
-    if data.lstrip().startswith(b"{"):
-        payload = json.loads(data.decode("utf-8"))
-        n, m, d = payload["n"], payload["M"], payload["d"]
-        if not all(type(v) is int for v in (n, m, d)):
-            raise ValueError("n, M and d must be integers")
-        inf, provenance = payload.get("inf"), payload.get("provenance", "")
-        rows = _narrowed(np.asarray(payload["rows"] or np.empty((0, n), np.int64)), n)
-        if len(rows) != m:
-            raise ValueError(f"{len(rows)} rows, header says {m}")
-    else:
-        if not data:
-            raise ValueError("empty PA file")
-        cut = _LINE_END.search(data)
-        end = cut.start() if cut else len(data)
-        head = _parse_header(data[:end].decode("utf-8"))
-        n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
-        inf = None if head["inf"] == "none" else head["inf"]
-        provenance = head["provenance"]
-        rows = _text_rows(data, end + 1, n, m)
+    Text is read as bytes, _READ_BLOCK_BYTES at a time: the header line is
+    decoded, and the body is parsed one block at a time straight into one
+    row_dtype buffer that the array keeps (`_text_rows`), so the bytes and
+    the int64 parse of one block are the only other copies of any row.
+    Lines end with \\n, \\r\\n or \\r; blank lines are skipped.  A file that
+    starts with whitespace or a brace is read whole, since the JSON mirror
+    is parsed as one document, and so is a pipe, whose size is known only
+    at its end."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        chunks = iter(lambda: fh.read(_READ_BLOCK_BYTES), b"")
+        buf = next(chunks, b"")
+        if buf[:1].isspace() or buf[:1] == b"{" or not stat.S_ISREG(info.st_mode):
+            buf += fh.read()
+        size = info.st_size if stat.S_ISREG(info.st_mode) else len(buf)
+        if buf.lstrip().startswith(b"{"):
+            payload = json.loads(buf.decode("utf-8"))
+            n, m, d = payload["n"], payload["M"], payload["d"]
+            if not all(type(v) is int for v in (n, m, d)):
+                raise ValueError("n, M and d must be integers")
+            inf, provenance = payload.get("inf"), payload.get("provenance", "")
+            if type(provenance) is not str:
+                raise ValueError("provenance must be a string")
+            if inf is not None and type(inf) is not int:
+                raise ValueError("inf must be an integer or null")
+            rows = _narrowed(np.asarray(payload["rows"] or np.empty((0, n), np.int64)), n)
+            if len(rows) != m:
+                raise ValueError(f"{len(rows)} rows, header says {m}")
+        else:
+            if not buf:
+                raise ValueError("empty PA file")
+            buf, stop = _cut(buf, chunks, 0)
+            head = _parse_header(buf[: stop - 1].decode("utf-8"))
+            n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
+            inf = None if head["inf"] == "none" else head["inf"]
+            provenance = head["provenance"]
+            rows = _text_rows(_text_blocks(buf[stop:], chunks), size - stop, n, m)
     if inf is not None and str(inf) != str(n - 1):
         raise ValueError(f"unsupported infinity point {inf}")
     return PermArray(rows, d, provenance=provenance, infinity=inf is not None)

@@ -9,7 +9,7 @@ no root, and otherwise the smallest root is sent to the extra point.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,16 +36,20 @@ def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
     return tuple(images)
 
 
-def _complete_rows(q: int, n: int, vals: np.ndarray) -> np.ndarray:
-    """`_complete` on every row of an (N, q) value array, as row_dtype(n)
-    rows, in blocks of rows that fit one scan buffer of cells, so that
-    besides the result nothing larger than a block is held and each block's
-    columns stay in cache.  Each block is range-checked before the narrowing
-    cast (`_narrowed`): a hole left at -1 must not wrap to a valid point."""
-    images = np.empty((len(vals), n), dtype=row_dtype(n))
+def _complete_rows(
+    q: int, n: int, m: int, values: Callable[[int, int], np.ndarray]
+) -> np.ndarray:
+    """`_complete` on the value rows values(lo, hi) of rows 0..m-1, as
+    row_dtype(n) rows, in blocks of rows that fit one scan buffer of cells,
+    so that besides the result nothing larger than a block is held and each
+    block's columns stay in cache.  Each block is range-checked before the
+    narrowing cast (`_narrowed`): a hole left at -1 must not wrap to a valid
+    point."""
+    images = np.empty((m, n), dtype=row_dtype(n))
     step = max(1, _CELL_BUDGET // q)
-    for lo in range(0, len(vals), step):
-        images[lo : lo + step] = _narrowed(_complete_block(q, n, vals[lo : lo + step]), n)
+    for lo in range(0, m, step):
+        block = values(lo, min(lo + step, m))
+        images[lo : lo + step] = _narrowed(_complete_block(q, n, block), n)
     return images
 
 
@@ -94,12 +98,14 @@ def build_pa(
     """Assemble the permutation array of one enumeration cell.
 
     Rows follow the canonical member order; the claimed distance is the
-    cell's guarantee.
+    cell's guarantee.  Each block of members' values is gathered when its
+    rows are completed (`SfpResult.gather`), so no value array of the whole
+    cell is held.
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
     return PermArray(
-        _complete_rows(query.q, query.length(), result.values),
+        _complete_rows(query.q, query.length(), result.count, result.gather),
         claimed_distance=query.distance(),
         provenance=f"sfp:{query.describe()}",
         infinity=query.variant is Variant.Q_PLUS_1,

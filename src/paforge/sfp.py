@@ -14,10 +14,11 @@ GF(q), so it keeps every membership invariant.  Both return the same
 canonically sorted coefficient rows (`SfpResult.rows`).  The scan keeps one
 table row per orbit, with the orbit's size (q-1)q(q-1)/|Stab|, so a cell's
 count is a sum of orbit sizes (`best_cell`, `best_count`); only
-`enumerate_fast` expands the member orbits into rows, and gathers each
-member's values from its representative's.  Inside `scanning_once` a scan
-reuses the block tables of an earlier one, so a command that counts and
-then emits scans once.
+`enumerate_fast` expands the member orbits into rows.  It keeps one value
+row per image of a representative, from which `SfpResult.gather` reads a
+range of members' values when they are needed.  Inside `scanning_once` a
+scan reuses the block tables of an earlier one, so a command that counts
+and then emits scans once.
 """
 
 from __future__ import annotations
@@ -141,17 +142,24 @@ class SfpResult:
 
     Each row of `rows` is one member's coefficients, den then num, ascending
     and padded with -1 to the query's den and num widths (`_row_widths`), so
-    lexicographic row order is `FracPoly.sort_key` order.  Row i of `values`
-    is member i's value at every point of GF(q), q at the poles.
+    lexicographic row order is `FracPoly.sort_key` order.  Member i's values
+    are row source[i] // (q - 1) of `images`, divided by the unit
+    source[i] % (q - 1) + 1 (`gather`).
     """
 
     query: SfpQuery
     rows: np.ndarray
-    values: np.ndarray
+    source: np.ndarray
+    images: np.ndarray
 
     @property
     def count(self) -> int:
         return len(self.rows)
+
+    def gather(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Members start..stop-1's values at every point of GF(q), q at the
+        poles."""
+        return _gather(self.query.field, self.images, self.source[start:stop])
 
     @property
     def members(self) -> tuple[FracPoly, ...]:
@@ -252,7 +260,8 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    return SfpResult(query, rows, _member_values(query, rows))
+    source = np.arange(len(rows)) * (query.q - 1)  # each value row with unit 1
+    return SfpResult(query, rows, source, _member_values(query, rows))
 
 
 def _member_values(query: SfpQuery, rows: np.ndarray) -> np.ndarray:
@@ -489,16 +498,16 @@ def _orbit_rows(
     field: Field, reps: np.ndarray, dw: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every fraction in the orbits of reps, (den||num) rows with f and g
-    monic and one per orbit, and each fraction's value row: each distinct
+    monic and one per orbit, and one value row per image: each distinct
     image of a representative under x -> cx + b, its numerator scaled by
-    every unit.  Orbits are disjoint, and a monic numerator tells its scales
-    apart, so the rows are distinct.
+    every unit, image-major and unit-minor.  Orbits are disjoint, and a
+    monic numerator tells its scales apart, so the rows are distinct.
 
     The values are gathered, not evaluated.  The image under x -> cx + b of
     a representative with values V is f(cx + b)/c^s2 over g(cx + b)/c^t2,
     with the value V[cx + b] c^(t2 - s2) at x; its numerator divided by
-    u c^(t2 - s2) has the value V[cx + b] / u, and the pole sentinel q stays
-    q.
+    u c^(t2 - s2) has the value V[cx + b] / u (`_gather`), and the pole
+    sentinel q stays q.  The value row returned is V[cx + b], unit 1's.
     """
     q, n, w = field.q, field.q - 1, reps.shape[1]
     shifted = _shifted(field, reps, dw).reshape(-1, w)
@@ -520,12 +529,25 @@ def _orbit_rows(
     else:
         at = (points * c[:, None].astype(np.int64) + beta[:, None]) % q
     num, den = _eval_rows(field, reps[:, dw:]), _eval_rows(field, reps[:, :dw])
-    image_values = _ratio_rows(field, num, den)[rep[:, None], at]
-    values = np.empty((len(kept), n, q), np.int16)
-    for u in range(1, q):
-        over_u = np.append(_ratio_rows(field, points, np.int16(u)), np.int16(q))
-        values[:, u - 1] = over_u[image_values]
-    return orbits.reshape(-1, w), values.reshape(-1, q)
+    return orbits.reshape(-1, w), _ratio_rows(field, num, den)[rep[:, None], at]
+
+
+@lru_cache(maxsize=None)
+def _unit_quotients(field: Field) -> np.ndarray:
+    """Row u - 1 maps each value v of GF(q) to v / u, and the pole
+    sentinel q to q."""
+    q = field.q
+    points = np.arange(q, dtype=np.int16)
+    quotients = _ratio_rows(field, points, np.arange(1, q, dtype=np.int16)[:, None])
+    return np.hstack([quotients, np.full((q - 1, 1), q, np.int16)])
+
+
+def _gather(field: Field, images: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The value rows of the members at `source`: member i of an
+    `_orbit_rows` expansion is image i // (q - 1)'s value row divided by the
+    unit i % (q - 1) + 1."""
+    image, unit = np.divmod(source, field.q - 1)
+    return _unit_quotients(field)[unit[:, None], images[image]]
 
 
 def _scan_block(
@@ -654,17 +676,19 @@ def _scan_blocks(
 
 def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
     """Same member rows and values as the oracle: the member orbits of the
-    scan tables, expanded."""
+    scan tables, expanded.  Each block expands into whole images of q - 1
+    members, so member i of the blocks in turn is member i of one expansion
+    over all their images; the sort keeps each member's place in it."""
     F = query.field
     pieces = [
         (b.t2, *_orbit_rows(F, b.rows[_members(b, query)], b.t2 + 1))
         for b in _scan_blocks(F, [query], workers=workers)
     ]
     rows = _pad_rows(query, [(dg, r) for dg, r, _ in pieces])
-    values = np.concatenate([v for _, _, v in pieces])
+    images = np.concatenate([v for _, _, v in pieces])
     del pieces
     order = np.lexsort(rows.T[::-1])
-    return SfpResult(query, rows[order], values[order])
+    return SfpResult(query, rows[order], order, images)
 
 
 # -- grid maximization --------------------------------------------------------
@@ -723,7 +747,7 @@ def best_cell(queries: Sequence[SfpQuery], workers: Optional[int] = None) -> Bes
     orbits summed with no orbit expanded, and pick the largest.
 
     Ties break toward the smallest s, then the offset order (0,0), (1,-1),
-    (-1,1).
+    (-1,1); explicit offsets outside OFFSET_CHOICES rank after those.
     """
     started = time.perf_counter()
     blocks = _scan_blocks(queries[0].field, queries, workers=workers)
@@ -731,8 +755,10 @@ def best_cell(queries: Sequence[SfpQuery], workers: Optional[int] = None) -> Bes
         qq: sum(int(b.size[_members(b, qq)].sum()) for b in blocks) for qq in queries
     }
 
+    ties = {offsets: i for i, offsets in enumerate(OFFSET_CHOICES)}
+
     def rank(qq: SfpQuery) -> tuple[int, int, int]:
-        return (-counts[qq], qq.s, OFFSET_CHOICES.index((qq.a, qq.b)))
+        return (-counts[qq], qq.s, ties.get((qq.a, qq.b), len(ties)))
     best = min(queries, key=rank)
     cells = tuple(((qq.s, qq.t, qq.a, qq.b), counts[qq]) for qq in queries)
     return BestCount(best, counts[best], cells, time.perf_counter() - started)

@@ -52,6 +52,19 @@ def test_sfp_explicit_cell_and_emit(tmp_path):
     assert pa.M == 20
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (0, 1), (1, 0)])
+def test_sfp_explicit_offsets_outside_the_grid_choices(a, b):
+    # SfpQuery admits q+1 offsets that the --k grid never tries; the count
+    # of such a cell must rank on its own and equal the oracle's.
+    argv = ["sfp", "--q", "7", "--variant", "q+1", "--s", "1", "--t", "1"]
+    code, out, err = run_cli(*argv, "--a", str(a), "--b", str(b))
+    assert code == 0, err
+    query = sfp.SfpQuery(sfp.field_for_order(7), sfp.Variant.Q_PLUS_1, 1, 1, a, b)
+    manifest = json.loads(out)
+    assert manifest["count"] == sfp.enumerate_oracle(query).count
+    assert (manifest["a"], manifest["b"], manifest["argmax"]) == (a, b, None)
+
+
 def test_sfp_emit_scans_each_block_once(tmp_path, monkeypatch):
     # The emit reuses the block tables that the count scanned, and writes
     # the array that a scan of its own would give.  Outside a command each
@@ -224,6 +237,9 @@ def test_verify_rejects_points_out_of_range(tmp_path, text):
     assert err.startswith("malformed input: points must be integers in [0, ")
 
 
+CYCLIC3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -238,6 +254,15 @@ def test_verify_rejects_points_out_of_range(tmp_path, text):
         {"n": 3, "M": 2, "d": True, "rows": [[0, 1, 2], [1, 2, 0]]},
         {"n": 3, "M": 2.0, "d": 2, "rows": [[0, 1, 2], [1, 2, 0]]},
         {"n": 3.0, "M": 2, "d": 2, "rows": [[0, 1, 2], [1, 2, 0]]},
+        # A provenance that is not a string, and an infinity point that is
+        # not an integer or null (a bool is not an integer here), each with
+        # rows that would pass the distance check.
+        {"n": 3, "M": 3, "d": 2, "provenance": 5, "rows": CYCLIC3},
+        {"n": 3, "M": 3, "d": 2, "provenance": None, "rows": CYCLIC3},
+        {"n": 3, "M": 3, "d": 2, "provenance": ["sfp:q=3"], "rows": CYCLIC3},
+        {"n": 3, "M": 3, "d": 2, "inf": "2", "rows": CYCLIC3},
+        {"n": 3, "M": 3, "d": 2, "inf": 2.0, "rows": CYCLIC3},
+        {"n": 2, "M": 2, "d": 2, "inf": True, "rows": [[0, 1], [1, 0]]},
     ],
 )
 def test_verify_rejects_malformed_json(tmp_path, payload):
@@ -267,6 +292,18 @@ def test_verify_skips_blank_lines(tmp_path):
     assert code == 0
     assert json.loads(out)["min_observed"] == 3
     assert read_pa(path).rows.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def test_verify_reads_a_pipe():
+    # A pipe has no size until its end, so it is read whole before the
+    # header's M is checked against it.
+    text = HEAD3.format(m=3) + "\n0 1 2\n1 2 0\n2 0 1\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "paforge.cli", "verify", "--in", "/dev/stdin"],
+        input=text, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_observed"] == 3
 
 
 def test_verify_sampled_mode(tmp_path):

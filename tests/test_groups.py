@@ -209,8 +209,8 @@ def test_chain_membership():
 
 
 def test_element_chunks_enumerate_exactly_once(monkeypatch):
-    monkeypatch.setattr(groups_module, "_CHUNK_ROWS", 16)
     grp = make_named("sym_pairs", m=5)
+    monkeypatch.setattr(groups_module, "_BLOCK_CELLS", 16 * grp.degree)
     chain = StabilizerChain(grp.degree, grp.generators)
     blocks = list(chain.element_chunks())
     assert len(blocks) > 1 and max(map(len, blocks)) <= 16
@@ -220,6 +220,41 @@ def test_element_chunks_enumerate_exactly_once(monkeypatch):
             seen.add(tuple(int(x) for x in row))
     closure_keys = {tuple(int(x) for x in r) for r in group_closure(grp)}
     assert seen == closure_keys
+
+
+@pytest.mark.parametrize("name, params", [("sym_pairs", {"m": 6}), ("pgl2", {"q": 7})])
+def test_element_chunks_keep_their_sequence_at_any_cell_budget(monkeypatch, name, params):
+    # Blocks of one row, of one deepest level (pgl2(7): its deepest orbit
+    # of 6 points outgrows a budget of 2 rows and stays one block) and of
+    # the whole group list the same elements in the same order.
+    grp = make_named(name, **params)
+    chain = StabilizerChain(grp.degree, grp.generators)
+    sequences = []
+    for rows in (1, 2, 1 << 20):
+        monkeypatch.setattr(groups_module, "_BLOCK_CELLS", rows * grp.degree)
+        blocks = list(chain.element_chunks())
+        deepest = len(chain.orbits[-1])
+        assert max(map(len, blocks)) <= max(rows, deepest)
+        sequences.append(np.concatenate(blocks))
+    assert len(sequences[-1]) == group_order(grp)
+    for seq in sequences[:-1]:
+        assert np.array_equal(seq, sequences[-1])
+
+
+def test_exact_scan_holds_blocks_bounded_in_cells():
+    # sym_pairs(11) scans 8! * 9 elements of 55 points at its scan depth;
+    # blocks of 2^20 rows held 119.8 MiB (traced), blocks of _BLOCK_CELLS
+    # cells about 0.3 MiB.
+    grp = make_named("sym_pairs", m=11)
+    grp.chain.order()  # the chain is built outside the trace
+    tracemalloc.start()
+    try:
+        facts = minimal_degree(grp, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert facts.minimal_degree == 18
+    assert peak < 4 << 20, peak
 
 
 def test_minimal_degree_examples():

@@ -723,6 +723,29 @@ def test_read_peaks_under_12_bytes_a_cell(tmp_path):
     assert peak < 12 * back.rows.size
 
 
+def test_read_peak_does_not_grow_with_the_text(tmp_path):
+    # Unsorted distinct rows, as an sfp file holds them, padded with blank
+    # lines and runs of spaces to five times the text: the reader holds its
+    # row buffer, the order of the distinctness check and one block, not
+    # the text (12.2 bytes a cell when the file was read whole).
+    rng = np.random.default_rng(1)
+    rows = rng.permuted(np.tile(np.arange(20, dtype=np.uint8), (105_000, 1)), axis=1)
+    rows = np.unique(rows, axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    path = tmp_path / "padded.txt"
+    write_pa(PermArray(rows, claimed_distance=2), path)
+    head, *lines = path.read_text().splitlines()
+    padded = [head]
+    for line in lines:
+        padded += ["    ".join(line.split()) + " " * 60, "", " " * 100]
+    text = path.stat().st_size
+    path.write_text("\n".join(padded) + "\n")
+    assert path.stat().st_size >= 5 * text
+    back, peak = traced_peak(lambda: read_pa(path))
+    assert np.array_equal(back.rows, rows)
+    assert peak <= 2.5 * rows.size + pa_module._READ_BLOCK_BYTES, peak / rows.size
+
+
 def test_malformed_files_rejected(tmp_path):
     bad1 = tmp_path / "b1.txt"
     bad1.write_text("not a header\n0 1 2\n")

@@ -89,7 +89,7 @@ def test_batched_build_matches_single_builders():
         SfpQuery(field_for_order(16), Variant.Q_PLUS_1, 1, 1, 0, 0),
     ):
         result = enumerate_fast(query)
-        assert np.array_equal(result.values, _member_values(query, result.rows))
+        assert np.array_equal(result.gather(), _member_values(query, result.rows))
         pa = build_pa(query, result=result)
         build = build_q_pam if query.variant is Variant.Q else build_q1_pam
         for idx, phi in enumerate(result.members):
@@ -104,9 +104,9 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     query = SfpQuery(field_for_order(q), variant, 1, 0)
     result = enumerate_fast(query)
     sample = dataclasses.replace(
-        result, rows=result.rows[::4099], values=result.values[::4099]
+        result, rows=result.rows[::4099], source=result.source[::4099]
     )
-    assert np.array_equal(sample.values, _member_values(query, sample.rows))
+    assert np.array_equal(sample.gather(), _member_values(query, sample.rows))
     pa = build_pa(query, result=sample)
     assert pa.rows.dtype == row_dtype(query.length())
     build = build_q_pam if variant is Variant.Q else build_q1_pam
@@ -116,6 +116,11 @@ def test_batched_build_at_row_dtype_edge(q, variant):
 
 def _scalar_rows(q, n, vals):
     return [list(pam._complete(q, n, row)) for row in vals.tolist()]
+
+
+def _complete_rows(q, n, vals):
+    """`pam._complete_rows` over the rows of one value array."""
+    return pam._complete_rows(q, n, len(vals), lambda lo, hi: vals[lo:hi])
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 19, 25, 256])
@@ -135,10 +140,10 @@ def test_bulk_completion_matches_scalar_reference(q, monkeypatch):
     assert {0, 1, q}.issubset(set(roots.tolist())) and roots.max() >= 2
     for n in (q, q + 1):
         want = _scalar_rows(q, n, vals)
-        assert pam._complete_rows(q, n, vals).tolist() == want
+        assert _complete_rows(q, n, vals).tolist() == want
         with monkeypatch.context() as m:
             m.setattr(pam, "_CELL_BUDGET", 7 * q)
-            assert pam._complete_rows(q, n, vals).tolist() == want
+            assert _complete_rows(q, n, vals).tolist() == want
 
 
 @pytest.mark.parametrize("q, n", [(256, 256), (255, 256), (256, 257)])
@@ -147,7 +152,7 @@ def test_completion_range_checks_each_block_before_narrowing(q, n, monkeypatch):
     # one buffer; a hole left at -1 must be refused, not wrapped to the
     # valid point 255 of n = 256.
     vals = np.random.default_rng(q).integers(0, q + 1, size=(40, q), dtype=np.int16)
-    rows = pam._complete_rows(q, n, vals)
+    rows = _complete_rows(q, n, vals)
     assert rows.dtype == row_dtype(n) and rows.flags.c_contiguous
     assert rows.tolist() == _scalar_rows(q, n, vals)
     complete_block = pam._complete_block
@@ -160,7 +165,7 @@ def test_completion_range_checks_each_block_before_narrowing(q, n, monkeypatch):
     monkeypatch.setattr(pam, "_complete_block", leaves_a_hole)
     monkeypatch.setattr(pam, "_CELL_BUDGET", 7 * q)  # the hole in a later block
     with pytest.raises(ValueError, match="points must be integers"):
-        pam._complete_rows(q, n, vals)
+        _complete_rows(q, n, vals)
 
 
 @pytest.mark.parametrize("q, rows", [(19, 200_000), (509, 20_000)])
@@ -172,11 +177,27 @@ def test_bulk_completion_peak_memory(q, rows):
     for n in (q, q + 1):
         tracemalloc.start()
         try:
-            pam._complete_rows(q, n, vals)
+            _complete_rows(q, n, vals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 14 * vals.size, (n, peak / vals.size)
+
+
+def test_build_pa_peaks_under_4_5_bytes_a_cell():
+    # The q19 k5 q+1 cell of the published bounds: 123,804 rows of 20
+    # points.  With an (M, q) value array and its sorted copy, build_pa
+    # peaked at 5.8 bytes a cell (traced); gathering each block's values
+    # from the image rows at completion, at about 4.0.
+    query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
+    tracemalloc.start()
+    try:
+        pa = build_pa(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pa.M == 123804
+    assert peak <= 4.5 * pa.rows.size, peak / pa.rows.size
 
 
 @pytest.mark.parametrize(
@@ -200,12 +221,12 @@ def test_build_pa_matches_scalar_completion(q, cells):
             result = enumerate_fast(query)
             if q == 256:
                 result = dataclasses.replace(
-                    result, rows=result.rows[::37], values=result.values[::37]
+                    result, rows=result.rows[::37], source=result.source[::37]
                 )
-            assert np.array_equal(result.values, _member_values(query, result.rows))
+            assert np.array_equal(result.gather(), _member_values(query, result.rows))
             pa = build_pa(query, result=result)
             assert pa.rows.dtype == row_dtype(query.length())
-            want = _scalar_rows(q, query.length(), result.values)
+            want = _scalar_rows(q, query.length(), result.gather())
             assert pa.rows.tolist() == want
 
 

@@ -155,7 +155,7 @@ def test_oracle_fast_equivalence_length_q(q, monkeypatch):
         assert [m.sort_key() for m in oracle.members] == [
             m.sort_key() for m in fast.members
         ], f"mismatch at {query.describe()}"
-        assert np.array_equal(fast.values, oracle.values)
+        assert np.array_equal(fast.gather(), oracle.gather())
         assert np.array_equal(fast.rows, want)
     for k, want in enumerate(best):
         got = best_count(q, k, Variant.Q)
@@ -180,7 +180,7 @@ def test_oracle_fast_equivalence_length_q_plus_1(q):
                 assert [m.sort_key() for m in oracle.members] == [
                     m.sort_key() for m in fast.members
                 ], f"mismatch at {query.describe()}"
-                assert np.array_equal(fast.values, oracle.values)
+                assert np.array_equal(fast.gather(), oracle.gather())
 
 
 def test_normalized_blocks_match_predicate(monkeypatch):
@@ -278,11 +278,36 @@ def test_expand_orbit_rows_match_orbit(q, df, dg):
         assert (q - 1) * q * (q - 1) // order == len(orbits[j])
     reps = np.unique(least, axis=0)
     assert len(reps) == len(fracs)
-    rows, values = sfp._orbit_rows(F, reps, dg + 1)
+    rows, images = sfp._orbit_rows(F, reps, dg + 1)
+    values = sfp._gather(F, images, np.arange(len(rows)))
     got = [tuple(r) for r in rows.tolist()]
     assert sorted(got) == sorted(set().union(*orbits))
     num, den = sfp._eval_rows(F, rows[:, dg + 1 :]), sfp._eval_rows(F, rows[:, : dg + 1])
     assert np.array_equal(values, sfp._ratio_rows(F, num, den))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 19, 25])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_gather_matches_evaluated_values_on_member_ranges(q, variant):
+    # Values gathered from the image rows against values evaluated from the
+    # coefficient rows, on random ranges of the sorted members, the empty
+    # and the whole range among them; (1, -1) shifts the q+1 budgets where
+    # GF(q) admits it.
+    F = field_for_order(q)
+    s, t = (1, 1) if q == 4 else (2, 1)
+    offsets = [(0, 0)] if variant is Variant.Q or q == 4 else [(0, 0), (1, -1)]
+    rng = np.random.default_rng(q)
+    for a, b in offsets:
+        query = SfpQuery(F, variant, s, t, a, b)
+        result = enumerate_fast(query)
+        M = result.count
+        assert M > 0 and len(result.images) * (q - 1) == M
+        ranges = [(0, M), (M // 2, M // 2)]
+        ranges += [tuple(sorted(rng.integers(0, M + 1, 2).tolist())) for _ in range(8)]
+        for lo, hi in ranges:
+            got = result.gather(lo, hi)
+            assert got.dtype == np.int16 and got.shape == (hi - lo, q)
+            assert np.array_equal(got, sfp._member_values(query, result.rows[lo:hi]))
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -304,7 +329,7 @@ def test_oracle_fast_equivalence_extension_fields(q):
                     assert [m.sort_key() for m in oracle.members] == [
                         m.sort_key() for m in fast.members
                     ], f"mismatch at {query.describe()}"
-                    assert np.array_equal(fast.values, oracle.values)
+                    assert np.array_equal(fast.gather(), oracle.gather())
 
 
 @pytest.mark.parametrize(
@@ -328,7 +353,7 @@ def test_denominator_shift_cells_match_oracle(q, variant, s, t, a, b):
     fast = enumerate_fast(query)
     assert oracle.count > 0
     assert np.array_equal(oracle.rows, fast.rows)
-    assert np.array_equal(oracle.values, fast.values)
+    assert np.array_equal(oracle.gather(), fast.gather())
 
 
 def test_denominator_shift_matches_unreduced_scan(monkeypatch):
@@ -343,8 +368,8 @@ def test_denominator_shift_matches_unreduced_scan(monkeypatch):
     whole = enumerate_fast(query)
     assert fast.count > 0
     assert np.array_equal(fast.rows, whole.rows)
-    assert np.array_equal(fast.values, sfp._member_values(query, fast.rows))
-    assert np.array_equal(whole.values, fast.values)
+    assert np.array_equal(fast.gather(), sfp._member_values(query, fast.rows))
+    assert np.array_equal(whole.gather(), fast.gather())
 
 
 @pytest.mark.parametrize(
