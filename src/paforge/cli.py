@@ -229,9 +229,8 @@ def cmd_group(args: argparse.Namespace) -> int:
         info["sharply_k_transitive"] = sharp_k if sharp else None
     print(json.dumps(info))
     if args.emit:
-        pa = group_to_pa(group, facts)
-        write_pa(pa, args.emit)
-        print(f"wrote {pa.M} rows to {args.emit}", file=sys.stderr)
+        group_to_pa(group, facts, args.emit)
+        print(f"wrote {order} rows to {args.emit}", file=sys.stderr)
     return 0
 
 

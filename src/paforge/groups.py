@@ -37,17 +37,22 @@ from .pa import (
     MAX_DEGREE,
     PermArray,
     Permutation,
+    _filled,
+    header_fields,
     identity,
+    ordered_blocks,
     row_dtype,
+    write_blocks,
 )
 
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
-#: Most rows x points cells that one emit holds.  Measured peaks: an `sfp`
-#: emit takes about 2.2 bytes a cell (q = 509, k = 1: 131.6M cells, 295 MB),
-#: a group emit about 2 (sym(10): 36.3M cells, 75 MB); 31 MB of each is the
-#: import.  The cap admits the M23 array of the published bounds (234.6M
-#: cells).
+#: Most rows x points cells that one emit lists.  An `sfp` emit holds its
+#: rows, about 2.2 bytes a cell at its peak (q = 509, k = 1: 131.6M cells,
+#: 295 MB); a group emit streams them, so its peak does not grow with the
+#: array (sym(10): 36.3M cells, 36 MB; M23: 234.6M cells, 37.5 MB).  31 MB
+#: of each is the import.  The cap admits the M23 array of the published
+#: bounds.
 EMIT_CELL_CAP = 1 << 28
 
 #: Most steps, and most walk cells (steps times degree), of one segment of
@@ -390,39 +395,60 @@ def _lex_stages(chain: StabilizerChain) -> list[tuple[int, int, np.ndarray]]:
     return stages
 
 
-def _lex_fill(
+def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
+    """The chain's elements in lexicographic order (see `group_to_pa`), in
+    blocks of at most _BLOCK_CELLS cells and at least one row, each a view
+    of one row buffer that the next block overwrites."""
+    stages = [
+        (chain.transversal_product(start, stop), keys)
+        for start, stop, keys in _lex_stages(chain)
+    ]
+    n = chain.degree
+    out = np.empty((max(1, _BLOCK_CELLS // n), n), chain._identity.dtype)
+    return _lex_expand(stages, chain._identity[None, :], out)
+
+
+def _lex_expand(
     stages: list[tuple[np.ndarray, np.ndarray]], prefixes: np.ndarray, out: np.ndarray
-) -> None:
-    """Fill out with the products p[q_1[q_2[...]]] of each of the ordered
-    prefixes p with one transversal product q_i per stage, in lexicographic
-    order.  A block of prefixes at a time, bounded in cells, each prefix's
-    products with the first stage's are sorted by that stage's key points,
-    then passed on to the next stage or, at the last, gathered into out."""
+) -> Iterator[np.ndarray]:
+    """The products p[q_1[q_2[...]]] of each of the ordered prefixes p with
+    one transversal product q_i per stage, in lexicographic order.  A block
+    of prefixes at a time, bounded in cells, each prefix's products with the
+    first stage's are sorted by that stage's key points, then passed on to
+    the next stage or, at the last, gathered into out a block at a time."""
     if not stages:
-        out[...] = prefixes
+        yield prefixes
         return
     (products, keys), rest = stages[0], stages[1:]
-    n, per = products.shape[1], len(out) // len(prefixes)
+    n = products.shape[1]
     step = max(1, _BLOCK_CELLS // products.size)
     for lo in range(0, len(prefixes), step):
         block = prefixes[lo : lo + step]
         order = np.lexsort(np.moveaxis(block[:, products[:, keys[::-1]]], 2, 0), axis=-1)
         order += np.arange(0, order.size, len(products))[:, None]
+        order = order.ravel()
         children = block[:, products].reshape(-1, n)
-        chunk = out[lo * per : (lo + len(block)) * per]
         if rest:
-            _lex_fill(rest, children[order.ravel()], chunk)
-        else:  # indices in range; mode="raise" would buffer the output
-            np.take(children, order.ravel(), axis=0, out=chunk, mode="clip")
+            yield from _lex_expand(rest, children[order], out)
+            continue
+        for at in range(0, len(order), len(out)):
+            part = order[at : at + len(out)]
+            # indices in range; mode="raise" would buffer the output
+            yield np.take(children, part, axis=0, out=out[: len(part)], mode="clip")
 
 
-def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArray:
+def group_to_pa(
+    group: PermGroup,
+    facts: Optional[GroupFacts] = None,
+    path: Union[str, Path, None] = None,
+) -> Optional[PermArray]:
     """Materialize the group as a permutation array with distance = minimal
-    degree (computed exactly when not supplied or not exact).
+    degree (computed exactly when not supplied or not exact), or with a
+    path, write it there (`pa.write_blocks`) and return None.
 
     Rows are the chain's elements in lexicographic order, listed stage by
-    stage into one row buffer, with no sort of the whole list.  Let G_i fix
-    base[:i] pointwise.  A stage is a run of levels start..stop
+    stage a block at a time (`_lex_blocks`), with no sort of the whole list.
+    Let G_i fix base[:i] pointwise.  A stage is a run of levels start..stop
     (`_lex_stages`); every element reads p[q[k]], with p a product of coset
     representatives of the levels before the stage, q one of the stage's
     levels (`transversal_product`) and k in G_stop.  At every point that
@@ -437,23 +463,27 @@ def group_to_pa(group: PermGroup, facts: Optional[GroupFacts] = None) -> PermArr
     that order, stage after stage, lists the rows in lexicographic order;
     at the last stage k is the identity.
 
-    More rows or cells than `check_row_cap` admits are refused before any
-    row is built.
+    The array is held in one row buffer that `PermArray` checks.  Written
+    to a path, no row is held: each block is checked as `PermArray` checks
+    rows (`pa.ordered_blocks`; the order proves them distinct) before it is
+    written, and the file is removed when one fails.  More rows or cells
+    than `check_row_cap` admits are refused before any row is built or the
+    file is opened.
     """
     chain = group.chain
     check_row_cap(chain.order(), group.degree)
     if facts is None or not facts.exact:
         facts = minimal_degree(group, mode="exact")
-    stages = [
-        (chain.transversal_product(start, stop), keys)
-        for start, stop, keys in _lex_stages(chain)
-    ]
-    rows = np.empty((chain.order(), group.degree), row_dtype(group.degree))
-    _lex_fill(stages, chain._identity[None, :], rows)
+    provenance = f"group:{group.name or 'anonymous'}"
+    fields = header_fields(group.degree, chain.order(), facts.minimal_degree, provenance)
+    blocks = _lex_blocks(chain)
+    if path is not None:
+        write_blocks(path, fields, ordered_blocks(fields, blocks))
+        return None
     return PermArray(
-        rows,
+        _filled(blocks, group.degree, chain.order()),
         claimed_distance=facts.minimal_degree,
-        provenance=f"group:{group.name or 'anonymous'}",
+        provenance=provenance,
     )
 
 

@@ -97,6 +97,14 @@ def _all_permutations(arr: np.ndarray) -> bool:
     return True
 
 
+def _first_difference(later: np.ndarray, earlier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of each pair of rows at their first difference, later's
+    and earlier's (equal when the rows are)."""
+    rows = np.arange(len(later))
+    first = (later != earlier).argmax(axis=1)
+    return later[rows, first], earlier[rows, first]
+
+
 def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
     """A lexicographic order of the rows of arr (None when they already are
     in order) and, for each row in that order, whether it rises above the
@@ -118,10 +126,7 @@ def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
         for start in range(0, m - 1, step):
             stop = min(start + step, m - 1)
             block = arr[start : stop + 1] if order is None else arr[order[start : stop + 1]]
-            later, earlier = block[1:], block[:-1]
-            rows = np.arange(len(later))
-            first = (later != earlier).argmax(axis=1)
-            above, below = later[rows, first], earlier[rows, first]
+            above, below = _first_difference(block[1:], block[:-1])
             if order is None and (above < below).any():
                 break
             np.greater(above, below, out=rises[start + 1 : stop + 1])
@@ -536,59 +541,148 @@ def sharpness_matches_distance(pa: PermArray, k: int) -> bool:
 # -- file format -------------------------------------------------------------
 
 
-def _text_pieces(pa: PermArray) -> Iterator[bytes]:
-    """The text format in pieces, one block of rows at a time.
+def header_fields(
+    n: int, m: int, d: int, provenance: str = "", infinity: bool = False
+) -> dict:
+    """The header of an array file, keyed and ordered as the JSON mirror
+    lists it before its rows."""
+    return {"n": n, "M": m, "d": d, "inf": n - 1 if infinity else None, "provenance": provenance}
 
-    Every token is one of n strings, so a block is gathered from two token
-    tables, `b"%d "` and `b"%d\\n"` for each point, NUL-padded to one
-    machine word (4 bytes hold "999 ", 8 hold "65535 ") and gathered as
-    words; dropping the padding leaves each row's space-joined decimals.
+
+def _counted(blocks: Iterable[np.ndarray], n: int, m: int) -> Iterator[np.ndarray]:
+    """blocks narrowed to rows of n points (`_narrowed`) and counted: a row
+    past the m-th is refused before its block is passed on, and fewer than
+    m rows at the end."""
+    filled = 0
+    for block in blocks:
+        block = _narrowed(block, n)
+        filled += len(block)
+        if filled > m:
+            raise ValueError(f"a row past the header's M={m}")
+        yield block
+    if filled != m:
+        raise ValueError(f"{filled} rows, header says {m}")
+
+
+def _filled(blocks: Iterable[np.ndarray], n: int, m: int) -> np.ndarray:
+    """One row_dtype(n) buffer of the m rows of blocks (`_counted`)."""
+    rows = np.empty((m, n), row_dtype(n))
+    filled = 0
+    for block in _counted(blocks, n, m):
+        rows[filled : filled + len(block)] = block
+        filled += len(block)
+    return rows
+
+
+def _check_rising(later: np.ndarray, earlier: np.ndarray) -> None:
+    """Refuse a row of later that is not above its row of earlier."""
+    above, below = _first_difference(later, earlier)
+    if (above < below).any():
+        raise ValueError("rows out of lexicographic order")
+    if (above == below).any():
+        raise ValueError("rows must be pairwise distinct")
+
+
+def ordered_blocks(fields: dict, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The row blocks of an array listed in lexicographic order, each
+    checked as `PermArray` checks its rows before it is passed on: rows of
+    n points in range (`_counted`), permutations, and each row above the one
+    before it, across blocks too, which proves them pairwise distinct with
+    no sort.  A row past the header's M is refused before its block is
+    passed on, fewer rows at the end.  A block may be overwritten once the
+    next one is asked for: only the last row is kept."""
+    n, d = fields["n"], fields["d"]
+    if not 1 <= d <= n:
+        raise ValueError(f"claimed distance {d} not in [1, {n}]")
+    last = None
+    for block in _counted(blocks, n, fields["M"]):
+        if not len(block):
+            continue
+        if not _all_permutations(block):
+            raise ValueError("some row is not a permutation")
+        if last is not None:
+            _check_rising(block[:1], last)
+        _check_rising(block[1:], block[:-1])
+        last = block[-1:].copy()
+        yield block
+
+
+def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterator[bytes]:
+    """An array file in pieces: the header from `fields`, then one piece
+    per block of rows, in the text format or, with `mirror`, as the bytes
+    of `json.dumps` of the fields with the rows as lists of ints.
+
+    Every cell is one token, taken by its point from one of three tables:
+    the first column's, the middle's and the last's (text "%d ", "%d ",
+    "%d\\n"; JSON ", [%d, ", "%d, ", "%d]", with the first row's leading
+    ", " dropped).  A block's tokens are gathered from tables NUL-padded to
+    4, 8 or 16 bytes into one buffer that every block reuses, and dropping
+    the padding leaves the block's text.
     """
-    n = pa.n
-    inf = str(n - 1) if pa.infinity else "none"
-    header = (
-        f"PA n={n} M={pa.M} d={pa.claimed_distance} "
-        f"inf={inf} provenance={pa.provenance}\n"
-    )
-    yield header.encode("utf-8")
-    word = np.uint32 if n <= 1000 else np.uint64
-    width = f"S{np.dtype(word).itemsize}"
-    spaced = np.array([b"%d " % v for v in range(n)], dtype=width).view(word)
-    ended = np.array([b"%d\n" % v for v in range(n)], dtype=width).view(word)
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, pa.M, step):
-        block = pa.rows[lo : lo + step]
-        tokens = spaced[block]
-        tokens[:, -1] = ended[block[:, -1]]
-        yield tokens.tobytes().translate(None, b"\0")
-    if not pa.M:
-        yield b"\n"
+    n, m = fields["n"], fields["M"]
+    if mirror:
+        head = json.dumps(fields)[:-1] + ', "rows": ['
+        joint, start, sep, end, tail = b", ", b"[", b", ", b"]", b"]}"
+    else:
+        inf = "none" if fields["inf"] is None else fields["inf"]
+        head = (
+            f"PA n={n} M={m} d={fields['d']} "
+            f"inf={inf} provenance={fields['provenance']}\n"
+        )
+        joint, start, sep, end, tail = b"", b"", b" ", b"\n", b"" if m else b"\n"
+    yield head.encode("utf-8")
+    forms = (joint + start + b"%d" + (sep if n > 1 else end), b"%d" + sep, b"%d" + end)
+    longest = max(len(form % (n - 1)) for form in forms)
+    width = f"S{next(w for w in (4, 8, 16) if longest <= w)}"
+    first, middle, last = (np.array([form % v for v in range(n)], dtype=width) for form in forms)
+    tokens = np.empty((0, n), width)
+    skip = len(joint)
+    for block in blocks:
+        if len(tokens) < len(block):
+            tokens = np.empty(block.shape, width)
+        cells = tokens[: len(block)]
+        np.take(middle, block, out=cells, mode="clip")  # points are in [0, n)
+        cells[:, -1] = last[block[:, -1]]
+        cells[:, 0] = first[block[:, 0]]
+        yield cells.tobytes().translate(None, b"\0")[skip:]
+        skip = 0
+    yield tail
+
+
+def _as_blocks(pa: PermArray) -> tuple[dict, Iterator[np.ndarray]]:
+    """pa's header fields and its rows in blocks of _BLOCK_CELLS cells."""
+    step = max(1, _BLOCK_CELLS // pa.n)
+    fields = header_fields(pa.n, pa.M, pa.claimed_distance, pa.provenance, pa.infinity)
+    return fields, (pa.rows[lo : lo + step] for lo in range(0, pa.M, step))
 
 
 def format_pa(pa: PermArray) -> str:
-    return b"".join(_text_pieces(pa)).decode("utf-8")
+    return b"".join(_pieces(*_as_blocks(pa), mirror=False)).decode("utf-8")
 
 
 def pa_to_json(pa: PermArray) -> str:
-    payload = {
-        "n": pa.n,
-        "M": pa.M,
-        "d": pa.claimed_distance,
-        "inf": pa.n - 1 if pa.infinity else None,
-        "provenance": pa.provenance,
-        "rows": pa.rows.tolist(),
-    }
-    return json.dumps(payload)
+    return b"".join(_pieces(*_as_blocks(pa), mirror=True)).decode("utf-8")
+
+
+def write_blocks(path: Union[str, Path], fields: dict, blocks: Iterable[np.ndarray]) -> None:
+    """Write an array given as header fields and row blocks, each block as
+    it comes: the text format, or the JSON mirror for a .json suffix.  A
+    file that the write creates is removed when it fails, as when a block
+    fails its check (`ordered_blocks`)."""
+    created = not os.path.exists(path)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.writelines(_pieces(fields, blocks, Path(path).suffix == ".json"))
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
     """Write text format, or the JSON mirror for a .json suffix."""
-    path = Path(path)
-    if path.suffix == ".json":
-        path.write_text(pa_to_json(pa), encoding="utf-8")
-    else:
-        with path.open("wb") as fh:
-            fh.writelines(_text_pieces(pa))
+    write_blocks(path, *_as_blocks(pa))
 
 
 # Bytes of text per block that `read_pa` reads and parses; bounds its
@@ -655,17 +749,7 @@ def _text_rows(blocks: Iterator[np.ndarray], body: int, n: int, m: int) -> np.nd
     most = (body + 1) // max(2 * n, 1)
     if not 0 <= m <= most:
         raise ValueError(f"header says {m} rows, the body holds at most {most}")
-    rows = np.empty((m, n), row_dtype(n))
-    filled = 0
-    for block in blocks:
-        block = _narrowed(block, n)
-        if filled + len(block) > m:
-            raise ValueError(f"a row past the header's M={m}")
-        rows[filled : filled + len(block)] = block
-        filled += len(block)
-    if filled != m:
-        raise ValueError(f"{filled} rows, header says {m}")
-    return rows
+    return _filled(blocks, n, m)
 
 
 def read_pa(path: Union[str, Path]) -> PermArray:

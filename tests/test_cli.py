@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from paforge import cli, groups, pam, parallel, sfp
@@ -480,6 +481,77 @@ def test_group_emit_builds_one_chain(tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["pa"] == [22, 443520, 16]
     assert "wrote 443520 rows" in err
     assert built == [22]
+
+
+def _faulted(rows, fault):
+    """sym(4)'s 24 ordered rows with one fault at row 10, inside a block of
+    4 rows, or at row 12, the first of its block."""
+    rows = rows.copy()
+    kind, at = fault
+    if kind == "not a permutation":
+        rows[at] = 0
+    elif kind == "repeated":
+        rows[at] = rows[at - 1]
+    elif kind == "out of order":
+        rows[[at - 1, at]] = rows[[at, at - 1]]
+    elif kind == "one row short":
+        rows = rows[:-1]
+    else:
+        rows = np.concatenate([rows, rows[-1:]])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (("not a permutation", 10), "some row is not a permutation"),
+        (("not a permutation", 12), "some row is not a permutation"),
+        (("repeated", 10), "rows must be pairwise distinct"),
+        (("repeated", 12), "rows must be pairwise distinct"),
+        (("out of order", 10), "rows out of lexicographic order"),
+        (("out of order", 12), "rows out of lexicographic order"),
+        (("one row short", 24), "23 rows, header says 24"),
+        (("one row over", 24), "a row past the header's M=24"),
+    ],
+)
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_streamed_group_emit_refuses_a_bad_block_unwritten(
+    tmp_path, monkeypatch, fault, message, suffix
+):
+    # The producer is replaced by one that lists a faulted copy of the rows
+    # in blocks of 4.  The command exits 2 with the check's message, and
+    # the file it created is removed; read at its removal, the file holds
+    # the blocks before the bad one and nothing after.
+    grp = make_named("sym", m=4)
+    good = group_to_pa(grp)
+    rows = _faulted(good.rows, fault)
+    monkeypatch.setattr(
+        groups, "_lex_blocks", lambda chain: (rows[lo : lo + 4] for lo in range(0, len(rows), 4))
+    )
+    left = {}
+    remove = os.remove
+
+    def kept(path):
+        left[str(path)] = open(path, "rb").read()
+        remove(path)
+
+    monkeypatch.setattr(pa_module.os, "remove", kept)
+    path = tmp_path / f"s4{suffix}"
+    code, out, err = run_cli("group", "--name", "sym", "--m", "4", "--emit", str(path))
+    assert code == 2 and json.loads(out)["order"] == 24
+    assert err == f"error: {message}\n"
+    assert not path.exists() and list(left) == [str(path)]
+    whole = tmp_path / f"good{suffix}"
+    write_pa(good, whole)
+    expected = whole.read_bytes()
+    header = expected[: 1 + expected.index(b"\n" if suffix == ".txt" else b"[")]
+    body = left[str(path)][len(header) :]
+    written = rows[: min(fault[1] // 4 * 4, len(rows))].tolist()
+    assert left[str(path)].startswith(header)
+    if suffix == ".txt":
+        assert [list(map(int, line.split())) for line in body.splitlines()] == written
+    else:
+        assert json.loads(b"[" + body + b"]") == written
 
 
 def test_group_sharp_k_matches_array_predicate(monkeypatch):

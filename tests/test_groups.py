@@ -8,11 +8,11 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from paforge import groups as groups_module
 from paforge.groups import (
     PermGroup,
@@ -35,6 +35,7 @@ from paforge.pa import (
     moved_points,
     row_dtype,
     sharpness_matches_distance,
+    write_pa,
 )
 
 
@@ -171,13 +172,67 @@ def test_mathieu22_listing_peaks_under_2_bytes_a_cell():
     # One row buffer and blocks of scratch; the concatenate-lexsort-copy
     # listing peaked at 3.36 bytes a cell.
     grp = make_named("mathieu22")
-    tracemalloc.start()
-    try:
-        pa = group_to_pa(grp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pa, peak = traced_peak(lambda: group_to_pa(grp))
     assert pa.M == 443520 and peak <= 2 * pa.rows.size, peak / pa.rows.size
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+@pytest.mark.parametrize(
+    "make, rows",
+    [
+        (lambda: make_named("mathieu22"), 1000),
+        (lambda: make_named("sym", m=8), 5),
+        (lambda: make_named("pgl2", q=27), 5),
+        (lambda: make_named("agl1", q=64), 5),
+        (lambda: make_named("agl", d=2, q=4), 5),
+        (lambda: make_named("sym_pairs", m=8), 5),
+        (lambda: parse_generator_text(LATE_BASE), 5),
+    ],
+    ids=["mathieu22", "sym8", "pgl2_27", "agl1_64", "agl_2_4", "sym_pairs8", "late_base"],
+)
+def test_streamed_emit_writes_the_in_memory_bytes(tmp_path, monkeypatch, make, rows, suffix):
+    # Oracle: the in-memory array, written by write_pa.  The stream lists
+    # blocks of a few rows, which split a prefix's products and end
+    # between prefixes and between stages; every boundary is checked.
+    grp = make()
+    oracle = tmp_path / f"oracle{suffix}"
+    write_pa(group_to_pa(grp), oracle)
+    monkeypatch.setattr(groups_module, "_BLOCK_CELLS", rows * grp.degree)
+    path = tmp_path / f"streamed{suffix}"
+    assert group_to_pa(grp, path=path) is None
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: make_named("mathieu22"), lambda: make_named("sym", m=10)],
+    ids=["mathieu22", "sym10"],
+)
+def test_streamed_emit_peak_does_not_grow_with_the_array(tmp_path, make):
+    # 9.8M and 36.3M cells; held whole, the rows alone take 9.3 and
+    # 34.6 MiB.  The stream holds the stage products and a few blocks.
+    grp = make()
+    facts = minimal_degree(grp, "exact")  # scanned outside the trace
+    path = tmp_path / "a.txt"
+    _, peak = traced_peak(lambda: group_to_pa(grp, facts, path))
+    assert path.stat().st_size > 20 * grp.chain.order()
+    assert peak <= 8 << 20, peak
+
+
+def test_caps_refuse_a_streamed_emit_before_listing_or_opening(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rows were listed or the file was opened")
+
+    monkeypatch.setattr(StabilizerChain, "element_chunks", unreachable)
+    monkeypatch.setattr(StabilizerChain, "transversal_product", unreachable)
+    monkeypatch.setattr(groups_module, "write_blocks", unreachable)
+    path = tmp_path / "s11.txt"
+    with pytest.raises(ValueError, match="row cap"):
+        group_to_pa(make_named("sym", m=11), path=path)
+    monkeypatch.setattr(groups_module, "EMIT_CELL_CAP", 100)
+    with pytest.raises(ValueError, match="cell cap"):
+        group_to_pa(make_named("sym", m=5), path=path)
+    assert not path.exists()
 
 
 def test_group_order_s4():
@@ -247,12 +302,7 @@ def test_exact_scan_holds_blocks_bounded_in_cells():
     # cells about 0.3 MiB.
     grp = make_named("sym_pairs", m=11)
     grp.chain.order()  # the chain is built outside the trace
-    tracemalloc.start()
-    try:
-        facts = minimal_degree(grp, "exact")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    facts, peak = traced_peak(lambda: minimal_degree(grp, "exact"))
     assert facts.minimal_degree == 18
     assert peak < 4 << 20, peak
 
@@ -324,12 +374,9 @@ def test_sampled_walk_matches_composition_oracle():
 def test_sampled_scan_memory_does_not_grow_with_trials():
     grp = make_named("mathieu24")
     grp.chain  # built outside the measured span
-    tracemalloc.start()
-    try:
-        minimal_degree(grp, "sampled", trials=4 * groups_module._WALK_SEGMENT, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: minimal_degree(grp, "sampled", trials=4 * groups_module._WALK_SEGMENT, seed=2)
+    )
     assert peak < 16 * 2**20
 
 

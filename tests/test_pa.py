@@ -8,11 +8,11 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from paforge import pa as pa_module
 from paforge.pa import (
     MAX_DEGREE,
@@ -30,6 +30,8 @@ from paforge.pa import (
     write_pa,
 )
 from paforge.groups import group_to_pa, make_named
+from paforge.pam import build_pa
+from paforge.sfp import Variant, best_count
 
 
 def test_hamming_examples():
@@ -185,15 +187,6 @@ def test_row_dtype_input_is_kept_read_only_without_a_copy(n, dtype):
         assert not np.shares_memory(pa.rows, other)
         assert pa.rows.dtype == dtype and pa.rows.flags.c_contiguous
         assert np.array_equal(pa.rows, other) and other.flags.writeable
-
-
-def traced_peak(call):
-    """call's result and the traced peak of the memory it allocates."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_checks_writer_and_reader_bounded_in_cells_at_a_wide_degree(tmp_path):
@@ -584,6 +577,38 @@ def test_json_rows_match_python_ints(tmp_path):
     assert (tmp_path / "a.json").read_text() == expected
 
 
+def mirror_oracle(pa):
+    return json.dumps({
+        "n": pa.n, "M": pa.M, "d": pa.claimed_distance,
+        "inf": pa.n - 1 if pa.infinity else None, "provenance": pa.provenance,
+        "rows": [[int(x) for x in row] for row in pa.rows],
+    })
+
+
+@pytest.mark.parametrize(
+    "provenance", ["p", "", 'say "hi"', "back\\slash\\n", "tab\tend", "naïve ∞ \U0001f600"]
+)
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (11, 5), (257, 5), (1001, 3), (65536, 2), (5, 0)])
+def test_json_mirror_is_json_dumps(tmp_path, monkeypatch, provenance, n, m):
+    # Blocks of 2 rows, so rows are joined within and across blocks; the
+    # tokens of n = 1001 and 65536 take 8 and 16 bytes.
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2 * n)
+    pa = PermArray(distinct_rows(n, m, seed=n), 1, provenance=provenance, infinity=n % 2 == 1)
+    expected = mirror_oracle(pa)
+    assert pa_module.pa_to_json(pa) == expected
+    write_pa(pa, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_bytes() == expected.encode()
+
+
+def test_json_mirror_of_a_q_plus_1_array(tmp_path):
+    # An sfp array of length q + 1, whose last point is the integer inf.
+    pa = build_pa(best_count(7, 2, Variant.Q_PLUS_1).query)
+    assert pa.infinity and pa.M > 1
+    write_pa(pa, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_bytes() == mirror_oracle(pa).encode()
+    assert json.loads((tmp_path / "a.json").read_text())["inf"] == 7
+
+
 def test_json_round_trip(tmp_path):
     pa = group_to_pa(make_named("agl1", q=5))
     path = tmp_path / "a.json"
@@ -713,12 +738,7 @@ def test_read_peaks_under_12_bytes_a_cell(tmp_path):
     path = tmp_path / "big.txt"
     write_pa(PermArray(rows, claimed_distance=2), path)
     del rows
-    tracemalloc.start()
-    try:
-        back = read_pa(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: read_pa(path))
     assert back.rows.size >= 2_000_000
     assert peak < 12 * back.rows.size
 

@@ -2,11 +2,11 @@
 distance guarantees, determinism."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from paforge.field import Field
 from paforge.fracpoly import make
 from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
@@ -175,12 +175,7 @@ def test_bulk_completion_peak_memory(q, rows):
     # where a stable int64 argsort of the rows takes 8 alone.
     vals = np.random.default_rng(q).integers(0, q + 1, size=(rows, q), dtype=np.int16)
     for n in (q, q + 1):
-        tracemalloc.start()
-        try:
-            _complete_rows(q, n, vals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _complete_rows(q, n, vals))
         assert peak < 14 * vals.size, (n, peak / vals.size)
 
 
@@ -190,12 +185,7 @@ def test_build_pa_peaks_under_4_5_bytes_a_cell():
     # peaked at 5.8 bytes a cell (traced); gathering each block's values
     # from the image rows at completion, at about 4.0.
     query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
-    tracemalloc.start()
-    try:
-        pa = build_pa(query)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pa, peak = traced_peak(lambda: build_pa(query))
     assert pa.M == 123804
     assert peak <= 4.5 * pa.rows.size, peak / pa.rows.size
 

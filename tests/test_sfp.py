@@ -1,11 +1,11 @@
 """Membership predicates, oracle/fast enumeration agreement, grid maxima."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from paforge import sfp
 from paforge.field import Field
 from paforge.fracpoly import make, orbit, value_count
@@ -602,12 +602,7 @@ def test_scanning_once_rescans_a_block_for_wider_thresholds(monkeypatch):
 def test_large_field_counts_by_orbit_size(q):
     # The k = 1 winner is the one orbit of the q(q-1) affine maps; it is
     # counted by its size, so the scan holds no row per member.
-    tracemalloc.start()
-    try:
-        bc = best_count(q, 1, Variant.Q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    bc, peak = traced_peak(lambda: best_count(q, 1, Variant.Q))
     assert (bc.query.s, bc.query.t, bc.count) == (1, 0, q * (q - 1))
     assert peak < 64 << 20
 
@@ -631,12 +626,7 @@ def test_large_field_blocks_key_without_brute_force(s2, t2, sizes):
     # primitive) through at most gcd(2, q - 1) = 2 scales each, and x^2 + 1
     # and x^2 + w are fixed by x -> -x.
     F = field_for_order(Q_LARGE)
-    tracemalloc.start()
-    try:
-        block = sfp._scan_block(F, s2, t2, Q_LARGE, Q_LARGE, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    block, peak = traced_peak(lambda: sfp._scan_block(F, s2, t2, Q_LARGE, Q_LARGE, 1))
     assert peak < 16 << 20
     assert block.size.tolist() == sizes
     assert sum(sizes) == (Q_LARGE - 1) * Q_LARGE ** (s2 + t2)
