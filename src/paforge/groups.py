@@ -31,9 +31,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from . import pa
 from .field import field_for_order
 from .pa import (
-    _BLOCK_CELLS,
     MAX_DEGREE,
     PermArray,
     Permutation,
@@ -50,15 +50,10 @@ EXACT_SCAN_CAP = 1 << 24
 #: Most rows x points cells that one emit lists.  An `sfp` emit holds its
 #: rows, about 2.2 bytes a cell at its peak (q = 509, k = 1: 131.6M cells,
 #: 295 MB); a group emit streams them, so its peak does not grow with the
-#: array (sym(10): 36.3M cells, 36 MB; M23: 234.6M cells, 37.5 MB).  31 MB
+#: array (sym(10): 36.3M cells, 32.9 MB; M23: 234.6M cells, 33.3 MB).  31 MB
 #: of each is the import.  The cap admits the M23 array of the published
 #: bounds.
 EMIT_CELL_CAP = 1 << 28
-
-#: Most steps, and most walk cells (steps times degree), of one segment of
-#: the sampled scan; they bound its scratch memory.
-_WALK_SEGMENT = 1 << 16
-_WALK_CELLS = 1 << 22
 
 #: Walk length of the sampled minimal-degree scan unless one is given.
 DEFAULT_TRIALS = 10**5
@@ -229,7 +224,7 @@ class StabilizerChain:
         transversals = [
             [u for u, _ in orbit.values()] for orbit in self.orbits[depth:]
         ]
-        rows = max(1, _BLOCK_CELLS // self.degree)
+        rows = max(1, pa._BLOCK_CELLS // self.degree)
         split = len(transversals)
         inner = 1
         while split > 0 and (
@@ -291,13 +286,15 @@ def minimal_degree(
 
     Sampled mode reports an upper bound: the least nonzero moved-point
     count over the walk P_t = P_(t-1)[g_t], t = 1..trials, from the
-    identity, where each g_t is one `rng.choice` over the generators.  The
-    draws are made in order, one per step, so every seed walks the same
+    identity, where each g_t is one `rng.choice` over the generators.
+    `_choices` draws the same words in bulk, so every seed walks the same
     word as a one-composition-per-step loop.  Composition is associative,
     so `_walk_segment` may compute the same prefix products P_t in blocks;
     it visits exactly the elements that loop visits and the bound is the
-    same.  Segments of at most _WALK_SEGMENT steps carry their last element
-    into the next, so scratch memory does not grow with trials.
+    same.  A step holds n walk cells and about 32 bytes of words and
+    counts, so segments of _BLOCK_CELLS/(n + 32) steps, each carrying its
+    last element into the next, hold about one block (0.4 MiB traced for
+    M24) however many trials there are.
     """
     chain = group.chain
     order = chain.order()
@@ -324,19 +321,29 @@ def minimal_degree(
             raise ValueError(f"sampled scan needs trials >= 1, got {trials}")
         rng = random.Random(seed)
         gens = np.array(group.generators + (identity(n),), dtype=row_dtype(n))
-        picks = range(len(group.generators))
-        segment = max(1, min(_WALK_SEGMENT, _WALK_CELLS // n))
+        segment = max(1, pa._BLOCK_CELLS // (n + 32))
         carry = gens[-1]
         best = n + 1
         for done in range(0, trials, segment):
-            steps = min(segment, trials - done)
-            word = np.fromiter(
-                map(rng.choice, itertools.repeat(picks, steps)), np.intp, steps
-            )
+            word = _choices(rng, len(group.generators), min(segment, trials - done))
             carry, least = _walk_segment(gens, word, carry)
             best = min(best, least)
         return GroupFacts(order=order, minimal_degree=best, exact=False)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _choices(rng: random.Random, g: int, steps: int) -> np.ndarray:
+    """The next `steps` results of rng.choice(range(g)), from the same
+    words: each choice keeps the top g.bit_length() bits of one 32-bit
+    word and draws again at g or above.  The words come in bulk, as many
+    as results are missing, so none past the last one used is drawn."""
+    parts, missing = [], steps
+    while missing:
+        bits = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        words = np.frombuffer(bits, "<u4") >> (32 - g.bit_length())
+        parts.append(words[words < g])
+        missing -= len(parts[-1])
+    return np.concatenate(parts).astype(np.intp)
 
 
 def _walk_segment(
@@ -404,32 +411,40 @@ def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
         for start, stop, keys in _lex_stages(chain)
     ]
     n = chain.degree
-    out = np.empty((max(1, _BLOCK_CELLS // n), n), chain._identity.dtype)
-    return _lex_expand(stages, chain._identity[None, :], out)
+    out = np.empty((max(1, pa._BLOCK_CELLS // n), n), chain._identity.dtype)
+    spare = np.empty(max([out.size] + [p.size for p, _ in stages]), out.dtype)
+    return _lex_expand(stages, chain._identity[None, :], out, spare)
 
 
 def _lex_expand(
-    stages: list[tuple[np.ndarray, np.ndarray]], prefixes: np.ndarray, out: np.ndarray
+    stages: list[tuple[np.ndarray, np.ndarray]],
+    prefixes: np.ndarray,
+    out: np.ndarray,
+    spare: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The products p[q_1[q_2[...]]] of each of the ordered prefixes p with
     one transversal product q_i per stage, in lexicographic order.  A block
     of prefixes at a time, bounded in cells, each prefix's products with the
-    first stage's are sorted by that stage's key points, then passed on to
-    the next stage or, at the last, gathered into out a block at a time."""
+    first stage's are built in spare, sorted by that stage's key points,
+    then passed on to the next stage or, at the last, gathered into out a
+    block at a time.  Both buffers serve every block (a block's products fit
+    in max(out.size, products.size) cells): a fresh quarter-MiB array per
+    block made the allocator map and zero new pages for every block."""
     if not stages:
         yield prefixes
         return
     (products, keys), rest = stages[0], stages[1:]
     n = products.shape[1]
-    step = max(1, _BLOCK_CELLS // products.size)
+    step = max(1, pa._BLOCK_CELLS // products.size)
     for lo in range(0, len(prefixes), step):
         block = prefixes[lo : lo + step]
         order = np.lexsort(np.moveaxis(block[:, products[:, keys[::-1]]], 2, 0), axis=-1)
         order += np.arange(0, order.size, len(products))[:, None]
         order = order.ravel()
-        children = block[:, products].reshape(-1, n)
-        if rest:
-            yield from _lex_expand(rest, children[order], out)
+        cells = spare[: len(block) * products.size].reshape(len(block), *products.shape)
+        children = np.take(block, products, axis=1, out=cells, mode="clip").reshape(-1, n)
+        if rest:  # spare is free again once its rows are taken in order
+            yield from _lex_expand(rest, children[order], out, spare)
             continue
         for at in range(0, len(order), len(out)):
             part = order[at : at + len(out)]

@@ -81,17 +81,20 @@ _BLOCK_CELLS = 1 << 18
 
 def _all_permutations(arr: np.ndarray) -> bool:
     """Whether every row of arr, with entries in [0, n), holds each point
-    once: row i of a block marks cell i*n + x for each entry x, and n marks
-    per row cover all n cells of the row only when no point repeats."""
+    once: row i of a step marks cell i*n + x for each entry x, and n marks
+    per row cover all n cells of the row only when no point repeats.  A
+    step holds _BLOCK_CELLS/8 cells, or one wider row, so its int64 cell
+    indices (8 bytes a cell) and marks take 0.3 to 0.6 MiB at any degree."""
     m, n = arr.shape
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, _BLOCK_CELLS // 8 // n)
     offsets = np.arange(0, min(m, step) * n, n)[:, None]
-    seen = np.empty(offsets.size * n, dtype=bool)
+    index = np.empty((len(offsets), n), np.intp)
+    seen = np.empty(index.size, dtype=bool)
     for start in range(0, m, step):
         block = arr[start:start + step]
-        cells = seen[: block.size]
+        cells, at = seen[: block.size], index[: len(block)]
         cells[:] = False
-        cells[(block + offsets[: len(block)]).ravel()] = True
+        cells[np.add(block, offsets[: len(block)], out=at).ravel()] = True
         if not cells.all():
             return False
     return True
@@ -615,9 +618,12 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
     Every cell is one token, taken by its point from one of three tables:
     the first column's, the middle's and the last's (text "%d ", "%d ",
     "%d\\n"; JSON ", [%d, ", "%d, ", "%d]", with the first row's leading
-    ", " dropped).  A block's tokens are gathered from tables NUL-padded to
-    4, 8 or 16 bytes into one buffer that every block reuses, and dropping
-    the padding leaves the block's text.
+    ", " dropped).  The tokens of a block are gathered from tables
+    NUL-padded to 4, 8 or 16 bytes, _BLOCK_CELLS/4 bytes of them at a time,
+    into one reused buffer, and dropping the padding leaves their text.  The
+    buffer and the gather's int64 indices are made once; each piece's bytes
+    and text, 64 KiB unless one row takes more, stay below the size at
+    which the allocator maps fresh pages for every piece.
     """
     n, m = fields["n"], fields["M"]
     if mirror:
@@ -635,17 +641,19 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
     longest = max(len(form % (n - 1)) for form in forms)
     width = f"S{next(w for w in (4, 8, 16) if longest <= w)}"
     first, middle, last = (np.array([form % v for v in range(n)], dtype=width) for form in forms)
-    tokens = np.empty((0, n), width)
+    step = max(1, _BLOCK_CELLS // 4 // middle.nbytes)
+    tokens, index = np.empty((step, n), width), np.empty((step, n), np.intp)
     skip = len(joint)
     for block in blocks:
-        if len(tokens) < len(block):
-            tokens = np.empty(block.shape, width)
-        cells = tokens[: len(block)]
-        np.take(middle, block, out=cells, mode="clip")  # points are in [0, n)
-        cells[:, -1] = last[block[:, -1]]
-        cells[:, 0] = first[block[:, 0]]
-        yield cells.tobytes().translate(None, b"\0")[skip:]
-        skip = 0
+        for lo in range(0, len(block), step):
+            part = block[lo : lo + step]
+            cells, at = tokens[: len(part)], index[: len(part)]
+            at[:] = part
+            np.take(middle, at, out=cells, mode="clip")  # points are in [0, n)
+            cells[:, -1] = last[part[:, -1]]
+            cells[:, 0] = first[part[:, 0]]
+            yield cells.tobytes().translate(None, b"\0")[skip:]
+            skip = 0
     yield tail
 
 

@@ -13,9 +13,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import sfp
 from .fracpoly import FracPoly
 from .pa import PermArray, Permutation, _narrowed, row_dtype
-from .sfp import _CELL_BUDGET, SfpQuery, SfpResult, Variant, enumerate_fast
+from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
 
 
 def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
@@ -46,7 +47,7 @@ def _complete_rows(
     narrowing cast (`_narrowed`): a hole left at -1 must not wrap to a valid
     point."""
     images = np.empty((m, n), dtype=row_dtype(n))
-    step = max(1, _CELL_BUDGET // q)
+    step = max(1, sfp._CELL_BUDGET // q)
     for lo in range(0, m, step):
         block = values(lo, min(lo + step, m))
         images[lo : lo + step] = _narrowed(_complete_block(q, n, block), n)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -721,6 +722,47 @@ def test_published_rows_emit_pinned_bytes(tmp_path):
         )
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
+
+
+def test_every_block_constant_small_changes_no_output(tmp_path, monkeypatch):
+    # Blocks of a few rows, cells or bytes in every blocked kernel at once:
+    # the row checks and formatter, the reader, the FULL scan's tiles, the
+    # sfp scan and completion, and the sampled walk's segments (two and
+    # four steps here).  Stdout, elapsed_ms aside, and every file stay the same.
+    runs = [
+        ("sfp", "--q", "13", "--k", "3", "--emit", "q.txt"),
+        ("sfp", "--q", "13", "--k", "3", "--variant", "q+1", "--emit", "q1.txt"),
+        ("group", "--name", "pgl2", "--q", "9", "--emit", "g.txt"),
+        ("group", "--name", "pgl2", "--q", "9", "--emit", "g.json"),
+        ("group", "--name", "mathieu24", "--scan", "sampled", "--trials", "3000", "--seed", "5"),
+        ("group", "--name", "sym_pairs", "--m", "6", "--scan", "sampled", "--seed", "-1"),
+    ]
+    runs += [
+        ("verify", "--in", name, "--mode", mode)
+        for name in ("q.txt", "q1.txt", "g.txt", "g.json")
+        for mode in ("full", "sample")
+    ]
+
+    def outputs(folder):
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        printed = []
+        for argv in runs:
+            code, out, err = run_cli(*argv)
+            assert code == 0, err
+            printed.append(re.sub(r'"elapsed_ms": [0-9.]+', "", out))
+        return printed, {path.name: path.read_bytes() for path in folder.iterdir()}
+
+    want = outputs(tmp_path / "default")
+    for module, name, value in (
+        (pa_module, "_BLOCK_CELLS", 64),
+        (pa_module, "_READ_BLOCK_BYTES", 64),
+        (pa_module, "_TILE_ROWS", 3),
+        (pa_module, "_TILE_COLS", 5),
+        (sfp, "_CELL_BUDGET", 100),
+    ):
+        monkeypatch.setattr(module, name, value)
+    assert outputs(tmp_path / "small") == want
 
 
 def test_outputs_independent_of_threads(tmp_path):

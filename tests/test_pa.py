@@ -212,6 +212,24 @@ def test_checks_writer_and_reader_bounded_in_cells_at_a_wide_degree(tmp_path):
     assert read < text + 1.25 * rows.nbytes, (read, text)
 
 
+def test_check_and_formatter_scratch_on_one_block():
+    # One block of 2^18 cells, rows of 22 points as in M22: the permutation
+    # check scatters _BLOCK_CELLS/8 cells at a time and the formatter
+    # gathers 64 KiB of tokens at a time, so neither holds scratch for the
+    # whole block.  Measured (traced): 0.42 MiB for the check, 0.31 and
+    # 0.25 MiB for the text and JSON pieces; on the whole block at once
+    # 2.47, 3.0 and 6.0.
+    n = 22
+    rng = np.random.default_rng(5)
+    block = np.argsort(rng.random((pa_module._BLOCK_CELLS // n, n)), axis=1).astype(np.uint8)
+    fields = pa_module.header_fields(n, len(block), 2)
+    ok, peak = traced_peak(lambda: pa_module._all_permutations(block))
+    assert ok and peak < 0.5 * 2**20, peak
+    for mirror in (False, True):
+        size, peak = traced_peak(lambda: sum(map(len, pa_module._pieces(fields, [block], mirror))))
+        assert size > 2 * block.size and peak < 0.5 * 2**20, (mirror, peak)
+
+
 def test_row_dtype_refuses_degrees_past_the_limit():
     assert pa_module.row_dtype(256) is np.uint8
     assert pa_module.row_dtype(MAX_DEGREE) is np.uint16

@@ -10,7 +10,7 @@ from conftest import traced_peak
 from paforge.field import Field
 from paforge.fracpoly import make
 from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
-from paforge import pam
+from paforge import pam, sfp
 from paforge.pam import build_pa, build_q1_pam, build_q_pam
 from paforge.poly import Poly
 from paforge.sfp import (
@@ -142,7 +142,7 @@ def test_bulk_completion_matches_scalar_reference(q, monkeypatch):
         want = _scalar_rows(q, n, vals)
         assert _complete_rows(q, n, vals).tolist() == want
         with monkeypatch.context() as m:
-            m.setattr(pam, "_CELL_BUDGET", 7 * q)
+            m.setattr(sfp, "_CELL_BUDGET", 7 * q)
             assert _complete_rows(q, n, vals).tolist() == want
 
 
@@ -163,7 +163,7 @@ def test_completion_range_checks_each_block_before_narrowing(q, n, monkeypatch):
         return images
 
     monkeypatch.setattr(pam, "_complete_block", leaves_a_hole)
-    monkeypatch.setattr(pam, "_CELL_BUDGET", 7 * q)  # the hole in a later block
+    monkeypatch.setattr(sfp, "_CELL_BUDGET", 7 * q)  # the hole in a later block
     with pytest.raises(ValueError, match="points must be integers"):
         _complete_rows(q, n, vals)
 
