@@ -100,22 +100,30 @@ def _all_permutations(arr: np.ndarray) -> bool:
     return True
 
 
-def _first_difference(later: np.ndarray, earlier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points of each pair of rows at their first difference, later's
-    and earlier's (equal when the rows are)."""
-    rows = np.arange(len(later))
-    first = (later != earlier).argmax(axis=1)
-    return later[rows, first], earlier[rows, first]
+def _sorted_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row that compares as the row does under lexsort:
+    the points big-endian, signed ones with the sign bit flipped, so a byte
+    compare reads them most significant byte first (`S` drops trailing NULs,
+    which keeps the order of keys of one length).  A C-ordered uint8 block is a view."""
+    if rows.dtype.kind == "i":
+        rows = rows.view(f"u{rows.itemsize}") ^ (1 << 8 * rows.itemsize - 1)
+    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return big.view(f"S{big.itemsize * big.shape[1]}").ravel()
+
+
+def _lex_order(arr: np.ndarray) -> np.ndarray:
+    """np.lexsort of the rows of arr, as int32 indices below 2^31 rows."""
+    return np.lexsort(arr.T[::-1]).astype(np.int32 if len(arr) < 1 << 31 else np.intp)
 
 
 def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
     """A lexicographic order of the rows of arr (None when they already are
     in order) and, for each row in that order, whether it rises above the
-    one before: the sign of their first difference, never negative in order,
-    so False marks a repeat and the rising rows are the first occurrences
-    (lexsort is stable).  Rows with a non-decreasing first column, as group
-    arrays have, are compared with their neighbours one block at a time
-    first; only a row below its neighbour sends them to lexsort.  Sorted
+    one before: their keys (`_sorted_keys`) never fall in order, so False
+    marks a repeat and the rising rows are the first occurrences (lexsort
+    is stable).  Rows with a non-decreasing first column, as group arrays
+    have, are compared with their neighbours one block at a time first;
+    only a row below its neighbour sends them to lexsort.  Sorted
     neighbours are gathered through the order one block at a time, so no
     sorted copy of arr is held.
     """
@@ -124,18 +132,18 @@ def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
         return None, np.arange(m) < 1
     rises = np.ones(m, dtype=bool)
     step = max(1, _BLOCK_CELLS // arr.shape[1])
-    order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else np.lexsort(arr.T[::-1])
+    order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else _lex_order(arr)
     while True:
         for start in range(0, m - 1, step):
             stop = min(start + step, m - 1)
             block = arr[start : stop + 1] if order is None else arr[order[start : stop + 1]]
-            above, below = _first_difference(block[1:], block[:-1])
-            if order is None and (above < below).any():
+            keys = _sorted_keys(block)
+            if order is None and (keys[1:] < keys[:-1]).any():
                 break
-            np.greater(above, below, out=rises[start + 1 : stop + 1])
+            np.greater(keys[1:], keys[:-1], out=rises[start + 1 : stop + 1])
         else:
             return order, rises
-        order = np.lexsort(arr.T[::-1])
+        order = _lex_order(arr)
 
 
 class PermArray:
@@ -148,7 +156,8 @@ class PermArray:
     so the caller's array stays writable and must not be written after.
     Any other input is checked and copied.  `_order` keeps the
     lexicographic order that the distinctness check found (None: the rows
-    are in order), the row index that FULL verification searches.
+    are in order), the row index that FULL verification searches, as int32
+    below 2^31 rows (`_lex_order`).
     """
 
     def __init__(
@@ -305,14 +314,6 @@ def _scan_pairs(
     return n + 1 - top, (i, j), bool(bad)
 
 
-def _sorted_keys(rows: np.ndarray) -> np.ndarray:
-    """One void key per row that compares as the row does under lexsort:
-    the points big-endian, so a byte compare reads them most significant
-    byte first (a little-endian uint16 view would not)."""
-    big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
-
-
 def _prefix_keys(rows: np.ndarray) -> np.ndarray:
     """The leading points of each row as one base-n uint64, as many as fit:
     non-decreasing over rows in lexsort order, and quick to search."""
@@ -455,7 +456,9 @@ def min_distance(
     (`_full_scan`); its pairs_checked counts the pairs the proof covers (all
     of them, or those up to the first violation).  FULL refuses more than
     FULL_PAIR_CAP scanned pairs, k(M - 1) - k(k - 1)/2 for k representatives,
-    read at call time."""
+    read at call time.  SAMPLED reports the first closest of `sample_pairs`
+    seeded draws: besides the rows it holds one chunk of 2^17 int32 draws
+    and one step of _BLOCK_CELLS cells of gathered rows at any M."""
     M = pa.M
     if M < 2:
         raise ValueError("need at least two rows to measure a distance")
@@ -477,20 +480,29 @@ def min_distance(
             raise ValueError("sample_pairs must be >= 1")
         rng = np.random.Generator(np.random.PCG64(seed))
         best, witness = pa.n + 1, (-1, -1)
-        # Agreements, not distances, counted column by column: distinct rows
-        # agree in at most n - 2 points, which row_dtype(n) holds, and the
-        # first most agreeing pair is the first closest.
-        cols = np.ascontiguousarray(pa.rows.T)
+        # Agreements, not distances, counted along the rows of each pair,
+        # gathered a step at a time: distinct rows agree in at most n - 2
+        # points, which row_dtype(n) holds, and the first most agreeing pair
+        # is the first closest.  Below 2^31 rows int32 draws take the values,
+        # and leave the state, that int64 draws do.
+        draw = np.int32 if M < 1 << 31 else np.int64
+        chunk = min(sample_pairs, 1 << 17)
+        step = min(chunk, max(1, _BLOCK_CELLS // pa.n))
+        left, right = (np.empty((step, pa.n), pa.rows.dtype) for _ in "lr")
+        same, agree = np.empty((step, pa.n), bool), np.empty(chunk, pa.rows.dtype)
         remaining = sample_pairs
         while remaining > 0:
             chunk = min(remaining, 1 << 17)
-            i = rng.integers(0, M, size=chunk)
-            j = rng.integers(0, M - 1, size=chunk)
+            i = rng.integers(0, M, size=chunk, dtype=draw)
+            j = rng.integers(0, M - 1, size=chunk, dtype=draw)
             j += j >= i
-            agree = np.zeros(chunk, row_dtype(pa.n))
-            for col in cols:
-                agree += col[i] == col[j]
-            k = int(agree.argmax())
+            for lo in range(0, chunk, step):
+                h = min(step, chunk - lo)
+                # draws are in range; mode="raise" would buffer the output
+                a = pa.rows.take(i[lo : lo + h], axis=0, out=left[:h], mode="clip")
+                b = pa.rows.take(j[lo : lo + h], axis=0, out=right[:h], mode="clip")
+                np.equal(a, b, out=same[:h]).sum(axis=1, dtype=agree.dtype, out=agree[lo : lo + h])
+            k = int(agree[:chunk].argmax())
             if pa.n - int(agree[k]) < best:
                 best = pa.n - int(agree[k])
                 witness = (int(i[k]), int(j[k]))
@@ -579,7 +591,7 @@ def _filled(blocks: Iterable[np.ndarray], n: int, m: int) -> np.ndarray:
 
 def _check_rising(later: np.ndarray, earlier: np.ndarray) -> None:
     """Refuse a row of later that is not above its row of earlier."""
-    above, below = _first_difference(later, earlier)
+    above, below = _sorted_keys(later), _sorted_keys(earlier)
     if (above < below).any():
         raise ValueError("rows out of lexicographic order")
     if (above == below).any():

@@ -9,6 +9,7 @@ no root, and otherwise the smallest root is sent to the extra point.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,14 +100,18 @@ def build_pa(
     """Assemble the permutation array of one enumeration cell.
 
     Rows follow the canonical member order; the claimed distance is the
-    cell's guarantee.  Each block of members' values is gathered when its
-    rows are completed (`SfpResult.gather`), so no value array of the whole
-    cell is held.
+    cell's guarantee.  Each block of members' values is gathered from the
+    result's `images` and `source` when its rows are completed (`_gather`),
+    so no value array of the whole cell is held.  Only those two are kept:
+    a result that build_pa enumerates itself frees its member coefficient
+    rows before completion.
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
+    m, values = result.count, partial(sfp._gather, query.field, result.images, result.source)
+    del result  # only images and source are kept, so the member rows can go
     return PermArray(
-        _complete_rows(query.q, query.length(), result.count, result.gather),
+        _complete_rows(query.q, query.length(), m, values),
         claimed_distance=query.distance(),
         provenance=f"sfp:{query.describe()}",
         infinity=query.variant is Variant.Q_PLUS_1,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .field import DENSE_TABLE_CAP, Field, field_for_order, prime_power
 from .fracpoly import FracPoly, ValueProfile, value_count
-from .pa import _row_order
+from .pa import _lex_order, _row_order
 from .parallel import map_blocks, resolve_workers
 from .poly import Degree, Poly, gcd
 
@@ -144,7 +144,8 @@ class SfpResult:
     and padded with -1 to the query's den and num widths (`_row_widths`), so
     lexicographic row order is `FracPoly.sort_key` order.  Member i's values
     are row source[i] // (q - 1) of `images`, divided by the unit
-    source[i] % (q - 1) + 1 (`gather`).
+    source[i] % (q - 1) + 1 (`gather`, which reads only those two); `source`
+    is int32 below 2^31 members.
     """
 
     query: SfpQuery
@@ -159,7 +160,7 @@ class SfpResult:
     def gather(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Members start..stop-1's values at every point of GF(q), q at the
         poles."""
-        return _gather(self.query.field, self.images, self.source[start:stop])
+        return _gather(self.query.field, self.images, self.source, start, stop)
 
     @property
     def members(self) -> tuple[FracPoly, ...]:
@@ -260,7 +261,7 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
         query,
         [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
     )
-    source = np.arange(len(rows)) * (query.q - 1)  # each value row with unit 1
+    source = np.arange(len(rows), dtype=np.int32) * (query.q - 1)  # unit 1, < work < 2^31
     return SfpResult(query, rows, source, _member_values(query, rows))
 
 
@@ -542,11 +543,13 @@ def _unit_quotients(field: Field) -> np.ndarray:
     return np.hstack([quotients, np.full((q - 1, 1), q, np.int16)])
 
 
-def _gather(field: Field, images: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """The value rows of the members at `source`: member i of an
+def _gather(
+    field: Field, images: np.ndarray, source: np.ndarray, start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """The value rows of the members at source[start:stop]: member i of an
     `_orbit_rows` expansion is image i // (q - 1)'s value row divided by the
     unit i % (q - 1) + 1."""
-    image, unit = np.divmod(source, field.q - 1)
+    image, unit = np.divmod(source[start:stop], field.q - 1)
     return _unit_quotients(field)[unit[:, None], images[image]]
 
 
@@ -687,7 +690,7 @@ def enumerate_fast(query: SfpQuery, workers: Optional[int] = None) -> SfpResult:
     rows = _pad_rows(query, [(dg, r) for dg, r, _ in pieces])
     images = np.concatenate([v for _, _, v in pieces])
     del pieces
-    order = np.lexsort(rows.T[::-1])
+    order = _lex_order(rows)
     return SfpResult(query, rows[order], order, images)
 
 

@@ -31,7 +31,7 @@ from paforge.pa import (
 )
 from paforge.groups import group_to_pa, make_named
 from paforge.pam import build_pa
-from paforge.sfp import Variant, best_count
+from paforge.sfp import SfpQuery, Variant, best_count, field_for_order
 
 
 def test_hamming_examples():
@@ -230,6 +230,21 @@ def test_check_and_formatter_scratch_on_one_block():
         assert size > 2 * block.size and peak < 0.5 * 2**20, (mirror, peak)
 
 
+def test_rise_check_of_a_byte_block_takes_no_block_scratch():
+    # A streamed emit checks every block against its neighbours.  uint8 rows
+    # are compared as bytes keys viewed in place, so the check allocates
+    # about a byte a row; a first-difference search made a bool block and
+    # two int64 arrays a row, 40 bytes a row, fresh for every block.
+    n = 23
+    rng = np.random.default_rng(n)
+    perms = np.argsort(rng.random((pa_module._BLOCK_CELLS // n, n)), axis=1)
+    rows = np.unique(perms.astype(np.uint8), axis=0)
+    _, peak = traced_peak(lambda: pa_module._check_rising(rows[1:], rows[:-1]))
+    assert peak < 4 * len(rows), peak / len(rows)
+    with pytest.raises(ValueError, match="lexicographic order"):
+        pa_module._check_rising(rows[:-1], rows[1:])
+
+
 def test_row_dtype_refuses_degrees_past_the_limit():
     assert pa_module.row_dtype(256) is np.uint8
     assert pa_module.row_dtype(MAX_DEGREE) is np.uint16
@@ -364,10 +379,12 @@ def test_sampled_mode_seeded():
 
 
 def _sampled_reference(rows, sample_pairs, seed):
-    """The sampled check row by row: the same seeded draws in the same
-    order, and the first closest pair drawn."""
+    """The sampled check row by row: the same seeded draws (int64) in the
+    same order, the first closest pair drawn, and its place among the
+    draws."""
     rng = np.random.Generator(np.random.PCG64(seed))
     M, best, witness, remaining = len(rows), rows.shape[1] + 1, (-1, -1), sample_pairs
+    at = -1
     while remaining > 0:
         chunk = min(remaining, 1 << 17)
         i = rng.integers(0, M, size=chunk)
@@ -377,22 +394,58 @@ def _sampled_reference(rows, sample_pairs, seed):
         k = int(d.argmin())
         if d[k] < best:
             best, witness = int(d[k]), (int(i[k]), int(j[k]))
+            at = sample_pairs - remaining + k
         remaining -= chunk
-    return best, witness
+    return best, witness, at
 
 
 @pytest.mark.parametrize("m, n", [(400, 6), (60, 300)])
-def test_sampled_mode_matches_rowwise_reference(m, n):
+def test_sampled_mode_matches_rowwise_reference(m, n, monkeypatch):
     # Many pairs tie at the minimum, so the witness tells the first closest
-    # pair from any other; n = 300 counts agreements in uint16.
+    # pair from any other; n = 300 counts agreements in uint16.  Steps of 7
+    # rows split a chunk of draws into many, and the witness must be found
+    # in a later step as well as in the first.
     rows = np.array(_random_rows(m, n, seed=n))[np.random.default_rng(n).permutation(m)]
     pa = PermArray(rows, claimed_distance=n)
-    for seed in range(3):
-        for samples in (1, 1000, (1 << 17) + 5):
-            report = min_distance(pa, "sampled", sample_pairs=samples, seed=seed)
-            assert (report.min_observed, report.witness) == _sampled_reference(
-                rows, samples, seed
-            )
+    later = 0
+    for cells in (pa_module._BLOCK_CELLS, 7 * n):
+        monkeypatch.setattr(pa_module, "_BLOCK_CELLS", cells)
+        for seed in range(3):
+            for samples in (1, 1000, (1 << 17) + 5):
+                report = min_distance(pa, "sampled", sample_pairs=samples, seed=seed)
+                best, witness, at = _sampled_reference(rows, samples, seed)
+                assert (report.min_observed, report.witness) == (best, witness)
+                later += cells == 7 * n and at % (1 << 17) >= 7
+    assert later
+
+
+@pytest.mark.parametrize("m", [2, 3, 400, 2**16 + 1, 10_200_960, 2**31 - 1])
+def test_int32_draws_take_the_int64_values_and_state(m):
+    # Below 2^31 rows the sampled check draws int32 indices; its witnesses
+    # are those of the int64 draws only if both take the same values and
+    # leave the generator in the same state, chunk after chunk.
+    for seed in (0, 5, 11, 99, 2**32 + 7):
+        narrow, wide = (np.random.Generator(np.random.PCG64(seed)) for _ in "nw")
+        for size in (1 << 17, 1 << 17, 1000):
+            for top in (m, m - 1):  # i, then j
+                got = narrow.integers(0, top, size=size, dtype=np.int32)
+                want = wide.integers(0, top, size=size)
+                assert got.dtype == np.int32 and np.array_equal(got, want)
+            assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+def test_sampled_check_scratch_does_not_grow_with_the_rows():
+    # Besides the rows, the check holds one chunk of 2^17 int32 draws and
+    # one step of gathered rows: 2.38 MiB (traced) on the q19 k5 q+1 array
+    # (123,804 rows) and on M22 (443,520), where a column-major copy of the
+    # rows and int64 draws took 5.5 and 12.4.
+    query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
+    arrays = [build_pa(query), group_to_pa(make_named("mathieu22"))]
+    min_distance(arrays[0], "sampled", sample_pairs=1)  # numpy.random loads once
+    for pa in arrays:
+        report, peak = traced_peak(lambda: min_distance(pa, "sampled", seed=3))
+        assert report.min_observed >= pa.claimed_distance
+        assert peak < 2.6 * 2**20, (pa, peak / 2**20)
 
 
 def test_full_pair_cap(monkeypatch):

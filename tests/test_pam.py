@@ -19,6 +19,7 @@ from paforge.sfp import (
     SfpQuery,
     Variant,
     enumerate_fast,
+    enumerate_oracle,
     field_for_order,
 )
 
@@ -188,6 +189,24 @@ def test_build_pa_peaks_under_4_5_bytes_a_cell():
     pa, peak = traced_peak(lambda: build_pa(query))
     assert pa.M == 123804
     assert peak <= 4.5 * pa.rows.size, peak / pa.rows.size
+
+
+def test_build_pa_frees_the_member_rows_before_completion():
+    # Enumerating the cell itself, build_pa keeps only the result's images
+    # and int32 source: 3.0 bytes a cell (traced) on the q19 k5 q+1 cell,
+    # where holding the whole result, int64 source and member rows, took 4.0.
+    query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
+    pa, peak = traced_peak(lambda: build_pa(query))
+    assert peak <= 3.2 * pa.rows.size, peak / pa.rows.size
+
+
+def test_kept_indices_are_int32():
+    query = SfpQuery(F7, Variant.Q_PLUS_1, 2, 1, 1, -1)
+    fast, oracle = enumerate_fast(query), enumerate_oracle(query)
+    assert fast.source.dtype == oracle.source.dtype == np.int32
+    pa = build_pa(query, result=fast)
+    assert pa._order is not None and pa._order.dtype == np.int32
+    assert np.array_equal(pa.rows[pa._order], np.unique(pa.rows, axis=0))
 
 
 @pytest.mark.parametrize(
