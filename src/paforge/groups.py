@@ -8,9 +8,12 @@ and O'Brien, *Handbook of Computational Group Theory*, 2005, 4.4): each new
 base point is the smallest point moved by the residue that needs it, orbits
 grow in place in discovery order, and no Schreier pair is sifted twice.
 That makes orders, strong generators and element enumeration reproducible
-run to run.  The chain is the only code that lists group elements: each
-element is one product of coset representatives, one per level, so nothing
-is deduplicated.
+run to run.  Each element is one product of coset representatives, one per
+level, so nothing is deduplicated, and one expander (`_lex_expand`)
+multiplies them out for both listings: the minimal-degree scan
+(`StabilizerChain.element_chunks`, one stage per level, in transversal
+order) and the lexicographic rows of `group_to_pa` (`_lex_blocks`, stages
+sorted by their key points).
 
 The exact minimal degree of a t-transitive group is read off the pointwise
 stabilizer of the first t base points, or of the first t-1 when that one is
@@ -214,30 +217,15 @@ class StabilizerChain:
 
     def element_chunks(self, depth: int = 0) -> Iterator[np.ndarray]:
         """Every element of the pointwise stabilizer of base[:depth] exactly
-        once, as arrays of image rows.
+        once, in the order of `transversal_product(depth)`, as blocks of at
+        most _BLOCK_CELLS cells and at least one row, each a view of a reused
+        buffer that the next block overwrites.
 
         Elements are coset products down the chain, so no deduplication is
-        needed.  A block holds the products of the deepest levels whose
-        product fits _BLOCK_CELLS cells, and at least the deepest level, so
-        memory stays bounded in cells per yield at any degree.
+        needed: `_expand` multiplies them out one level per stage, with no
+        key points, so each stage keeps transversal order.
         """
-        transversals = [
-            [u for u, _ in orbit.values()] for orbit in self.orbits[depth:]
-        ]
-        rows = max(1, pa._BLOCK_CELLS // self.degree)
-        split = len(transversals)
-        inner = 1
-        while split > 0 and (
-            split == len(transversals) or inner * len(transversals[split - 1]) <= rows
-        ):
-            split -= 1
-            inner *= len(transversals[split])
-        block = self.transversal_product(depth + split)
-        for combo in itertools.product(*transversals[:split]):
-            u = self._identity
-            for v in combo:
-                u = u[v]
-            yield u[block]
+        return _expand(self, [(i, i + 1, ()) for i in range(depth, len(self.base))])
 
 
 def group_order(group: PermGroup) -> int:
@@ -406,10 +394,14 @@ def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
     """The chain's elements in lexicographic order (see `group_to_pa`), in
     blocks of at most _BLOCK_CELLS cells and at least one row, each a view
     of one row buffer that the next block overwrites."""
-    stages = [
-        (chain.transversal_product(start, stop), keys)
-        for start, stop, keys in _lex_stages(chain)
-    ]
+    return _expand(chain, _lex_stages(chain))
+
+
+def _expand(chain: StabilizerChain, plan: Sequence[tuple]) -> Iterator[np.ndarray]:
+    """`_lex_expand` from the identity through the stages (start, stop, key
+    points) of `plan`, each the `transversal_product` of its levels, with
+    one row buffer of a block and one spare buffer that serve every block."""
+    stages = [(chain.transversal_product(start, stop), keys) for start, stop, keys in plan]
     n = chain.degree
     out = np.empty((max(1, pa._BLOCK_CELLS // n), n), chain._identity.dtype)
     spare = np.empty(max([out.size] + [p.size for p, _ in stages]), out.dtype)
@@ -417,19 +409,22 @@ def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
 
 
 def _lex_expand(
-    stages: list[tuple[np.ndarray, np.ndarray]],
+    stages: list[tuple[np.ndarray, Sequence[int]]],
     prefixes: np.ndarray,
     out: np.ndarray,
     spare: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """The products p[q_1[q_2[...]]] of each of the ordered prefixes p with
-    one transversal product q_i per stage, in lexicographic order.  A block
-    of prefixes at a time, bounded in cells, each prefix's products with the
-    first stage's are built in spare, sorted by that stage's key points,
-    then passed on to the next stage or, at the last, gathered into out a
-    block at a time.  Both buffers serve every block (a block's products fit
-    in max(out.size, products.size) cells): a fresh quarter-MiB array per
-    block made the allocator map and zero new pages for every block."""
+    one transversal product q_i per stage, prefix-major: the only code that
+    multiplies coset representatives into listed elements.  A block of
+    prefixes at a time, bounded in cells, each prefix's products with the
+    first stage's are built in spare, sorted by that stage's key points (a
+    stage with none keeps transversal order), then passed on to the next
+    stage or, at the last, yielded len(out) rows at a time, gathered into
+    out when sorted and as views of spare when not.  Both
+    buffers serve every block (a block's products fit in max(out.size,
+    products.size) cells): a fresh quarter-MiB array per block made the
+    allocator map and zero new pages for every block."""
     if not stages:
         yield prefixes
         return
@@ -438,15 +433,21 @@ def _lex_expand(
     step = max(1, pa._BLOCK_CELLS // products.size)
     for lo in range(0, len(prefixes), step):
         block = prefixes[lo : lo + step]
-        order = np.lexsort(np.moveaxis(block[:, products[:, keys[::-1]]], 2, 0), axis=-1)
-        order += np.arange(0, order.size, len(products))[:, None]
-        order = order.ravel()
         cells = spare[: len(block) * products.size].reshape(len(block), *products.shape)
         children = np.take(block, products, axis=1, out=cells, mode="clip").reshape(-1, n)
-        if rest:  # spare is free again once its rows are taken in order
-            yield from _lex_expand(rest, children[order], out, spare)
+        order = None
+        if len(keys):
+            order = np.lexsort(np.moveaxis(block[:, products[:, keys[::-1]]], 2, 0), axis=-1)
+            order += np.arange(0, order.size, len(products))[:, None]
+            order = order.ravel()
+        if rest:  # spare is free again once its rows are copied out in order
+            ordered = children.copy() if order is None else children[order]
+            yield from _lex_expand(rest, ordered, out, spare)
             continue
-        for at in range(0, len(order), len(out)):
+        for at in range(0, len(children), len(out)):
+            if order is None:
+                yield children[at : at + len(out)]
+                continue
             part = order[at : at + len(out)]
             # indices in range; mode="raise" would buffer the output
             yield np.take(children, part, axis=0, out=out[: len(part)], mode="clip")

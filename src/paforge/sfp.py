@@ -518,17 +518,11 @@ def _orbit_rows(
     image, log_c = np.divmod(kept, n)  # scaled row i*n + L is image i under g^L
     rep, beta = np.divmod(shift[image], q)  # shifted row r*q + beta: rep r, beta
     T = _div_tables(field)[2]
-    c = T[log_c]
     units = np.arange(1, q, dtype=np.int16)
     divisor = _ratio_rows(field, units, T[log_c * (w - 2 * dw) % n][:, None])
     orbits = np.repeat(scaled[kept][:, None, :], n, axis=1)  # (images, q-1, w)
     orbits[..., dw:] = _ratio_rows(field, orbits[..., dw:], divisor[..., None])
-    points = np.arange(q, dtype=np.int16)
-    if field.k > 1:
-        tabs = field.tables()
-        at = tabs["add"][tabs["mul"][c[:, None], points], beta[:, None]]
-    else:
-        at = (points * c[:, None].astype(np.int64) + beta[:, None]) % q
+    at = _eval_rows(field, np.stack([beta, T[log_c]], 1).astype(np.int16))  # cx + beta
     num, den = _eval_rows(field, reps[:, dw:]), _eval_rows(field, reps[:, :dw])
     return orbits.reshape(-1, w), _ratio_rows(field, num, den)[rep[:, None], at]
 

@@ -65,11 +65,29 @@ def group_closure(group):
 
 
 def whole_chain_min_degree(group):
-    """Minimal degree by scanning every element the chain lists."""
+    """Minimal degree by scanning every coset product of the chain, built
+    by `transversal_product`, not by the listing's expander."""
     chain = StabilizerChain(group.degree, group.generators)
-    ref = np.arange(group.degree)
-    moved = np.concatenate([(b != ref).sum(axis=1) for b in chain.element_chunks()])
+    moved = (chain.transversal_product(0) != np.arange(group.degree)).sum(axis=1)
     return int(moved[moved > 0].min())
+
+
+def random_group(seed):
+    """Generators permute random subsets of 10 points, so bases start late,
+    skip points and leave moved points below fixed ones; order 2..50,000."""
+    rng = random.Random(seed)
+    n, order = 10, 1
+    while not 1 < order <= 50_000:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(n), rng.randint(2, 6))
+            g = list(range(n))
+            for a, b in zip(support, rng.sample(support, len(support))):
+                g[a] = b
+            gens.append(tuple(g))
+        grp = PermGroup(n, tuple(gens))
+        order = group_order(grp)
+    return grp
 
 
 def test_cyclic_closure():
@@ -87,8 +105,9 @@ def test_agl1_closure_size():
 
 
 def test_closure_cap(monkeypatch):
-    # sym(11) has order 39916800 > 2**24: refused before any row is listed,
-    # by the chunks of the scan or by the products of the ordered listing.
+    # sym(11) has order 39916800 > 2**24: refused before any row is listed;
+    # the scan's chunks and the ordered listing both start from the stage
+    # products of transversal_product.
     def no_listing(*args, **kwargs):
         raise AssertionError("rows were materialized")
 
@@ -136,7 +155,7 @@ LATE_BASE = "0 1 2 3 4 6 8 7 5\n0 1 2 5 4 3 6 7 8\n0 2 1 3 4 5 6 7 8\n"
 def test_group_to_pa_sorts_by_base_columns_as_by_all(make):
     # Oracle: the chain's elements, lexsorted over every column.
     grp = make()
-    rows = np.concatenate(list(grp.chain.element_chunks()))
+    rows = grp.chain.transversal_product(0)
     assert np.array_equal(group_to_pa(grp).rows, rows[np.lexsort(rows.T[::-1])])
 
 
@@ -154,21 +173,8 @@ def test_late_base_merges_listing_stages():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_ordered_listing_matches_lexsort_on_random_groups(seed):
-    # Generators permute random subsets of 10 points, so bases start late,
-    # skip points and leave moved points below fixed ones.
-    rng = random.Random(seed)
-    n, order = 10, 1
-    while not 1 < order <= 50_000:
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            support = rng.sample(range(n), rng.randint(2, 6))
-            g = list(range(n))
-            for a, b in zip(support, rng.sample(support, len(support))):
-                g[a] = b
-            gens.append(tuple(g))
-        grp = PermGroup(n, tuple(gens))
-        order = group_order(grp)
-    rows = np.concatenate(list(grp.chain.element_chunks()))
+    grp = random_group(seed)
+    rows = grp.chain.transversal_product(0)
     assert np.array_equal(group_to_pa(grp).rows, rows[np.lexsort(rows.T[::-1])])
 
 
@@ -275,7 +281,7 @@ def test_element_chunks_enumerate_exactly_once(monkeypatch):
     grp = make_named("sym_pairs", m=5)
     monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 16 * grp.degree)
     chain = StabilizerChain(grp.degree, grp.generators)
-    blocks = list(chain.element_chunks())
+    blocks = [block.copy() for block in chain.element_chunks()]  # views of reused buffers
     assert len(blocks) > 1 and max(map(len, blocks)) <= 16
     seen = set()
     for block in blocks:
@@ -285,29 +291,41 @@ def test_element_chunks_enumerate_exactly_once(monkeypatch):
     assert seen == closure_keys
 
 
+def assert_scan_listing_keeps_its_sequence(monkeypatch, grp):
+    """Oracle: transversal_product, which builds the same coset products
+    without the listing's expander.  Blocks of one row, of two rows and of
+    the whole group list the same elements in the same order, at depth 0
+    and at the depth of the exact minimal-degree scan, and no block holds
+    more rows than the budget."""
+    chain = StabilizerChain(grp.degree, grp.generators)
+    for depth in sorted({0, _scan_depth(chain)}):
+        oracle = chain.transversal_product(depth)
+        assert len(oracle) == chain.order(depth)
+        for rows in (1, 2, 1 << 20):
+            monkeypatch.setattr(pa_module, "_BLOCK_CELLS", rows * grp.degree)
+            blocks = [block.copy() for block in chain.element_chunks(depth)]
+            assert max(map(len, blocks)) <= rows
+            assert np.array_equal(np.concatenate(blocks), oracle)
+
+
 @pytest.mark.parametrize("name, params", [("sym_pairs", {"m": 6}), ("pgl2", {"q": 7})])
 def test_element_chunks_keep_their_sequence_at_any_cell_budget(monkeypatch, name, params):
-    # Blocks of one row, of one deepest level (pgl2(7): its deepest orbit
-    # of 6 points outgrows a budget of 2 rows and stays one block) and of
-    # the whole group list the same elements in the same order.
-    grp = make_named(name, **params)
-    chain = StabilizerChain(grp.degree, grp.generators)
-    sequences = []
-    for rows in (1, 2, 1 << 20):
-        monkeypatch.setattr(pa_module, "_BLOCK_CELLS", rows * grp.degree)
-        blocks = list(chain.element_chunks())
-        deepest = len(chain.orbits[-1])
-        assert max(map(len, blocks)) <= max(rows, deepest)
-        sequences.append(np.concatenate(blocks))
-    assert len(sequences[-1]) == group_order(grp)
-    for seq in sequences[:-1]:
-        assert np.array_equal(seq, sequences[-1])
+    # pgl2(7)'s deepest orbit of 6 points outgrows a budget of 2 rows.
+    assert_scan_listing_keeps_its_sequence(monkeypatch, make_named(name, **params))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_scan_listing_keeps_its_sequence_on_random_groups(monkeypatch, seed):
+    assert_scan_listing_keeps_its_sequence(monkeypatch, random_group(seed))
 
 
 def test_exact_scan_holds_blocks_bounded_in_cells():
     # sym_pairs(11) scans 8! * 9 elements of 55 points at its scan depth;
-    # blocks of 2^20 rows held 119.8 MiB (traced), blocks of _BLOCK_CELLS
-    # cells about 0.3 MiB.
+    # blocks of 2^20 rows held 119.8 MiB (traced).  The listing takes one
+    # stage per level and holds, besides its two block buffers, a copy of
+    # at most _BLOCK_CELLS cells at each of the 7 levels before the last:
+    # 2.02 MiB measured (0.25 when a block was one walk over the deepest
+    # levels).
     grp = make_named("sym_pairs", m=11)
     grp.chain.order()  # the chain is built outside the trace
     facts, peak = traced_peak(lambda: minimal_degree(grp, "exact"))
