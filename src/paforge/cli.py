@@ -236,7 +236,7 @@ def cmd_group(args: argparse.Namespace) -> int:
 
 def _sharp_k_for(n: int, order: int) -> Optional[int]:
     for k in range(1, n + 1):
-        target = math.factorial(n) // math.factorial(n - k)
+        target = math.perm(n, k)
         if target == order:
             return k
         if target > order:

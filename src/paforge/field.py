@@ -7,10 +7,11 @@ modulo a fixed irreducible polynomial.  The modulus is the lexicographically
 least monic irreducible of degree k over F_p, coefficients compared
 low-degree-first, so every encoding is reproducible run to run.
 
-`poly_mul` and `poly_divmod` are the package's one polynomial multiply and
-division with remainder.  They serve `poly` and the construction of GF(p^k):
-the modulus search and the multiply-by-g matrix whose walk from 1 fills the
-exp/log tables, through which every field multiplies and inverts.
+`poly_divmod` is the package's one division with remainder of coefficient
+lists.  It serves the construction of GF(p^k), the modulus search and the
+multiply-by-g matrix whose walk from 1 fills the exp/log tables through
+which every field multiplies and inverts, and `poly_gcd`, the Euclid of the
+scan's coprimality filter.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def poly_mul(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of coefficient lists (ascending powers) over the field F."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return out
-
-
 def poly_divmod(
     F: Field, a: Sequence[int], b: Sequence[int]
 ) -> tuple[list[int], list[int]]:
@@ -76,6 +64,16 @@ def poly_divmod(
     while rem and rem[-1] == 0:
         rem.pop()
     return quo, rem
+
+
+def poly_gcd(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Monic greatest common divisor of coefficient lists (ascending powers)
+    over the field F, by Euclid; gcd(a, []) is monic(a).  Neither list ends
+    in a zero, and not both are empty."""
+    while b:
+        a, b = b, poly_divmod(F, a, b)[1]
+    inv_lead = F.inv(a[-1])
+    return [F.mul(inv_lead, c) for c in a]
 
 
 def _least_irreducible(p: int, k: int) -> Tuple[int, ...]:

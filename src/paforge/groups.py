@@ -201,10 +201,6 @@ class StabilizerChain:
             t += 1
         return t
 
-    def contains(self, p: Permutation) -> bool:
-        p = np.asarray(p, dtype=self._identity.dtype)
-        return self.sift(p).tobytes() == self._identity_bytes
-
     def transversal_product(self, start: int, stop: Optional[int] = None) -> np.ndarray:
         """Every product u_start[u_(start+1)[...]] of one coset representative
         per level of base[start:stop], as rows, the deepest level varying
@@ -296,10 +292,9 @@ def minimal_degree(
             raise ValueError(
                 f"{scanned} elements to scan exceed exact-scan cap {EXACT_SCAN_CAP}"
             )
-        ref = np.arange(n)
         best = n + 1
         for block in chain.element_chunks(depth=depth):
-            movedcounts = (block != ref).sum(axis=1)
+            movedcounts = (block != chain._identity).sum(axis=1)
             nz = movedcounts[movedcounts > 0]
             if len(nz):
                 best = min(best, int(nz.min()))
@@ -400,10 +395,11 @@ def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
 def _expand(chain: StabilizerChain, plan: Sequence[tuple]) -> Iterator[np.ndarray]:
     """`_lex_expand` from the identity through the stages (start, stop, key
     points) of `plan`, each the `transversal_product` of its levels, with
-    one row buffer of a block and one spare buffer that serve every block."""
+    one row buffer of a block, no longer than the listing, and one spare
+    buffer that serve every block."""
     stages = [(chain.transversal_product(start, stop), keys) for start, stop, keys in plan]
-    n = chain.degree
-    out = np.empty((max(1, pa._BLOCK_CELLS // n), n), chain._identity.dtype)
+    n, rows = chain.degree, math.prod(len(p) for p, _ in stages)
+    out = np.empty((max(1, min(rows, pa._BLOCK_CELLS // n)), n), chain._identity.dtype)
     spare = np.empty(max([out.size] + [p.size for p, _ in stages]), out.dtype)
     return _lex_expand(stages, chain._identity[None, :], out, spare)
 
@@ -599,10 +595,6 @@ def parse_generator_text(text: str) -> PermGroup:
     if degree is None:
         degree = len(gens[0]) if gens else 0
     return PermGroup(degree, tuple(gens), name=name, expected_order=expected_order)
-
-
-def load_generator_file(path: Union[str, Path]) -> PermGroup:
-    return parse_generator_text(Path(path).read_text(encoding="utf-8"))
 
 
 def _mathieu(n: int) -> PermGroup:

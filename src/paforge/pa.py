@@ -1,5 +1,5 @@
-"""Permutation arrays: Hamming distance, minimum-distance verification,
-sharp transitivity checks, and the on-disk array format."""
+"""Permutation arrays: minimum-distance verification and the on-disk array
+format."""
 
 from __future__ import annotations
 
@@ -31,22 +31,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(n))
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> Permutation:
-    """Left-to-right application: (p o q)(x) = p[q[x]]."""
-    return tuple(p[i] for i in q)
-
-
-def inverse(p: Sequence[int]) -> Permutation:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def moved_points(p: Sequence[int]) -> int:
-    return sum(1 for i, j in enumerate(p) if i != j)
-
-
 def row_dtype(n: int) -> type:
     """Smallest unsigned dtype that holds the points 0..n-1 of a row; a
     ValueError above MAX_DEGREE."""
@@ -65,13 +49,6 @@ def _narrowed(rows: np.ndarray, n: int) -> np.ndarray:
     if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
         raise ValueError(f"points must be integers in [0, {n})")
     return np.asarray(rows, dtype=row_dtype(n), order="C")
-
-
-def hamming_distance(p: Sequence[int], r: Sequence[int]) -> int:
-    """Number of points where two equal-length permutations disagree."""
-    if len(p) != len(r):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(r)}")
-    return sum(1 for a, b in zip(p, r) if a != b)
 
 
 # Cells (rows x points) per block of the row checks and of the text writer;
@@ -514,45 +491,6 @@ def min_distance(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def exact_min_distance(pa: PermArray, workers: Optional[int] = None) -> int:
-    """True minimum distance (no early exit); the FULL proof of min_distance."""
-    if pa.M < 2:
-        raise ValueError("need at least two rows to measure a distance")
-    return _full_scan(pa, 0, workers)[0]
-
-
-def is_sharply_k_transitive(pa: PermArray, k: int) -> bool:
-    """Whether the rows (assumed a group) act sharply k-transitively.
-
-    Equivalent by counting to: all k-prefixes of rows are distinct and
-    M = n!/(n-k)!.  For M <= 360 the group property is checked: the rows
-    and all M^2 products hold no row besides the M rows.
-    """
-    n, rows = pa.n, pa.rows
-    if k > n:
-        raise ValueError(f"k={k} exceeds degree {n}")
-    if pa.M <= 360:
-        products = np.concatenate([rows, rows[:, rows].reshape(-1, n)])
-        if np.count_nonzero(_row_order(products)[1]) != pa.M:
-            raise ValueError("rows are not closed under composition")
-    target = math.factorial(n) // math.factorial(n - k)
-    if pa.M != target:
-        return False
-    return bool(_row_order(rows[:, :k])[1].all())
-
-
-def sharpness_matches_distance(pa: PermArray, k: int) -> bool:
-    """Check that 'min distance >= n-k+1' and 'sharply k-transitive' agree
-    for a group of order n!/(n-k)! given as rows."""
-    n = pa.n
-    target = math.factorial(n) // math.factorial(n - k)
-    if pa.M != target:
-        raise ValueError(f"row count {pa.M} is not n!/(n-k)! = {target}")
-    lhs = exact_min_distance(pa) >= n - k + 1
-    rhs = is_sharply_k_transitive(pa, k)
-    return lhs == rhs
-
-
 # -- file format -------------------------------------------------------------
 
 
@@ -575,17 +513,20 @@ def _counted(blocks: Iterable[np.ndarray], n: int, m: int) -> Iterator[np.ndarra
         if filled > m:
             raise ValueError(f"a row past the header's M={m}")
         yield block
+        del block  # not held while the next block is made
     if filled != m:
         raise ValueError(f"{filled} rows, header says {m}")
 
 
 def _filled(blocks: Iterable[np.ndarray], n: int, m: int) -> np.ndarray:
-    """One row_dtype(n) buffer of the m rows of blocks (`_counted`)."""
+    """One row_dtype(n) buffer of the m rows of blocks (`_counted`); no
+    block is held past its copy into it."""
     rows = np.empty((m, n), row_dtype(n))
     filled = 0
     for block in _counted(blocks, n, m):
         rows[filled : filled + len(block)] = block
         filled += len(block)
+        del block
     return rows
 
 
@@ -674,14 +615,6 @@ def _as_blocks(pa: PermArray) -> tuple[dict, Iterator[np.ndarray]]:
     step = max(1, _BLOCK_CELLS // pa.n)
     fields = header_fields(pa.n, pa.M, pa.claimed_distance, pa.provenance, pa.infinity)
     return fields, (pa.rows[lo : lo + step] for lo in range(0, pa.M, step))
-
-
-def format_pa(pa: PermArray) -> str:
-    return b"".join(_pieces(*_as_blocks(pa), mirror=False)).decode("utf-8")
-
-
-def pa_to_json(pa: PermArray) -> str:
-    return b"".join(_pieces(*_as_blocks(pa), mirror=True)).decode("utf-8")
 
 
 def write_blocks(path: Union[str, Path], fields: dict, blocks: Iterable[np.ndarray]) -> None:

@@ -10,49 +10,27 @@ no root, and otherwise the smallest root is sent to the extra point.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import sfp
-from .fracpoly import FracPoly
-from .pa import PermArray, Permutation, _narrowed, row_dtype
+from .pa import PermArray, _filled
 from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
-
-
-def _complete(q: int, n: int, vals: Sequence[int]) -> Permutation:
-    """Completion of one value row to a permutation of n = q or q + 1 points."""
-    images = [-1] * n
-    if n > q:  # extra point: the smallest root goes to it, else it is fixed
-        images[vals.index(q) if q in vals else q] = q
-    taken = [False] * q
-    for beta in range(q):
-        v = vals[beta]  # a root has v = q, so it is skipped here
-        if v < q and not taken[v]:
-            images[beta] = v
-            taken[v] = True
-    spare = iter(v for v in range(q) if not taken[v])
-    for beta in range(n):
-        if images[beta] < 0:
-            images[beta] = next(spare)
-    return tuple(images)
 
 
 def _complete_rows(
     q: int, n: int, m: int, values: Callable[[int, int], np.ndarray]
 ) -> np.ndarray:
-    """`_complete` on the value rows values(lo, hi) of rows 0..m-1, as
-    row_dtype(n) rows, in blocks of rows that fit one scan buffer of cells,
-    so that besides the result nothing larger than a block is held and each
-    block's columns stay in cache.  Each block is range-checked before the
-    narrowing cast (`_narrowed`): a hole left at -1 must not wrap to a valid
-    point."""
-    images = np.empty((m, n), dtype=row_dtype(n))
+    """The completions (see the module docstring) of the value rows
+    values(lo, hi) of rows 0..m-1, in one row_dtype(n) buffer (`_filled`),
+    completed in blocks of rows that fit one scan buffer of cells, so that
+    besides the result nothing larger than a block is held and each block's
+    columns stay in cache.  `_filled` range-checks each block before the
+    narrowing cast: a hole left at -1 must not wrap to a valid point."""
     step = max(1, sfp._CELL_BUDGET // q)
-    for lo in range(0, m, step):
-        block = values(lo, min(lo + step, m))
-        images[lo : lo + step] = _narrowed(_complete_block(q, n, block), n)
-    return images
+    blocks = (_complete_block(q, n, values(lo, min(lo + step, m))) for lo in range(0, m, step))
+    return _filled(blocks, n, m)
 
 
 def _complete_block(q: int, n: int, vals: np.ndarray) -> np.ndarray:
@@ -78,18 +56,6 @@ def _complete_block(q: int, n: int, vals: np.ndarray) -> np.ndarray:
     spare = np.flatnonzero(first[:, :q] == n)
     images[images < 0] = np.remainder(spare, q, out=spare)
     return images
-
-
-def build_q_pam(phi: FracPoly) -> Permutation:
-    """Complete a fraction to a permutation of GF(q)."""
-    q = phi.field.q
-    return _complete(q, q, phi.values())
-
-
-def build_q1_pam(phi: FracPoly) -> Permutation:
-    """Complete a fraction to a permutation of GF(q) plus an extra point."""
-    q = phi.field.q
-    return _complete(q, q + 1, phi.values())
 
 
 def build_pa(

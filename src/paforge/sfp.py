@@ -7,13 +7,13 @@ q - v <= min(s - s', t - t');  the length-(q+1) family for (s, t, a, b)
 relaxes the bound by one when g has a root (the pole absorbs one collision)
 and otherwise shifts the budgets to (s + a, t + b).
 
-Two enumerators are provided: a brute-force oracle over all coefficient
-tuples, and a fast scan over normalized representatives of the orbits of
-the affine group a*f(cx+b)/g(cx+b), a and c nonzero: x -> cx+b permutes
-GF(q), so it keeps every membership invariant.  Both return the same
-canonically sorted coefficient rows (`SfpResult.rows`).  The scan keeps one
-table row per orbit, with the orbit's size (q-1)q(q-1)/|Stab|, so a cell's
-count is a sum of orbit sizes (`best_cell`, `best_count`); only
+The enumerator scans normalized representatives of the orbits of the affine
+group a*f(cx+b)/g(cx+b), a and c nonzero: x -> cx+b permutes GF(q), so it
+keeps every membership invariant.  Members are canonically sorted
+coefficient rows (`SfpResult.rows`): the rows that a brute-force pass over
+all coefficient tuples finds, the oracle in `tests/reference.py`.  The scan
+keeps one table row per orbit, with the orbit's size (q-1)q(q-1)/|Stab|, so
+a cell's count is a sum of orbit sizes (`best_cell`, `best_count`); only
 `enumerate_fast` expands the member orbits into rows.  It keeps one value
 row per image of a representative, from which `SfpResult.gather` reads a
 range of members' values when they are needed.  Inside `scanning_once` a
@@ -23,7 +23,6 @@ and then emits scans once.
 
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -35,13 +34,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import DENSE_TABLE_CAP, Field, field_for_order, prime_power
-from .fracpoly import FracPoly, ValueProfile, value_count
+from .field import DENSE_TABLE_CAP, Field, field_for_order, poly_gcd, prime_power
 from .pa import _lex_order, _row_order
 from .parallel import map_blocks, resolve_workers
-from .poly import Degree, Poly, gcd
 
-ORACLE_PAIR_CAP = 10**9
 #: The supported field orders: what the int16 kernels hold, pole sentinel q
 #: included, and for extension fields what the dense tables of `_eval_rows`
 #: hold.  `check_field_range` declares both.
@@ -115,7 +111,7 @@ class SfpQuery:
     def length(self) -> int:
         return self.q if self.variant is Variant.Q else self.q + 1
 
-    def slack(self, num_deg: Degree, den_deg: Degree, has_pole: bool) -> int:
+    def slack(self, num_deg: float, den_deg: float, has_pole: bool) -> int:
         """Largest q - v a fraction of these exact degrees may have and still be
         a member; -1 when the degrees exceed the budgets.  See the module
         docstring for the rule: a pole adds one to the length-(q+1) slack, and
@@ -142,8 +138,8 @@ class SfpResult:
 
     Each row of `rows` is one member's coefficients, den then num, ascending
     and padded with -1 to the query's den and num widths (`_row_widths`), so
-    lexicographic row order is `FracPoly.sort_key` order.  Member i's values
-    are row source[i] // (q - 1) of `images`, divided by the unit
+    lexicographic row order compares the dens, then the nums.  Member i's
+    values are row source[i] // (q - 1) of `images`, divided by the unit
     source[i] % (q - 1) + 1 (`gather`, which reads only those two); `source`
     is int32 below 2^31 members.
     """
@@ -162,18 +158,6 @@ class SfpResult:
         poles."""
         return _gather(self.query.field, self.images, self.source, start, stop)
 
-    @property
-    def members(self) -> tuple[FracPoly, ...]:
-        """The rows as `FracPoly` objects, built on each access."""
-        F = self.query.field
-        dw, _ = _row_widths(self.query)
-        out = []
-        for row in self.rows.tolist():
-            den = Poly(F, tuple(c for c in row[:dw] if c >= 0))
-            num = Poly(F, tuple(c for c in row[dw:] if c >= 0))
-            out.append(FracPoly(num, den))
-        return tuple(out)
-
 
 def _row_widths(query: SfpQuery) -> tuple[int, int]:
     """Den and num columns of a result row: one past each degree budget."""
@@ -190,90 +174,6 @@ def _pad_rows(query: SfpQuery, pieces: Sequence[tuple[int, np.ndarray]]) -> np.n
         rows[at : at + len(r), dw : dw + r.shape[1] - dg - 1] = r[:, dg + 1 :]
         at += len(r)
     return rows
-
-
-# -- membership ---------------------------------------------------------------
-
-
-def is_member(
-    phi: FracPoly, query: SfpQuery, profile: Optional[ValueProfile] = None
-) -> bool:
-    """Whether phi belongs to the query's cell; `profile` is phi's
-    `value_count` when the caller already has it."""
-    prof = profile if profile is not None else value_count(phi)
-    slack = query.slack(prof.num_deg, prof.den_deg, prof.has_pole)
-    return phi.field.q - prof.v <= slack
-
-
-# -- brute-force oracle -------------------------------------------------------
-
-
-def _all_polys(field: Field, max_deg: int, monic: bool) -> Iterator[Poly]:
-    q = field.q
-    if monic:
-        for d in range(max_deg + 1):
-            for tail in itertools.product(range(q), repeat=d):
-                yield Poly(field, tuple(tail) + (1,))
-    else:
-        for coeffs in itertools.product(range(q), repeat=max_deg + 1):
-            yield Poly(field, coeffs)
-
-
-def enumerate_oracle(query: SfpQuery) -> SfpResult:
-    """Reference enumeration over every coefficient pair, no reductions.
-
-    Value tables are precomputed once per polynomial; the pair loop applies
-    the membership inequalities directly to the evaluated ratios.
-    """
-    F = query.field
-    q = F.q
-    fmax = query.s + max(query.a, 0)
-    gmax = query.t + max(query.b, 0)
-    work = q ** (fmax + gmax + 2)
-    if work > ORACLE_PAIR_CAP:
-        raise ValueError(f"oracle space {work} exceeds cap {ORACLE_PAIR_CAP}")
-    points = list(F.elements())
-    fs = [(f, [f.eval(a) for a in points]) for f in _all_polys(F, fmax, False)]
-    members = []
-    one = Poly.one(F)
-    for g in _all_polys(F, gmax, monic=True):
-        gvals = [g.eval(a) for a in points]
-        ginv = [F.inv(v) if v else None for v in gvals]
-        has_pole = None in ginv
-        for f, fvals in fs:
-            if f.is_zero():
-                if g.coeffs != (1,):
-                    continue
-                phi = FracPoly(f, one)
-                if is_member(phi, query):
-                    members.append(phi)
-                continue
-            values = {
-                F.mul(fv, gi) for fv, gi in zip(fvals, ginv) if gi is not None
-            }
-            if q - len(values) > query.slack(f.degree, g.degree, has_pole):
-                continue
-            if g.degree > 0 and gcd(f, g).degree != 0:
-                continue
-            members.append(FracPoly(f, g))
-    members.sort(key=FracPoly.sort_key)
-    rows = _pad_rows(
-        query,
-        [(m.den.degree, np.array([m.den.coeffs + m.num.coeffs])) for m in members],
-    )
-    source = np.arange(len(rows), dtype=np.int32) * (query.q - 1)  # unit 1, < work < 2^31
-    return SfpResult(query, rows, source, _member_values(query, rows))
-
-
-def _member_values(query: SfpQuery, rows: np.ndarray) -> np.ndarray:
-    """Each padded row's value at every point of GF(q), q at the poles,
-    evaluated from its coefficients: the oracle of the values that
-    `enumerate_fast` gathers."""
-    F = query.field
-    dw, _ = _row_widths(query)
-    coeffs = np.maximum(rows, 0)  # padding evaluates as zero coefficients
-    num, den = coeffs[:, dw:], coeffs[:, :dw]
-    return _ratio_rows(F, _eval_rows(F, num), _eval_rows(F, den))
 
 
 # -- fast scan: affine-normalized representatives + orbit expansion ----------
@@ -618,8 +518,7 @@ def _scan_block(
     kept = _first_rows(least)
     if s2 > 0 and t2 > 0:
         coprime = [
-            gcd(Poly.of(field, r[: t2 + 1]), Poly.of(field, r[t2 + 1 :])).degree == 0
-            for r in least[kept].tolist()
+            len(poly_gcd(field, r[: t2 + 1], r[t2 + 1 :])) == 1 for r in least[kept].tolist()
         ]
         kept = kept[np.array(coprime, dtype=bool)]
     size = (q - 1) * q * (q - 1) // stab[kept]
@@ -767,28 +666,3 @@ def best_count(
     """Maximize the member count over all cells with s + t = k."""
     return best_cell(grid_queries(q, k, variant), workers=workers)
 
-
-# -- permutation-polynomial baseline ------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _pp_degree_census(q: int) -> tuple[int, ...]:
-    """counts[k] = permutation polynomials of reduced degree exactly k."""
-    if q > 8:
-        raise ValueError(f"full permutation enumeration infeasible for q = {q}")
-    F = field_for_order(q)
-    from .poly import interpolate
-
-    counts = [0] * q
-    for image in itertools.permutations(range(q)):
-        poly = interpolate(F, list(zip(range(q), image)))
-        counts[int(poly.degree)] += 1
-    return tuple(counts)
-
-
-def pp_count(q: int, d: int) -> int:
-    """Permutation polynomials over GF(q) of degree <= d."""
-    if d > q - 1:
-        raise ValueError(f"degree bound {d} exceeds q-1 = {q - 1}")
-    census = _pp_degree_census(q)
-    return sum(census[: d + 1])

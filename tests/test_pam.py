@@ -8,20 +8,18 @@ import pytest
 
 from conftest import traced_peak
 from paforge.field import Field
-from paforge.fracpoly import make
-from paforge.pa import exact_min_distance, format_pa, min_distance, row_dtype
+from paforge.pa import min_distance, row_dtype
 from paforge import pam, sfp
-from paforge.pam import build_pa, build_q1_pam, build_q_pam
-from paforge.poly import Poly
+from paforge.pam import build_pa
 from paforge.sfp import (
     OFFSET_CHOICES,
-    _member_values,
     SfpQuery,
     Variant,
     enumerate_fast,
-    enumerate_oracle,
     field_for_order,
 )
+from reference import Poly, _complete, _member_values, enumerate_oracle, exact_min_distance
+from reference import format_pa, make, members
 
 F3 = Field(3)
 F5 = Field(5)
@@ -33,15 +31,15 @@ def frac(field, num, den=(1,)):
 
 
 def test_q_pam_hand_examples():
-    assert build_q_pam(frac(F3, (0, 1))) == (0, 1, 2)
-    assert build_q_pam(frac(F3, (1, 2, 1))) == (1, 2, 0)
-    assert build_q_pam(frac(F3, (0, 0, 1))) == (0, 1, 2)
+    assert _complete(3, 3, frac(F3, (0, 1)).values()) == (0, 1, 2)
+    assert _complete(3, 3, frac(F3, (1, 2, 1)).values()) == (1, 2, 0)
+    assert _complete(3, 3, frac(F3, (0, 0, 1)).values()) == (0, 1, 2)
 
 
 def test_q1_pam_hand_examples():
-    assert build_q1_pam(frac(F3, (0, 1))) == (0, 1, 2, 3)
-    assert build_q1_pam(frac(F3, (1,), (0, 1))) == (3, 1, 2, 0)
-    assert build_q1_pam(frac(F3, (0, 0, 1), (1, 1))) == (0, 2, 3, 1)
+    assert _complete(3, 4, frac(F3, (0, 1)).values()) == (0, 1, 2, 3)
+    assert _complete(3, 4, frac(F3, (1,), (0, 1)).values()) == (3, 1, 2, 0)
+    assert _complete(3, 4, frac(F3, (0, 0, 1), (1, 1)).values()) == (0, 2, 3, 1)
 
 
 def test_pam_respects_forced_points():
@@ -63,7 +61,7 @@ def test_pam_respects_forced_points():
                 continue
             val = F.mul(phi.num.eval(beta), F.inv(gv))
             preimages.setdefault(val, []).append(beta)
-        for psi in (build_q_pam(phi), build_q1_pam(phi)):
+        for psi in (_complete(q, q, phi.values()), _complete(q, q + 1, phi.values())):
             for val, pre in preimages.items():
                 assert psi[min(pre)] == val
             assert sorted(psi) == list(range(len(psi)))
@@ -71,11 +69,11 @@ def test_pam_respects_forced_points():
 
 def test_q1_pam_pole_handling():
     phi = frac(F5, (1,), (0, 0, 1))  # 1/x^2, double root at 0
-    psi = build_q1_pam(phi)
+    psi = _complete(5, 6, phi.values())
     assert psi[0] == 5  # smallest root carries the extra point
     assert sorted(psi) == list(range(6))
     nopole = frac(F5, (0, 0, 1))
-    assert build_q1_pam(nopole)[5] == 5
+    assert _complete(5, 6, nopole.values())[5] == 5
 
 
 def test_batched_build_matches_single_builders():
@@ -92,9 +90,8 @@ def test_batched_build_matches_single_builders():
         result = enumerate_fast(query)
         assert np.array_equal(result.gather(), _member_values(query, result.rows))
         pa = build_pa(query, result=result)
-        build = build_q_pam if query.variant is Variant.Q else build_q1_pam
-        for idx, phi in enumerate(result.members):
-            assert pa.row(idx) == build(phi)
+        for idx, phi in enumerate(members(result)):
+            assert pa.row(idx) == _complete(query.q, query.length(), phi.values())
 
 
 @pytest.mark.parametrize(
@@ -110,13 +107,12 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     assert np.array_equal(sample.gather(), _member_values(query, sample.rows))
     pa = build_pa(query, result=sample)
     assert pa.rows.dtype == row_dtype(query.length())
-    build = build_q_pam if variant is Variant.Q else build_q1_pam
-    for idx, phi in enumerate(sample.members):
-        assert pa.row(idx) == build(phi)
+    for idx, phi in enumerate(members(sample)):
+        assert pa.row(idx) == _complete(q, query.length(), phi.values())
 
 
 def _scalar_rows(q, n, vals):
-    return [list(pam._complete(q, n, row)) for row in vals.tolist()]
+    return [list(_complete(q, n, row)) for row in vals.tolist()]
 
 
 def _complete_rows(q, n, vals):

