@@ -37,6 +37,7 @@ import numpy as np
 from . import pa
 from .field import field_for_order
 from .pa import (
+    EMIT_CELL_CAP,
     MAX_DEGREE,
     PermArray,
     Permutation,
@@ -50,13 +51,6 @@ from .pa import (
 
 #: Most elements that one call lists (`group_to_pa`) or scans (`minimal_degree`).
 EXACT_SCAN_CAP = 1 << 24
-#: Most rows x points cells that one emit lists.  An `sfp` emit holds its
-#: rows, about 2.2 bytes a cell at its peak (q = 509, k = 1: 131.6M cells,
-#: 295 MB); a group emit streams them, so its peak does not grow with the
-#: array (sym(10): 36.3M cells, 32.9 MB; M23: 234.6M cells, 33.3 MB).  31 MB
-#: of each is the import.  The cap admits the M23 array of the published
-#: bounds.
-EMIT_CELL_CAP = 1 << 28
 
 #: Walk length of the sampled minimal-degree scan unless one is given.
 DEFAULT_TRIALS = 10**5
@@ -338,9 +332,10 @@ def _walk_segment(
     the identity (the last row of gens).  Every block steps from the
     identity at once, one gather per position; one pass over the blocks
     carries each block's prefix C in front of it.  P = C[L] moves x exactly
-    when L[x] != C^-1[x], so one comparison with the inverse prefixes
-    counts the moved points of every element.  Returns the last element and
-    the least nonzero moved-point count (degree + 1 when there is none).
+    when L[x] != C^-1[x], so one comparison with the inverse prefixes, each
+    made by one scatter, counts the moved points of every element.  Returns
+    the last element and the least nonzero moved-point count (degree + 1
+    when there is none).
     """
     n = gens.shape[1]
     width = math.isqrt(len(word) - 1) + 1
@@ -357,7 +352,8 @@ def _walk_segment(
     prefix[0] = start
     for b in range(1, blocks):
         prefix[b] = prefix[b - 1][local[-1, b - 1]]
-    inverse_prefix = np.argsort(prefix, axis=1).astype(gens.dtype)
+    inverse_prefix = np.empty_like(prefix)
+    inverse_prefix[np.arange(blocks)[:, None], prefix] = np.arange(n, dtype=gens.dtype)
     moved = (local != inverse_prefix).sum(axis=2)
     moved = moved[moved > 0]
     least = int(moved.min()) if len(moved) else n + 1

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import re
 import stat
 import threading
 from dataclasses import dataclass
@@ -22,6 +21,13 @@ Permutation = tuple[int, ...]
 
 #: Largest supported degree: every point of a row fits in a uint16.
 MAX_DEGREE = 1 << 16
+#: Most rows x points cells that one emit lists, and that `read_pa` reads.
+#: An `sfp` emit holds its rows, about 2.2 bytes a cell at its peak (q =
+#: 509, k = 1: 131.6M cells, 295 MB); a group emit streams them, so its peak
+#: does not grow with the array (sym(10): 36.3M cells, 32.9 MB; M23: 234.6M
+#: cells, 33.3 MB).  31 MB of each is the import.  The cap admits the M23
+#: array of the published bounds.
+EMIT_CELL_CAP = 1 << 28
 FULL_PAIR_CAP = 10**10
 DEFAULT_SAMPLE_PAIRS = 10**6
 SAMPLED_NOTE = "sampled check: evidence only, not an exhaustive proof"
@@ -638,13 +644,6 @@ def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
     write_blocks(path, *_as_blocks(pa))
 
 
-# Bytes of text per block that `read_pa` reads and parses; bounds its
-# scratch.  2^18 reads the q=19 k=5 q+1 file at 2.2 bytes a cell (traced),
-# 2^20 at 3.9, no faster.
-_READ_BLOCK_BYTES = 1 << 18
-_LINE_END = re.compile(rb"[\r\n]")
-
-
 def _parse_header(line: str) -> dict[str, str]:
     if not line.startswith("PA "):
         raise ValueError("not a PA file: missing 'PA' header")
@@ -661,70 +660,35 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
-def _cut(buf: bytes, chunks: Iterator[bytes], at: int) -> tuple[bytes, int]:
-    """buf, extended from chunks until it holds a line end at or past `at`,
-    and the offset just past that line end; len(buf) + 1 when the chunks
-    run out first."""
-    while True:
-        cut = _LINE_END.search(buf, at)
-        if cut:
-            return buf, cut.end()
-        chunk = next(chunks, b"")
-        if not chunk:
-            return buf, len(buf) + 1
-        at = max(at, len(buf))
-        buf += chunk
-
-
-def _text_blocks(buf: bytes, chunks: Iterator[bytes]) -> Iterator[np.ndarray]:
-    """The int64 rows of the body that starts with buf and goes on in
-    chunks, one block of whole lines at a time, each ending at the first
-    line end _READ_BLOCK_BYTES past its start; a block of whitespace only is
-    skipped (loadtxt warns on it)."""
-    while True:
-        buf, stop = _cut(buf, chunks, _READ_BLOCK_BYTES)
-        if not buf:
-            return
-        block, buf = buf[:stop].replace(b"\r", b"\n"), buf[stop:]
-        if not block.isspace():
-            yield np.loadtxt(io.BytesIO(block), dtype=np.int64, ndmin=2, comments=None)
-
-
-def _text_rows(blocks: Iterator[np.ndarray], body: int, n: int, m: int) -> np.ndarray:
-    """The m rows of a body of `body` bytes, parsed into `blocks`, in one
-    row_dtype(n) buffer, each block checked and narrowed into its slice.
-
-    A row takes at least 2n bytes (n points of one digit or more, each
-    followed by a space or a line end; the last line end may be missing),
-    so a header M that the body cannot hold is refused before the buffer
-    is allocated or any block is read, and a row past the m-th as soon as
-    its block is read."""
-    most = (body + 1) // max(2 * n, 1)
-    if not 0 <= m <= most:
-        raise ValueError(f"header says {m} rows, the body holds at most {most}")
-    return _filled(blocks, n, m)
-
-
 def read_pa(path: Union[str, Path]) -> PermArray:
-    """Parse either the text format or its JSON mirror.
+    """Parse either the text format or its JSON mirror into one row_dtype
+    buffer that the array keeps (`_filled`), one block of rows at a time.
 
-    Text is read as bytes, _READ_BLOCK_BYTES at a time: the header line is
-    decoded, and the body is parsed one block at a time straight into one
-    row_dtype buffer that the array keeps (`_text_rows`), so the bytes and
-    the int64 parse of one block are the only other copies of any row.
-    Lines end with \\n, \\r\\n or \\r; blank lines are skipped.  A file that
-    starts with whitespace or a brace is read whole, since the JSON mirror
-    is parsed as one document, and so is a pipe, whose size is known only
-    at its end."""
-    with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        chunks = iter(lambda: fh.read(_READ_BLOCK_BYTES), b"")
-        buf = next(chunks, b"")
-        if buf[:1].isspace() or buf[:1] == b"{" or not stat.S_ISREG(info.st_mode):
-            buf += fh.read()
-        size = info.st_size if stat.S_ISREG(info.st_mode) else len(buf)
-        if buf.lstrip().startswith(b"{"):
-            payload = json.loads(buf.decode("utf-8"))
+    Text is read through a line reader that keeps each line's end (`\\n`,
+    `\\r\\n` or `\\r`), so the header line's length is its length in bytes:
+    latin-1 maps every byte to one character, and only the header is then
+    decoded as UTF-8.  A row takes at least 2n bytes (n points of one digit
+    or more, each followed by a space or a line end; the last line end may
+    be missing), so a header M that the body cannot hold is refused before
+    the buffer is allocated or any row is read, and so is an array over
+    EMIT_CELL_CAP cells.  The body is parsed in blocks of whole lines of
+    about _BLOCK_CELLS characters, so the lines and the int64 parse of one
+    block are the only other copies of any row; blocks of blank lines are
+    skipped (loadtxt warns on them).  The JSON mirror's rows are narrowed
+    from the parsed lists _BLOCK_CELLS cells at a time.  A file that starts
+    with whitespace or a brace is read whole, since the JSON mirror is
+    parsed as one document, and so is a pipe, whose size is known only at
+    its end."""
+    with open(path, "rb") as raw:
+        info = os.fstat(raw.fileno())
+        first = raw.peek(1)[:1]
+        whole = first.isspace() or first == b"{" or not stat.S_ISREG(info.st_mode)
+        data = raw.read() if whole else b""
+        if data.lstrip()[:1] == b"{":
+            text = data.decode("utf-8")
+            del data  # not held while the document is parsed
+            payload = json.loads(text)
+            del text
             n, m, d = payload["n"], payload["M"], payload["d"]
             if not all(type(v) is int for v in (n, m, d)):
                 raise ValueError("n, M and d must be integers")
@@ -733,18 +697,35 @@ def read_pa(path: Union[str, Path]) -> PermArray:
                 raise ValueError("provenance must be a string")
             if inf is not None and type(inf) is not int:
                 raise ValueError("inf must be an integer or null")
-            rows = _narrowed(np.asarray(payload["rows"] or np.empty((0, n), np.int64)), n)
-            if len(rows) != m:
-                raise ValueError(f"{len(rows)} rows, header says {m}")
+            listed = payload["rows"]
+            if type(listed) is not list:
+                raise ValueError("rows must be a list")
+            if len(listed) != m:
+                raise ValueError(f"{len(listed)} rows, header says {m}")
+            step = max(1, _BLOCK_CELLS // max(n, 1))
+            blocks = (np.asarray(listed[lo : lo + step]) for lo in range(0, m, step))
         else:
-            if not buf:
+            fh = io.TextIOWrapper(io.BytesIO(data) if whole else raw, "latin-1", newline="")
+            header = fh.readline()
+            if not header:
                 raise ValueError("empty PA file")
-            buf, stop = _cut(buf, chunks, 0)
-            head = _parse_header(buf[: stop - 1].decode("utf-8"))
+            head = _parse_header(header.rstrip("\r\n").encode("latin-1").decode("utf-8"))
             n, m, d = int(head["n"]), int(head["M"]), int(head["d"])
             inf = None if head["inf"] == "none" else head["inf"]
             provenance = head["provenance"]
-            rows = _text_rows(_text_blocks(buf[stop:], chunks), size - stop, n, m)
+            body = (len(data) if whole else info.st_size) - len(header)
+            most = (body + 1) // max(2 * n, 1)
+            if not 0 <= m <= most:
+                raise ValueError(f"header says {m} rows, the body holds at most {most}")
+            # Blank as bytes are: str.isspace also takes \x1c-\x1f, \x85 and \xa0.
+            blocks = (
+                np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+                for lines in iter(lambda: fh.readlines(_BLOCK_CELLS), [])
+                if not all(line.encode("latin-1").isspace() for line in lines)
+            )
+        if m * n > EMIT_CELL_CAP:
+            raise ValueError(f"{m} rows of {n} points exceed the cell cap {EMIT_CELL_CAP}")
+        rows = _filled(blocks, n, m)
     if inf is not None and str(inf) != str(n - 1):
         raise ValueError(f"unsupported infinity point {inf}")
     return PermArray(rows, d, provenance=provenance, infinity=inf is not None)

@@ -297,16 +297,44 @@ def test_verify_skips_blank_lines(tmp_path):
     assert read_pa(path).rows.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
-def test_verify_reads_a_pipe():
+def test_verify_reads_a_pipe(tmp_path):
     # A pipe has no size until its end, so it is read whole before the
-    # header's M is checked against it.
+    # header's M is checked against it; the JSON mirror and text with \r
+    # and \r\n line ends read from a pipe as they read from the file.
     text = HEAD3.format(m=3) + "\n0 1 2\n1 2 0\n2 0 1\n"
-    proc = subprocess.run(
-        [sys.executable, "-m", "paforge.cli", "verify", "--in", "/dev/stdin"],
-        input=text, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["min_observed"] == 3
+    mirror = json.dumps({
+        "n": 3, "M": 3, "d": 2, "inf": None, "provenance": "x",
+        "rows": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+    })
+    mixed = HEAD3.format(m=3).replace("\n", "\r\n") + "0 1 2\r1 2 0\r\n\r2 0 1\r"
+    for name, body in (("a.txt", text), ("a.json", mirror), ("b.txt", mixed)):
+        path = tmp_path / name
+        path.write_bytes(body.encode())
+        code, from_file, err = run_cli("verify", "--in", str(path))
+        assert code == 0, err
+        proc = subprocess.run(
+            [sys.executable, "-m", "paforge.cli", "verify", "--in", "/dev/stdin"],
+            input=body.encode(), capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode() == from_file
+        assert json.loads(from_file)["min_observed"] == 3
+
+
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_verify_refuses_a_file_over_the_cell_cap(tmp_path, monkeypatch, suffix):
+    # The cap that bounds emits bounds reads: an emit of 24 rows of 4
+    # points at a cap of 96 cells reads back, and is refused below it.
+    path = tmp_path / f"s4{suffix}"
+    monkeypatch.setattr(groups, "EMIT_CELL_CAP", 96)
+    monkeypatch.setattr(pa_module, "EMIT_CELL_CAP", 96)
+    code, _, err = run_cli("group", "--name", "sym", "--m", "4", "--emit", str(path))
+    assert code == 0, err
+    assert run_cli("verify", "--in", str(path))[0] == 0
+    monkeypatch.setattr(pa_module, "EMIT_CELL_CAP", 95)
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "malformed input: 24 rows of 4 points exceed the cell cap 95\n"
 
 
 def test_verify_sampled_mode(tmp_path):
@@ -755,7 +783,6 @@ def test_every_block_constant_small_changes_no_output(tmp_path, monkeypatch):
     want = outputs(tmp_path / "default")
     for module, name, value in (
         (pa_module, "_BLOCK_CELLS", 64),
-        (pa_module, "_READ_BLOCK_BYTES", 64),
         (pa_module, "_TILE_ROWS", 3),
         (pa_module, "_TILE_COLS", 5),
         (sfp, "_CELL_BUDGET", 100),

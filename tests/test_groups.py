@@ -400,11 +400,15 @@ def test_sampled_scan_memory_does_not_grow_with_trials():
     # Segments of _BLOCK_CELLS / (n + 32) steps: the M24 walk at the default
     # trials peaked at 0.39 MiB traced, and four times as many trials at
     # the same (4.58 MiB in segments of 2^22 cells, drawn one at a time).
-    grp = make_named("mathieu24")
-    grp.chain  # built outside the measured span
-    for trials in (DEFAULT_TRIALS, 4 * DEFAULT_TRIALS):
-        _, peak = traced_peak(lambda: minimal_degree(grp, "sampled", trials=trials, seed=2))
-        assert peak < 0.6 * 2**20, (trials, peak)
+    # agl1(4096) walks segments of 63 steps: 0.98 MiB at 1000 and 4000 trials.
+    for grp, trials, bound in (
+        (make_named("mathieu24"), (DEFAULT_TRIALS, 4 * DEFAULT_TRIALS), 0.6),
+        (make_named("agl1", q=4096), (1000, 4000), 1.2),
+    ):
+        grp.chain  # built outside the measured span
+        for steps in trials:
+            _, peak = traced_peak(lambda: minimal_degree(grp, "sampled", trials=steps, seed=2))
+            assert peak < bound * 2**20, (grp.degree, steps, peak)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 99, 2**31 - 1, -1])

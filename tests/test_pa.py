@@ -733,7 +733,7 @@ def untidy_text(rows, end):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("n", [12, 300])
 def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_bytes, end, n):
-    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", block_bytes)
     path = tmp_path / "untidy.txt"
     path.write_bytes(untidy_text(distinct_rows(n, 40, seed=n), end))
     back = read_pa(path)
@@ -755,7 +755,7 @@ def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_bytes, en
 def test_block_reader_rejects_rows_in_later_blocks(
     tmp_path, monkeypatch, block_bytes, body, message
 ):
-    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", block_bytes)
     path = tmp_path / "bad.txt"
     path.write_text("PA n=3 M=3 d=2 inf=none provenance=x\n" + body)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -780,8 +780,26 @@ def test_header_rows_the_body_cannot_hold_are_refused_unallocated(tmp_path, monk
         read_pa(path)
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_arrays_over_the_cell_cap_are_refused_unallocated(tmp_path, monkeypatch, suffix):
+    # 3 rows of 4 points: read at a cap of 12 cells, refused at 11 before
+    # a row buffer exists.
+    path = tmp_path / f"a{suffix}"
+    write_pa(PermArray(distinct_rows(4, 3, seed=4), 2), path)
+    monkeypatch.setattr(pa_module, "EMIT_CELL_CAP", 12)
+    assert read_pa(path).M == 3
+    monkeypatch.setattr(pa_module, "EMIT_CELL_CAP", 11)
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("a row buffer was allocated")
+
+    monkeypatch.setattr(pa_module.np, "empty", no_buffer)
+    with pytest.raises(ValueError, match="3 rows of 4 points exceed the cell cap 11"):
+        read_pa(path)
+
+
 def test_surplus_row_refused_before_later_blocks_are_read(tmp_path, monkeypatch):
-    monkeypatch.setattr(pa_module, "_READ_BLOCK_BYTES", 1)  # one line a block
+    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 1)  # one line a block
     path = tmp_path / "long.txt"
     path.write_text("PA n=3 M=2 d=2 inf=none provenance=x\n0 1 2\n1 2 0\n2 0 1\nnot a row\n")
     with pytest.raises(ValueError, match="a row past the header's M=2"):
@@ -822,7 +840,7 @@ def test_read_peak_does_not_grow_with_the_text(tmp_path):
     assert path.stat().st_size >= 5 * text
     back, peak = traced_peak(lambda: read_pa(path))
     assert np.array_equal(back.rows, rows)
-    assert peak <= 2.5 * rows.size + pa_module._READ_BLOCK_BYTES, peak / rows.size
+    assert peak <= 2.5 * rows.size + pa_module._BLOCK_CELLS, peak / rows.size
 
 
 def test_malformed_files_rejected(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import traced_peak
 from paforge.field import Field
+from paforge.groups import group_to_pa, make_named
 from paforge.pa import min_distance, row_dtype
 from paforge import pam, sfp
 from paforge.pam import build_pa
@@ -288,3 +289,35 @@ def test_build_deterministic_across_workers():
 def test_empty_cell_builds_empty_array():
     pa = build_pa(SfpQuery(F5, Variant.Q, 0, 0))
     assert pa.M == 0 and pa.n == 5
+
+
+# AGL(1, q) is the cell s = 1, t = 0 of length q (the maps ax + b, a != 0);
+# PGL(2, q) is the cell s = 1, t = 1, a = b = 0 of length q + 1 (the Moebius
+# maps on the projective line, q the point at infinity).  The fraction path
+# and the group path share only the field.
+MEETING_CELLS = [("agl1", Variant.Q, 0), ("pgl2", Variant.Q_PLUS_1, 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49, 64])
+def test_fraction_cells_hold_the_rows_of_agl1_and_pgl2(q):
+    for name, variant, t in MEETING_CELLS:
+        if q - 2 < 1 + t:  # s + t <= q - 2
+            with pytest.raises(ValueError, match="exceeds q-2"):
+                SfpQuery(field_for_order(q), variant, 1, t)
+            continue
+        query = SfpQuery(field_for_order(q), variant, 1, t)
+        group = group_to_pa(make_named(name, q=q)).rows
+        for workers in (1, 2):
+            rows = build_pa(query, workers=workers).rows
+            assert rows.dtype == group.dtype
+            assert np.array_equal(np.unique(rows, axis=0), group), (name, q, workers)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_full_verify_of_the_pgl2_cell_observes_its_minimal_degree(q):
+    # The cell claims q - 2; PGL(2, q) is sharply 3-transitive, so every
+    # element other than the identity fixes at most two points.
+    pa = build_pa(SfpQuery(field_for_order(q), Variant.Q_PLUS_1, 1, 1))
+    report = min_distance(pa, "full")
+    assert (pa.claimed_distance, report.min_observed) == (q - 2, q - 1)
+    assert report.passed and report.mode == "FULL"
