@@ -506,15 +506,13 @@ def _check_points(name: str, count: int) -> None:
 
 
 def _pgl2(q: int) -> PermGroup:
-    """Fractional-linear maps on the projective line; infinity is point q.
-    The scale map is left out when it is the identity (q = 2)."""
+    """Fractional-linear maps on the projective line; infinity is point q:
+    the generators of AGL(1, q) (`_agl`), each fixing infinity, then the
+    inversion x -> 1/x."""
     _check_points(f"pgl2({q})", q + 1)
     F = field_for_order(q)
-    inf = q
-    shift = tuple(F.add(x, 1) for x in range(q)) + (inf,)
-    scale = tuple(F.mul(F.primitive, x) for x in range(q)) + (inf,)
-    invert = tuple(inf if x == 0 else F.inv(x) for x in range(q)) + (0,)
-    gens = (shift, scale, invert) if F.primitive != 1 else (shift, invert)
+    invert = tuple(q if x == 0 else F.inv(x) for x in range(q)) + (0,)
+    gens = tuple(g + (q,) for g in _agl(1, q).generators) + (invert,)
     return PermGroup(q + 1, gens, name=f"pgl2({q})")
 
 

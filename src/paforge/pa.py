@@ -239,13 +239,14 @@ def _scan_pairs(
     column by column over the column-major rows, so masked pairs hold 0 and
     never tie a real pair.  Distinct rows agree in at most n - 2 points, so
     row_dtype(n) holds it (a masked self pair may wrap before the mask
-    zeroes it).  Only columns up to a band's last row can be masked.
+    zeroes it).  Only columns up to a band's last row can be masked, by
+    rank, int32 below 2^31 rows as `_lex_order` is.
     """
     n, M, k = pa.n, pa.M, len(reps)
     cols = np.ascontiguousarray(pa.rows.T)
     dtype = row_dtype(n)
     limit = n + 1 - claimed
-    rank = np.full(M, M)
+    rank = np.full(M, M, np.int32 if M < 1 << 31 else np.intp)
     rank[reps] = np.arange(k)
     # The rows below `lead` are representatives, so the first row of rank
     # above a is the lesser of lead and reps[a] + 1.
@@ -278,7 +279,8 @@ def _scan_pairs(
             np.equal(mine[:, None], col[None, j0 : j0 + w], out=eq)
             agree += eq.view(np.uint8)
         if j0 <= rows[-1]:
-            np.greater(rank[None, j0 : j0 + w], np.arange(a, a + h)[:, None], out=eq)
+            places = np.arange(a, a + h, dtype=rank.dtype)[:, None]
+            np.greater(rank[None, j0 : j0 + w], places, out=eq)
             agree *= eq.view(np.uint8)
         flat = int(agree.argmax())
         violated = bool(agree.flat[flat] > limit)
@@ -307,42 +309,26 @@ def _prefix_keys(rows: np.ndarray) -> np.ndarray:
     return key
 
 
-def _sfp_field_order(pa: PermArray) -> Optional[int]:
-    """q of an `sfp:` provenance whose variant matches the array's shape:
-    n = q, or n = q + 1 with the infinity point; else None."""
-    if not pa.provenance.startswith("sfp:"):
-        return None
-    fields = dict(part.partition("=")[::2] for part in pa.provenance[4:].split(","))
-    q = fields.get("q", "")
-    if not q.isdigit():
-        return None
-    q = int(q)
-    shapes = {("q", q, False), ("q+1", q + 1, True)}
-    return q if (fields.get("variant"), pa.n, pa.infinity) in shapes else None
-
-
-def _candidate_isometries(pa: PermArray) -> list:
+def _candidate_isometries(pa: PermArray) -> Iterator:
     """Maps of a block of rows to their images under Hamming isometries
-    that may permute the rows: right composition with a few of the rows
-    themselves (a group array is closed under it), and for an `sfp:` array
-    the column maps x -> x+1, x -> wx and the value maps v -> wv, v -> v+1
-    of GF(q) with w its primitive element, the infinity point fixed."""
+    that may permute the rows, each made only when asked for: right
+    composition with a few of the rows themselves (a group array is closed
+    under it), then, when q = n (n - 1 with the infinity point) is a field
+    order, the generators of AGL(1, q) (`groups`' agl1: x -> x+1, and x ->
+    wx for w primitive) on the columns, then in reverse on the values, the
+    infinity point fixed."""
     M = pa.M
-    maps = [lambda rows, r=pa.rows[i]: rows[:, r] for i in sorted({M // 3, 2 * M // 3, M - 1})]
-    q = _sfp_field_order(pa)
-    if q is not None:
-        from .field import field_for_order
+    for i in sorted({M // 3, 2 * M // 3, M - 1}):
+        yield lambda rows, r=pa.rows[i]: rows[:, r]
+    from .groups import make_named
 
-        try:
-            F = field_for_order(q)
-        except ValueError:
-            return maps
-        dtype, fixed = pa.rows.dtype, list(range(q, pa.n))
-        shift = np.array([F.add(x, 1) for x in range(q)] + fixed, dtype)
-        scale = np.array([F.mul(F.primitive, x) for x in range(q)] + fixed, dtype)
-        maps += [lambda rows, p=p: rows[:, p] for p in (shift, scale)]
-        maps += [lambda rows, p=p: p[rows] for p in (scale, shift)]
-    return maps
+    try:
+        agl = make_named("agl1", q=pa.n - 1 if pa.infinity else pa.n)
+    except ValueError:
+        return
+    gens = [np.array(g + tuple(range(agl.degree, pa.n)), pa.rows.dtype) for g in agl.generators]
+    yield from (lambda rows, p=p: rows[:, p] for p in gens)
+    yield from (lambda rows, p=p: p[rows] for p in reversed(gens))
 
 
 def _orbit_representatives(pa: PermArray) -> np.ndarray:
@@ -355,7 +341,7 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     maps: each round pulls and pushes the least label along every map and
     jumps labels to their labels, until no label moves.  This runs after
     each kept candidate, from the labels so far, and once they leave one
-    orbit no further candidate is checked.
+    orbit no further candidate is made or checked.
     """
     M = pa.M
     srt = pa.rows if pa._order is None else pa.rows[pa._order]
@@ -367,8 +353,6 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     starts = [0, *range(min(_TILE_ROWS, M), M, max(1, _BLOCK_CELLS // pa.n)), M]
     maps, label = [], np.arange(M)
     for image_of in _candidate_isometries(pa):
-        if not label.any():  # one orbit: no further map can change it
-            break
         index = np.empty(M, np.intp)
         for lo, hi in zip(starts, starts[1:]):
             image = image_of(pa.rows[lo:hi])
@@ -393,6 +377,8 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
                 label = label[label]
                 if (label == before).all():
                     break
+            if not label.any():  # one orbit: no further map can change it
+                break
     return np.flatnonzero(label == np.arange(M))
 
 

@@ -2,11 +2,13 @@
 fewer representatives than rows where the arrays have symmetry, and every
 report must equal the scan of every pair's and the brute-force oracle's."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
+from paforge import groups as groups_module
 from paforge import pa as pa_module
 from paforge.field import field_for_order
 from paforge.groups import group_to_pa, make_named
@@ -28,6 +30,12 @@ FRACTION_ROWS = {
     "q23-k3-q+1": (23, Variant.Q_PLUS_1, 2, 1, 1, -1),
     "q25-k3-q+1": (25, Variant.Q_PLUS_1, 2, 1, 1, -1),
 }
+
+
+@functools.cache
+def _fraction_array(name):
+    q, variant, s, t, a, b = FRACTION_ROWS[name]
+    return build_pa(SfpQuery(field_for_order(q), variant, s, t, a, b), workers=2)
 
 
 def _full(pa, workers=None):
@@ -69,8 +77,7 @@ def _with_claim(pa, claimed):
 
 @pytest.mark.parametrize("name", sorted(FRACTION_ROWS))
 def test_fraction_rows_are_proven_through_isometries(name, monkeypatch):
-    q, variant, s, t, a, b = FRACTION_ROWS[name]
-    pa = build_pa(SfpQuery(field_for_order(q), variant, s, t, a, b), workers=2)
+    pa = _fraction_array(name)
     expected = _tiled(pa)
     assert expected[3]
     for workers in (1, 2):
@@ -117,7 +124,7 @@ def _planted_array(n, value_shift, seed):
     "n,value_shift", [(13, True), (13, False), (257, False)], ids=["uint8-2gens", "uint8", "uint16"]
 )
 def test_planted_close_pair_outside_the_first_orbit(n, value_shift, monkeypatch):
-    # An `sfp:` provenance offers the field maps of GF(n): the column shift
+    # The prime width n offers the field maps of GF(n): the column shift
     # (and the value shift) pass, the scalings do not.  At n = 257 the
     # points need uint16, and the planted rows share their leading points,
     # so they are found by the whole-row keys.
@@ -177,7 +184,7 @@ def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
 
 def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
     # Permuted columns, renamed symbols and shuffled rows keep every
-    # distance, but not the field maps the provenance names: no candidate
+    # distance, but not the field maps that the width 19 offers: no candidate
     # passes, so every row is its own representative and the scan of every
     # pair gives the oracle's report.
     pa = build_pa(SfpQuery(field_for_order(19), Variant.Q, 1, 2))
@@ -276,10 +283,11 @@ def test_rows_with_half_to_all_representatives_scan_fewer_pairs(conjugate, monke
 def test_candidates_stop_once_the_rows_form_one_orbit(name, params, monkeypatch):
     # Right composition with the first two row candidates generates the
     # group, so the rows form one orbit and the third candidate, which
-    # cannot change that, is never evaluated.
+    # cannot change that, is never evaluated.  Both arrays have 8 points,
+    # so GF(8)'s four maps follow the three row maps.
     pa = group_to_pa(make_named(name, **params))
-    candidates = pa_module._candidate_isometries(pa)
-    assert len(candidates) == 3
+    candidates = list(pa_module._candidate_isometries(pa))
+    assert len(candidates) == 7
     evaluated = []
 
     def counted(k):
@@ -316,3 +324,59 @@ def test_group_arrays_proven_under_a_cap_the_tiled_scan_exceeds(name, params, mo
     monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned - 1)
     with pytest.raises(ValueError, match=f"^{scanned} pairs exceed the full-verification cap"):
         min_distance(pa, "full")
+
+
+def _images_of_identity(pa):
+    """The image of the identity row under each candidate, in order."""
+    ident = np.arange(pa.n, dtype=pa.rows.dtype)[None, :]
+    return [image_of(ident)[0].tolist() for image_of in pa_module._candidate_isometries(pa)]
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_ROWS))
+def test_field_maps_come_from_the_shape_not_the_provenance(name):
+    # The field order is read off the width (less the infinity point), so a
+    # fraction array with no provenance meets the maps that its `sfp:`
+    # provenance would name: the three row maps, then x -> x+1 and x -> wx
+    # on the columns, then v -> wv and v -> v+1 on the values, and gets the
+    # same representatives and, where it is quick, the same FULL report.
+    pa = _fraction_array(name)
+    bare = PermArray(pa.rows, pa.claimed_distance, infinity=pa.infinity)
+    assert pa.provenance.startswith("sfp:") and bare.provenance == ""
+    F, M = field_for_order(FRACTION_ROWS[name][0]), pa.M
+    fixed = list(range(F.q, pa.n))
+    shift = [F.add(x, 1) for x in range(F.q)] + fixed
+    scale = [F.mul(F.primitive, x) for x in range(F.q)] + fixed
+    rows = [pa.row(i) for i in (M // 3, 2 * M // 3, M - 1)]
+    expected = [list(r) for r in rows] + [shift, scale, scale, shift]
+    assert _images_of_identity(bare) == _images_of_identity(pa) == expected
+    reps = pa_module._orbit_representatives(pa)
+    assert len(reps) < M
+    assert np.array_equal(pa_module._orbit_representatives(bare), reps)
+    if M < 25_000:
+        assert min_distance(bare, "full") == min_distance(pa, "full")
+
+
+@pytest.mark.parametrize("infinity", [False, True], ids=["n=6", "n=7-with-infinity"])
+def test_widths_that_fit_no_field_get_only_the_row_maps(infinity):
+    # q = 6 is not a prime power, with or without the infinity point; the
+    # same rows read with n = 7 as a field order get GF(7)'s four maps.
+    rows = [row + (6,) if infinity else row for row in _orbit(list(range(6)), True)]
+    pa = PermArray(rows, 2, provenance="sfp:q=6,variant=q", infinity=infinity)
+    assert len(list(pa_module._candidate_isometries(pa))) == 3
+    if infinity:
+        assert len(list(pa_module._candidate_isometries(PermArray(rows, 2)))) == 7
+    assert _full(pa) == _oracle(rows, 2)
+
+
+@pytest.mark.parametrize("name,params", [("agl1", {"q": 8}), ("pgl2", {"q": 7}), ("sym", {"m": 5})])
+def test_a_group_the_row_maps_prove_builds_no_field(name, params, monkeypatch):
+    # The rows form one orbit under the row maps, so the candidates stop
+    # before AGL(1, q) is asked for, though 8 and 5 are field orders.
+    pa = group_to_pa(make_named(name, **params))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("make_named called")
+
+    monkeypatch.setattr(groups_module, "make_named", refused)
+    assert pa_module._orbit_representatives(pa).tolist() == [0]
+    assert _full(pa) == _tiled(pa)

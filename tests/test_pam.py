@@ -8,7 +8,7 @@ import pytest
 
 from conftest import traced_peak
 from paforge.field import Field
-from paforge.groups import group_to_pa, make_named
+from paforge.groups import group_order, group_to_pa, make_named
 from paforge.pa import min_distance, row_dtype
 from paforge import pam, sfp
 from paforge.pam import build_pa
@@ -16,6 +16,7 @@ from paforge.sfp import (
     OFFSET_CHOICES,
     SfpQuery,
     Variant,
+    best_cell,
     enumerate_fast,
     field_for_order,
 )
@@ -298,7 +299,11 @@ def test_empty_cell_builds_empty_array():
 MEETING_CELLS = [("agl1", Variant.Q, 0), ("pgl2", Variant.Q_PLUS_1, 1)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49, 64])
+@pytest.mark.parametrize(  # every prime power up to 64
+    "q",
+    [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+    + [37, 41, 43, 47, 49, 53, 59, 61, 64],
+)
 def test_fraction_cells_hold_the_rows_of_agl1_and_pgl2(q):
     for name, variant, t in MEETING_CELLS:
         if q - 2 < 1 + t:  # s + t <= q - 2
@@ -311,6 +316,24 @@ def test_fraction_cells_hold_the_rows_of_agl1_and_pgl2(q):
             rows = build_pa(query, workers=workers).rows
             assert rows.dtype == group.dtype
             assert np.array_equal(np.unique(rows, axis=0), group), (name, q, workers)
+
+
+# The top of each declared range: the largest prime the int16 kernels hold
+# (32749), the Mersenne prime 8191, and extension fields up to MAX_EXT_Q =
+# 1024 in characteristics 2 and 3.
+@pytest.mark.parametrize("q", [32749, 8191, 512, 729, 1024])
+def test_meeting_cells_count_the_group_orders_at_the_top_of_each_range(q):
+    # Each cell is counted by its orbit sizes, with no row built, so it
+    # reaches q where no brute force does.  The stabilizer chain confirms
+    # the order where it builds quickly; that of pgl2(8191) takes seconds.
+    F = field_for_order(q)
+    agl = best_cell([SfpQuery(F, Variant.Q, 1, 0)]).count
+    pgl = best_cell([SfpQuery(F, Variant.Q_PLUS_1, 1, 1)]).count
+    assert (agl, pgl) == (q * (q - 1), (q + 1) * q * (q - 1))
+    if q <= 8191:
+        assert group_order(make_named("agl1", q=q)) == agl
+    if q <= 1024:
+        assert group_order(make_named("pgl2", q=q)) == pgl
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
