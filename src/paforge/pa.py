@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import stat
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,71 +61,90 @@ def _narrowed(rows: np.ndarray, n: int) -> np.ndarray:
 _BLOCK_CELLS = 1 << 18
 
 
-def _all_permutations(arr: np.ndarray) -> bool:
-    """Whether every row of arr, with entries in [0, n), holds each point
-    once: row i of a step marks cell i*n + x for each entry x, and n marks
-    per row cover all n cells of the row only when no point repeats.  A
-    step holds _BLOCK_CELLS/8 cells, or one wider row, so its int64 cell
-    indices (8 bytes a cell) and marks take 0.3 to 0.6 MiB at any degree."""
-    m, n = arr.shape
+def _permutation_check(n: int, m: int) -> Callable[[np.ndarray], bool]:
+    """A check of blocks of up to m rows of n points in [0, n): whether each
+    row holds every point once.  Row i of a step marks cell i*n + x for each
+    entry x; n marks cover the row only when no point repeats.  A step holds
+    _BLOCK_CELLS/8 cells, or one wider row, so its int64 cell indices and
+    marks, made once for every block, take 0.3 to 0.6 MiB at any degree."""
     step = max(1, _BLOCK_CELLS // 8 // n)
     offsets = np.arange(0, min(m, step) * n, n)[:, None]
-    index = np.empty((len(offsets), n), np.intp)
-    seen = np.empty(index.size, dtype=bool)
-    for start in range(0, m, step):
-        block = arr[start:start + step]
-        cells, at = seen[: block.size], index[: len(block)]
-        cells[:] = False
-        cells[np.add(block, offsets[: len(block)], out=at).ravel()] = True
-        if not cells.all():
-            return False
-    return True
+    index, seen = np.empty((len(offsets), n), np.intp), np.empty(len(offsets) * n, bool)
+
+    def check(arr: np.ndarray) -> bool:
+        for start in range(0, len(arr), step):
+            block = arr[start : start + step]
+            cells, at = seen[: block.size], index[: len(block)]
+            cells[:] = False
+            cells[np.add(block, offsets[: len(block)], out=at).ravel()] = True
+            if not cells.all():
+                return False
+        return True
+
+    return check
+
+
+def _all_permutations(arr: np.ndarray) -> bool:
+    """`_permutation_check` of the rows of arr."""
+    return _permutation_check(arr.shape[1], len(arr))(arr)
 
 
 def _sorted_keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per row that compares as the row does under lexsort:
-    the points big-endian, signed ones with the sign bit flipped, so a byte
-    compare reads them most significant byte first (`S` drops trailing NULs,
-    which keeps the order of keys of one length).  A C-ordered uint8 block is a view."""
-    if rows.dtype.kind == "i":
-        rows = rows.view(f"u{rows.itemsize}") ^ (1 << 8 * rows.itemsize - 1)
+    """One bytes key per row that compares as unsigned points do under
+    lexsort: the points big-endian (`S` drops trailing NULs, which keeps the
+    order of keys of one length).  A C-ordered uint8 block is a view."""
     big = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return big.view(f"S{big.itemsize * big.shape[1]}").ravel()
 
 
-def _lex_order(arr: np.ndarray) -> np.ndarray:
-    """np.lexsort of the rows of arr, as int32 indices below 2^31 rows."""
-    return np.lexsort(arr.T[::-1]).astype(np.int32 if len(arr) < 1 << 31 else np.intp)
+def _compare_rows(later: np.ndarray, earlier: np.ndarray) -> int:
+    """-1 when a row of later is below its row of earlier as their bytes
+    keys compare (`_sorted_keys`), else 0 when one equals it, else 1."""
+    above, below = _sorted_keys(later), _sorted_keys(earlier)
+    if (above < below).any():
+        return -1
+    return 0 if (above == below).any() else 1
 
 
-def _row_order(arr: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """A lexicographic order of the rows of arr (None when they already are
-    in order) and, for each row in that order, whether it rises above the
-    one before: their keys (`_sorted_keys`) never fall in order, so False
-    marks a repeat and the rising rows are the first occurrences (lexsort
-    is stable).  Rows with a non-decreasing first column, as group arrays
-    have, are compared with their neighbours one block at a time first;
-    only a row below its neighbour sends them to lexsort.  Sorted
-    neighbours are gathered through the order one block at a time, so no
-    sorted copy of arr is held.
-    """
-    m = len(arr)
-    if m < 2 or not arr.shape[1]:
-        return None, np.arange(m) < 1
-    rises = np.ones(m, dtype=bool)
+def _hash_weights(n: int) -> np.ndarray:
+    """n odd uint64 weights: splitmix64's first n outputs from state 0, made
+    with no import of numpy.random (5 MB of RSS)."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+    return x ^ (x >> 31) | 1
+
+
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """One uint64 a row, equal for equal rows: the points dotted with n odd
+    weights (`_hash_weights`) modulo 2^64, the rows widened to uint64
+    _BLOCK_CELLS/8 cells, or one wider row, at a time (0.25 MiB)."""
+    m, n = rows.shape
+    weights, hashes = _hash_weights(n), np.empty(m, np.uint64)
+    step = max(1, _BLOCK_CELLS // 8 // n)
+    for lo in range(0, m, step):
+        np.dot(rows[lo : lo + step].astype(np.uint64), weights, out=hashes[lo : lo + step])
+    return hashes
+
+
+def _distinct(arr: np.ndarray) -> bool:
+    """Whether the rows of arr are pairwise distinct.  Rows that rise, as
+    group arrays do, are compared with their neighbours a block at a time
+    (`_compare_rows`), with no index.  Past a row below the one before it,
+    the rows' hashes (`_row_hashes`) are sorted in place: equal rows hash
+    alike, so only rows that share a hash are compared in full."""
     step = max(1, _BLOCK_CELLS // arr.shape[1])
-    order = None if (arr[1:, 0] >= arr[:-1, 0]).all() else _lex_order(arr)
-    while True:
-        for start in range(0, m - 1, step):
-            stop = min(start + step, m - 1)
-            block = arr[start : stop + 1] if order is None else arr[order[start : stop + 1]]
-            keys = _sorted_keys(block)
-            if order is None and (keys[1:] < keys[:-1]).any():
-                break
-            np.greater(keys[1:], keys[:-1], out=rises[start + 1 : stop + 1])
-        else:
-            return order, rises
-        order = _lex_order(arr)
+    blocks = (arr[lo : lo + step + 1] for lo in range(0, len(arr) - 1, step))
+    rise = next((r for r in (_compare_rows(b[1:], b[:-1]) for b in blocks) if r < 1), 1)
+    if rise >= 0:  # the rows rise, or two neighbours are equal
+        return bool(rise)
+    hashes = _row_hashes(arr)
+    hashes.sort()
+    shared = hashes[1:][hashes[1:] == hashes[:-1]]
+    if not len(shared):
+        return True
+    tied = arr[np.isin(_row_hashes(arr), shared)]
+    return len(np.unique(tied, axis=0)) == len(tied)
 
 
 class PermArray:
@@ -134,13 +152,10 @@ class PermArray:
 
     Point n-1 encodes the extra symbol of length-(q+1) constructions when
     `infinity` is set; rows are stored as a dense row_dtype(n) matrix and
-    are required to be pairwise distinct.  An input that already has that
-    dtype in C order is kept, not copied: `rows` is a read-only view of it,
-    so the caller's array stays writable and must not be written after.
-    Any other input is checked and copied.  `_order` keeps the
-    lexicographic order that the distinctness check found (None: the rows
-    are in order), the row index that FULL verification searches, as int32
-    below 2^31 rows (`_lex_order`).
+    are required to be pairwise distinct (`_distinct`).  An input that
+    already has that dtype in C order is kept, not copied: `rows` is a
+    read-only view of it, so the caller's array stays writable and must not
+    be written after.  Any other input is checked and copied.
     """
 
     def __init__(
@@ -160,11 +175,9 @@ class PermArray:
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
         if not _all_permutations(arr):
             raise ValueError("some row is not a permutation")
-        order, rises = _row_order(arr)
-        if not rises.all():
+        if not _distinct(arr):
             raise ValueError("rows must be pairwise distinct")
         self.rows = arr
-        self._order = order
         self.n = n
         self.claimed_distance = claimed_distance
         self.provenance = provenance
@@ -240,7 +253,7 @@ def _scan_pairs(
     never tie a real pair.  Distinct rows agree in at most n - 2 points, so
     row_dtype(n) holds it (a masked self pair may wrap before the mask
     zeroes it).  Only columns up to a band's last row can be masked, by
-    rank, int32 below 2^31 rows as `_lex_order` is.
+    rank, int32 below 2^31 rows.
     """
     n, M, k = pa.n, pa.M, len(reps)
     cols = np.ascontiguousarray(pa.rows.T)
@@ -299,16 +312,6 @@ def _scan_pairs(
     return n + 1 - top, (i, j), bool(bad)
 
 
-def _prefix_keys(rows: np.ndarray) -> np.ndarray:
-    """The leading points of each row as one base-n uint64, as many as fit:
-    non-decreasing over rows in lexsort order, and quick to search."""
-    n = rows.shape[1]
-    key = np.zeros(len(rows), np.uint64)
-    for col in rows.T[: int(64 / math.log2(n + 1))]:
-        key = key * np.uint64(n) + col
-    return key
-
-
 def _candidate_isometries(pa: PermArray) -> Iterator:
     """Maps of a block of rows to their images under Hamming isometries
     that may permute the rows, each made only when asked for: right
@@ -335,20 +338,19 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     """The least row index of each orbit of the group H generated by the
     candidate isometries that map every row onto a row.
 
-    A candidate is kept only when each image is found in the sorted keys
-    of `_row_order`; it is then injective on a finite set, so it permutes
-    the rows.  The orbits are the connected components of the kept index
-    maps: each round pulls and pushes the least label along every map and
-    jumps labels to their labels, until no label moves.  This runs after
-    each kept candidate, from the labels so far, and once they leave one
-    orbit no further candidate is made or checked.
+    A candidate is kept only when each image equals the row that its hash
+    (`_row_hashes`) finds, so a collision can only drop it; it is then
+    injective on a finite set, so it permutes the rows.  The orbits are the
+    connected components of the kept index maps: each round pulls and
+    pushes the least label along every map and jumps labels to their
+    labels, until no label moves.  This runs after each kept candidate, from
+    the labels so far, and once they leave one orbit no further candidate is
+    made or checked.
     """
     M = pa.M
-    srt = pa.rows if pa._order is None else pa.rows[pa._order]
-    prefix = _prefix_keys(srt)
-    # A row whose prefix the next row shares is found by its whole key.
-    shared = np.append(prefix[1:] == prefix[:-1], False)
-    keys = _sorted_keys(srt) if shared.any() else None
+    hashes = _row_hashes(pa.rows)
+    order = np.argsort(hashes).astype(np.int32 if M < 1 << 31 else np.intp)
+    hashes = hashes[order]
     # A small first block rejects most failing candidates at once.
     starts = [0, *range(min(_TILE_ROWS, M), M, max(1, _BLOCK_CELLS // pa.n)), M]
     maps, label = [], np.arange(M)
@@ -356,19 +358,14 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
         index = np.empty(M, np.intp)
         for lo, hi in zip(starts, starts[1:]):
             image = image_of(pa.rows[lo:hi])
-            # Needles in sorted order search faster: each lands near the last.
-            needles = _prefix_keys(image)
-            rank = np.argsort(needles)
-            at = np.empty(len(needles), np.intp)
-            at[rank] = np.minimum(np.searchsorted(prefix, needles[rank]), M - 1)
-            tied = np.flatnonzero(shared[at])
-            if len(tied):
-                at[tied] = np.minimum(np.searchsorted(keys, _sorted_keys(image[tied])), M - 1)
-            if not (srt[at] == image).all():
+            needles = _row_hashes(image)
+            rank = np.argsort(needles)  # sorted needles search faster: each lands near the last
+            at = order[np.minimum(np.searchsorted(hashes, needles[rank]), M - 1)]
+            if not (pa.rows[at] == image[rank]).all():
                 break
-            index[lo : lo + len(at)] = at
+            index[lo + rank] = at
         else:
-            maps.append(index if pa._order is None else pa._order[index])
+            maps.append(index)
             while True:
                 before = label
                 for index in maps:
@@ -420,14 +417,11 @@ def min_distance(
 ) -> VerifyReport:
     """Verify the claimed minimum distance exhaustively or by sampling.
 
-    FULL is a proof, by one tiled scan of the pairs of each orbit
-    representative under checked isometries with the rows after it
-    (`_full_scan`); its pairs_checked counts the pairs the proof covers (all
-    of them, or those up to the first violation).  FULL refuses more than
-    FULL_PAIR_CAP scanned pairs, k(M - 1) - k(k - 1)/2 for k representatives,
-    read at call time.  SAMPLED reports the first closest of `sample_pairs`
-    seeded draws: besides the rows it holds one chunk of 2^17 int32 draws
-    and one step of _BLOCK_CELLS cells of gathered rows at any M."""
+    FULL is a proof (`_full_scan`, with FULL_PAIR_CAP read at call time);
+    see `VerifyReport` for its pairs_checked.  SAMPLED reports the first
+    closest of `sample_pairs` seeded draws: besides the rows it holds one
+    chunk of 2^17 int32 draws and one step of _BLOCK_CELLS cells of
+    gathered rows at any M."""
     M = pa.M
     if M < 2:
         raise ValueError("need at least two rows to measure a distance")
@@ -524,10 +518,10 @@ def _filled(blocks: Iterable[np.ndarray], n: int, m: int) -> np.ndarray:
 
 def _check_rising(later: np.ndarray, earlier: np.ndarray) -> None:
     """Refuse a row of later that is not above its row of earlier."""
-    above, below = _sorted_keys(later), _sorted_keys(earlier)
-    if (above < below).any():
+    rise = _compare_rows(later, earlier)
+    if rise < 0:
         raise ValueError("rows out of lexicographic order")
-    if (above == below).any():
+    if not rise:
         raise ValueError("rows must be pairwise distinct")
 
 
@@ -536,17 +530,17 @@ def ordered_blocks(fields: dict, blocks: Iterable[np.ndarray]) -> Iterator[np.nd
     checked as `PermArray` checks its rows before it is passed on: rows of
     n points in range (`_counted`), permutations, and each row above the one
     before it, across blocks too, which proves them pairwise distinct with
-    no sort.  A row past the header's M is refused before its block is
-    passed on, fewer rows at the end.  A block may be overwritten once the
-    next one is asked for: only the last row is kept."""
+    no sort.  A block may be overwritten once the next one is asked for:
+    only the last row is kept, and the permutation check's scratch, made
+    once for the stream."""
     n, d = fields["n"], fields["d"]
     if not 1 <= d <= n:
         raise ValueError(f"claimed distance {d} not in [1, {n}]")
-    last = None
+    last, permutations = None, _permutation_check(n, fields["M"])
     for block in _counted(blocks, n, fields["M"]):
         if not len(block):
             continue
-        if not _all_permutations(block):
+        if not permutations(block):
             raise ValueError("some row is not a permutation")
         if last is not None:
             _check_rising(block[:1], last)

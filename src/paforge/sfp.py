@@ -35,7 +35,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .field import DENSE_TABLE_CAP, Field, field_for_order, poly_gcd, prime_power
-from .pa import _lex_order, _row_order
 from .parallel import map_blocks, resolve_workers
 
 #: The supported field orders: what the int16 kernels hold, pole sentinel q
@@ -389,10 +388,16 @@ def _least_images(
     return least, (count * (images == least[:, None, :]).all(axis=2)).sum(axis=1)
 
 
+def _lex_order(arr: np.ndarray) -> np.ndarray:
+    """np.lexsort of the rows of arr, as int32 indices below 2^31 rows."""
+    return np.lexsort(arr.T[::-1]).astype(np.int32 if len(arr) < 1 << 31 else np.intp)
+
+
 def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows, in row order: the first of each."""
-    order, rises = _row_order(rows)
-    return np.flatnonzero(rises) if order is None else order[rises]
+    """First indices of the distinct rows, in lexicographic order (lexsort is stable)."""
+    order = _lex_order(rows)
+    srt = rows[order]
+    return order[np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)][: len(rows)]]  # none of none
 
 
 def _orbit_rows(

@@ -16,7 +16,7 @@ import numpy as np
 
 from paforge.field import Field, FieldElem, field_for_order, poly_divmod, poly_gcd
 from paforge.groups import PermGroup, StabilizerChain, parse_generator_text
-from paforge.pa import PermArray, Permutation, _as_blocks, _full_scan, _pieces, _row_order
+from paforge.pa import PermArray, Permutation, _as_blocks, _full_scan, _pieces
 from paforge.sfp import SfpQuery, SfpResult, _eval_rows, _pad_rows, _ratio_rows, _row_widths
 
 
@@ -497,11 +497,11 @@ def is_sharply_k_transitive(pa: PermArray, k: int) -> bool:
         raise ValueError(f"k={k} exceeds degree {n}")
     if pa.M <= 360:
         products = np.concatenate([rows, rows[:, rows].reshape(-1, n)])
-        if np.count_nonzero(_row_order(products)[1]) != pa.M:
+        if len(np.unique(products, axis=0)) != pa.M:
             raise ValueError("rows are not closed under composition")
     if pa.M != math.perm(n, k):
         return False
-    return bool(_row_order(rows[:, :k])[1].all())
+    return len(np.unique(rows[:, :k], axis=0)) == pa.M
 
 
 def sharpness_matches_distance(pa: PermArray, k: int) -> bool:

@@ -12,7 +12,7 @@ from paforge import groups as groups_module
 from paforge import pa as pa_module
 from paforge.field import field_for_order
 from paforge.groups import group_to_pa, make_named
-from paforge.pa import PermArray, min_distance
+from paforge.pa import PermArray, min_distance, read_pa, write_pa
 from paforge.pam import build_pa
 from paforge.sfp import SfpQuery, Variant
 from reference import exact_min_distance
@@ -146,15 +146,17 @@ def test_planted_close_pair_outside_the_first_orbit(n, value_shift, monkeypatch)
 
 def test_keys_search_as_lexsort_orders_rows():
     # Little-endian uint16 bytes put 256 = (0, 1) before 1 = (1, 0); the
-    # search keys must order the rows as lexsort does.
-    rows = np.array([_swap(range(300), 0, 256), _swap(range(300), 0, 1), range(300)])
-    pa = PermArray(rows, 2)
-    srt = pa.rows[pa._order]
+    # bytes keys must order the rows as lexsort does.
+    rows = np.array([_swap(range(300), 0, 256), _swap(range(300), 0, 1), range(300)], np.uint16)
+    srt = rows[np.lexsort(rows.T[::-1])]
     assert srt[:, 0].tolist() == [0, 1, 256]
     keys = pa_module._sorted_keys(srt)
     assert (np.searchsorted(keys, keys) == np.arange(3)).all()
-    prefix = pa_module._prefix_keys(srt)
-    assert (prefix[1:] > prefix[:-1]).all()
+    # uint16 rows are found by their hashes: agl1(257) is one orbit.
+    pa = group_to_pa(make_named("agl1", q=257))
+    assert pa.rows.dtype == np.uint16
+    assert len(pa_module._orbit_representatives(pa)) == 1
+    assert _full(pa) == (256, (0, 1), 2164260736, True)
 
 
 def _column_shift(rows):
@@ -380,3 +382,35 @@ def test_a_group_the_row_maps_prove_builds_no_field(name, params, monkeypatch):
     monkeypatch.setattr(groups_module, "make_named", refused)
     assert pa_module._orbit_representatives(pa).tolist() == [0]
     assert _full(pa) == _tiled(pa)
+
+
+def test_forced_hash_collisions_change_no_result(tmp_path, monkeypatch):
+    # With every weight 1, every permutation row hashes to n(n - 1)/2: the
+    # distinct-rows check compares every row in full, and no FULL candidate
+    # finds its images, so every row is its own representative.  The
+    # reports stay those of the unpatched hashes.
+    pa = _fraction_array("q19-k3-q")
+    rng = np.random.default_rng(7)
+    rows = _fraction_array("q17-k3-q+1").rows
+    relabeled = rng.permutation(18)[rows[rng.permutation(len(rows))][:, rng.permutation(18)]]
+    corrupted = _fraction_array("q23-k3-q+1").rows.copy()
+    corrupted[5] = corrupted[900][_swap(range(24), 3, 11)]
+    write_pa(PermArray(relabeled, 14), tmp_path / "relabeled.txt")
+    write_pa(PermArray(corrupted, 20), tmp_path / "corrupted.txt")
+    arrays = [
+        lambda: pa,
+        lambda: group_to_pa(make_named("pgl2", q=7)),
+        lambda: read_pa(tmp_path / "relabeled.txt"),
+        lambda: read_pa(tmp_path / "corrupted.txt"),
+    ]
+    want = [[_full(make(), workers) for workers in (1, 2)] for make in arrays]
+    assert not want[3][0][3]
+    monkeypatch.setattr(pa_module, "_hash_weights", lambda n: np.ones(n, np.uint64))
+    assert (pa_module._row_hashes(pa.rows) == 19 * 18 // 2).all()
+    shuffled = pa.rows[rng.permutation(pa.M)]
+    assert PermArray(shuffled, pa.claimed_distance).M == pa.M
+    shuffled[pa.M // 2] = shuffled[7]
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PermArray(shuffled, pa.claimed_distance)
+    assert len(pa_module._orbit_representatives(pa)) == pa.M
+    assert [[_full(make(), workers) for workers in (1, 2)] for make in arrays] == want

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import traced_peak
 from paforge import pa as pa_module
+from paforge import sfp as sfp_module
 from paforge.pa import MAX_DEGREE, PermArray, identity, min_distance, read_pa, write_pa
 from paforge.groups import group_to_pa, make_named
 from paforge.pam import build_pa
@@ -274,16 +275,16 @@ def test_bad_rows_rejected_past_the_first_block(n, dtype, monkeypatch):
 def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
     monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * n)
     rows = block_spanning_rows(n)  # lexicographically sorted
-    lexsort_calls = []
-    lexsort = np.lexsort
+    hash_calls = []
+    row_hashes = pa_module._row_hashes
 
-    def counted_lexsort(*args, **kwargs):
-        lexsort_calls.append(1)
-        return lexsort(*args, **kwargs)
+    def counted_hashes(rows):
+        hash_calls.append(1)
+        return row_hashes(rows)
 
-    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    monkeypatch.setattr(pa_module, "_row_hashes", counted_hashes)
     PermArray(rows, claimed_distance=2)
-    assert lexsort_calls == []
+    assert hash_calls == []
     # An adjacent repeat keeps the rows sorted and is rejected by the
     # neighbour compare, on either side of a check block boundary.
     for index in (1, 2**14, 2**14 + 1, len(rows) - 1):
@@ -291,20 +292,18 @@ def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
         repeated[index] = rows[index - 1]
         with pytest.raises(ValueError, match="pairwise distinct"):
             PermArray(repeated, claimed_distance=2)
-    assert lexsort_calls == []
-    # One inversion keeps the first column non-decreasing, so the neighbour
-    # compare runs, finds the inversion and hands over to the sorted check.
+    assert hash_calls == []
+    # The neighbour compare finds one inversion and hands over to the hash
+    # proof, which hashes the rows once when no two share a hash.
     swapped = rows.copy()
     swapped[[2**14 + 7, 2**14 + 8]] = rows[[2**14 + 8, 2**14 + 7]]
-    assert (swapped[1:, 0] >= swapped[:-1, 0]).all()
     PermArray(swapped, claimed_distance=2)
-    assert len(lexsort_calls) == 1
+    assert len(hash_calls) == 1
     repeated = swapped.copy()
-    repeated[2**14 + 9] = swapped[2**14 + 7]  # not adjacent: the sorted check sees it
-    assert (repeated[1:, 0] >= repeated[:-1, 0]).all()
+    repeated[2**14 + 9] = swapped[2**14 + 7]  # not adjacent: the hash proof sees it
     with pytest.raises(ValueError, match="pairwise distinct"):
         PermArray(repeated, claimed_distance=2)
-    assert len(lexsort_calls) == 2
+    assert len(hash_calls) == 3  # and again to find the rows that share one
 
 
 def test_pa_import_loads_only_parallel():
@@ -505,7 +504,8 @@ def test_row_order_matches_first_occurrences(dtype, m, presorted, monkeypatch):
     # Oracle: a dict of each row's first index.  Entries are the dtype's
     # extremes and a few random values, so rows repeat and tie over leading
     # columns; one repeat is planted at the far end.  Blocks of 2^14 rows:
-    # m = 2^14 + 1 spans two.
+    # m = 2^14 + 1 spans two.  sfp keeps the first occurrences in
+    # lexicographic order, and the distinct-rows check agrees with them.
     monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * 4)
     info = np.iinfo(dtype)
     rng = np.random.default_rng(m)
@@ -519,20 +519,11 @@ def test_row_order_matches_first_occurrences(dtype, m, presorted, monkeypatch):
     first: dict[tuple[int, ...], int] = {}
     for i, row in enumerate(map(tuple, rows.tolist())):
         first.setdefault(row, i)
-    order, rises = pa_module._row_order(rows)
-    assert rises.dtype == bool and len(rises) == m
-    if presorted or m < 2:
-        assert order is None
-    if order is None:
-        order = np.arange(m)
-    assert sorted(order.tolist()) == list(range(m))
-    keys = list(map(tuple, rows[order].tolist()))
-    assert keys == sorted(keys)
     expected = sorted(first.values(), key=lambda i: tuple(rows[i].tolist()))
-    assert order[rises].tolist() == expected
-    # Rows with no columns are all equal.
-    order, rises = pa_module._row_order(rows[:, :0])
-    assert order is None and rises.tolist() == [True] * min(m, 1) + [False] * (m - 1)
+    kept = sfp_module._first_rows(rows)
+    assert kept.tolist() == expected
+    assert pa_module._distinct(rows) == (len(expected) == m)
+    assert pa_module._distinct(rows[kept])
 
 
 def test_sharpness_distance_equivalence_examples():
