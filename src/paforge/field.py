@@ -124,12 +124,6 @@ class Field:
         """Base-p digit vector of an encoding, ascending powers."""
         return tuple(a // w % self.p for w in self._pw)
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
-
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -160,9 +154,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def _build_log_tables(self) -> None:
         # Multiplying by g is F_p-linear on the base-p digits; row j of its

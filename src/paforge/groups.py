@@ -34,7 +34,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import pa
+from . import parallel
 from .field import field_for_order
 from .pa import (
     EMIT_CELL_CAP,
@@ -208,7 +208,7 @@ class StabilizerChain:
     def element_chunks(self, depth: int = 0) -> Iterator[np.ndarray]:
         """Every element of the pointwise stabilizer of base[:depth] exactly
         once, in the order of `transversal_product(depth)`, as blocks of at
-        most _BLOCK_CELLS cells and at least one row, each a view of a reused
+        most BLOCK_CELLS cells and at least one row, each a view of a reused
         buffer that the next block overwrites.
 
         Elements are coset products down the chain, so no deduplication is
@@ -270,7 +270,7 @@ def minimal_degree(
     so `_walk_segment` may compute the same prefix products P_t in blocks;
     it visits exactly the elements that loop visits and the bound is the
     same.  A step holds n walk cells and about 32 bytes of words and
-    counts, so segments of _BLOCK_CELLS/(n + 32) steps, each carrying its
+    counts, so segments of BLOCK_CELLS/(n + 32) steps, each carrying its
     last element into the next, hold about one block (0.4 MiB traced for
     M24) however many trials there are.
     """
@@ -298,7 +298,7 @@ def minimal_degree(
             raise ValueError(f"sampled scan needs trials >= 1, got {trials}")
         rng = random.Random(seed)
         gens = np.array(group.generators + (identity(n),), dtype=row_dtype(n))
-        segment = max(1, pa._BLOCK_CELLS // (n + 32))
+        segment = max(1, parallel.BLOCK_CELLS // (n + 32))
         carry = gens[-1]
         best = n + 1
         for done in range(0, trials, segment):
@@ -383,7 +383,7 @@ def _lex_stages(chain: StabilizerChain) -> list[tuple[int, int, np.ndarray]]:
 
 def _lex_blocks(chain: StabilizerChain) -> Iterator[np.ndarray]:
     """The chain's elements in lexicographic order (see `group_to_pa`), in
-    blocks of at most _BLOCK_CELLS cells and at least one row, each a view
+    blocks of at most BLOCK_CELLS cells and at least one row, each a view
     of one row buffer that the next block overwrites."""
     return _expand(chain, _lex_stages(chain))
 
@@ -395,7 +395,7 @@ def _expand(chain: StabilizerChain, plan: Sequence[tuple]) -> Iterator[np.ndarra
     buffer that serve every block."""
     stages = [(chain.transversal_product(start, stop), keys) for start, stop, keys in plan]
     n, rows = chain.degree, math.prod(len(p) for p, _ in stages)
-    out = np.empty((max(1, min(rows, pa._BLOCK_CELLS // n)), n), chain._identity.dtype)
+    out = np.empty((max(1, min(rows, parallel.BLOCK_CELLS // n)), n), chain._identity.dtype)
     spare = np.empty(max([out.size] + [p.size for p, _ in stages]), out.dtype)
     return _lex_expand(stages, chain._identity[None, :], out, spare)
 
@@ -422,7 +422,7 @@ def _lex_expand(
         return
     (products, keys), rest = stages[0], stages[1:]
     n = products.shape[1]
-    step = max(1, pa._BLOCK_CELLS // products.size)
+    step = max(1, parallel.BLOCK_CELLS // products.size)
     for lo in range(0, len(prefixes), step):
         block = prefixes[lo : lo + step]
         cells = spare[: len(block) * products.size].reshape(len(block), *products.shape)

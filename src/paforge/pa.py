@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from . import parallel
 from .parallel import map_blocks, resolve_workers
 
 Permutation = tuple[int, ...]
@@ -56,18 +57,13 @@ def _narrowed(rows: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(rows, dtype=row_dtype(n), order="C")
 
 
-# Cells (rows x points) per block of the row checks and of the text writer;
-# bounds their scratch memory at any degree.
-_BLOCK_CELLS = 1 << 18
-
-
 def _permutation_check(n: int, m: int) -> Callable[[np.ndarray], bool]:
     """A check of blocks of up to m rows of n points in [0, n): whether each
     row holds every point once.  Row i of a step marks cell i*n + x for each
     entry x; n marks cover the row only when no point repeats.  A step holds
-    _BLOCK_CELLS/8 cells, or one wider row, so its int64 cell indices and
+    BLOCK_CELLS/8 cells, or one wider row, so its int64 cell indices and
     marks, made once for every block, take 0.3 to 0.6 MiB at any degree."""
-    step = max(1, _BLOCK_CELLS // 8 // n)
+    step = max(1, parallel.BLOCK_CELLS // 8 // n)
     offsets = np.arange(0, min(m, step) * n, n)[:, None]
     index, seen = np.empty((len(offsets), n), np.intp), np.empty(len(offsets) * n, bool)
 
@@ -82,11 +78,6 @@ def _permutation_check(n: int, m: int) -> Callable[[np.ndarray], bool]:
         return True
 
     return check
-
-
-def _all_permutations(arr: np.ndarray) -> bool:
-    """`_permutation_check` of the rows of arr."""
-    return _permutation_check(arr.shape[1], len(arr))(arr)
 
 
 def _sorted_keys(rows: np.ndarray) -> np.ndarray:
@@ -118,10 +109,10 @@ def _hash_weights(n: int) -> np.ndarray:
 def _row_hashes(rows: np.ndarray) -> np.ndarray:
     """One uint64 a row, equal for equal rows: the points dotted with n odd
     weights (`_hash_weights`) modulo 2^64, the rows widened to uint64
-    _BLOCK_CELLS/8 cells, or one wider row, at a time (0.25 MiB)."""
+    BLOCK_CELLS/8 cells, or one wider row, at a time (0.25 MiB)."""
     m, n = rows.shape
     weights, hashes = _hash_weights(n), np.empty(m, np.uint64)
-    step = max(1, _BLOCK_CELLS // 8 // n)
+    step = max(1, parallel.BLOCK_CELLS // 8 // n)
     for lo in range(0, m, step):
         np.dot(rows[lo : lo + step].astype(np.uint64), weights, out=hashes[lo : lo + step])
     return hashes
@@ -133,7 +124,7 @@ def _distinct(arr: np.ndarray) -> bool:
     (`_compare_rows`), with no index.  Past a row below the one before it,
     the rows' hashes (`_row_hashes`) are sorted in place: equal rows hash
     alike, so only rows that share a hash are compared in full."""
-    step = max(1, _BLOCK_CELLS // arr.shape[1])
+    step = max(1, parallel.BLOCK_CELLS // arr.shape[1])
     blocks = (arr[lo : lo + step + 1] for lo in range(0, len(arr) - 1, step))
     rise = next((r for r in (_compare_rows(b[1:], b[:-1]) for b in blocks) if r < 1), 1)
     if rise >= 0:  # the rows rise, or two neighbours are equal
@@ -152,10 +143,11 @@ class PermArray:
 
     Point n-1 encodes the extra symbol of length-(q+1) constructions when
     `infinity` is set; rows are stored as a dense row_dtype(n) matrix and
-    are required to be pairwise distinct (`_distinct`).  An input that
-    already has that dtype in C order is kept, not copied: `rows` is a
-    read-only view of it, so the caller's array stays writable and must not
-    be written after.  Any other input is checked and copied.
+    are required to be pairwise distinct (`_distinct`).  An array over
+    EMIT_CELL_CAP cells is refused before anything is copied, so M <= 2^28.
+    An input that already has that dtype in C order is kept, not copied:
+    `rows` is a read-only view of it, so the caller's array stays writable
+    and must not be written after.  Any other input is checked and copied.
     """
 
     def __init__(
@@ -168,12 +160,14 @@ class PermArray:
         arr = np.asarray(rows)
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
-        n = arr.shape[1]
+        m, n = arr.shape
+        if m * n > EMIT_CELL_CAP:
+            raise ValueError(f"{m} rows of {n} points exceed the cell cap {EMIT_CELL_CAP}")
         arr = _narrowed(arr, n).view()
         arr.setflags(write=False)
         if not (1 <= claimed_distance <= n):
             raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
-        if not _all_permutations(arr):
+        if not _permutation_check(n, m)(arr):
             raise ValueError("some row is not a permutation")
         if not _distinct(arr):
             raise ValueError("rows must be pairwise distinct")
@@ -186,9 +180,6 @@ class PermArray:
     @property
     def M(self) -> int:
         return int(self.rows.shape[0])
-
-    def row(self, i: int) -> Permutation:
-        return tuple(int(x) for x in self.rows[i])
 
     def __len__(self) -> int:
         return self.M
@@ -233,9 +224,8 @@ class VerifyReport:
 
 # The FULL scan pairs each orbit representative with the rows after it in
 # representative order, in tiles: a band of _TILE_ROWS representatives
-# against a block of columns, _TILE_ROWS * _TILE_COLS cells in all.
+# against a block of columns, TILE_CELLS cells in all.
 _TILE_ROWS = 64
-_TILE_COLS = 8192
 
 
 def _scan_pairs(
@@ -253,18 +243,18 @@ def _scan_pairs(
     never tie a real pair.  Distinct rows agree in at most n - 2 points, so
     row_dtype(n) holds it (a masked self pair may wrap before the mask
     zeroes it).  Only columns up to a band's last row can be masked, by
-    rank, int32 below 2^31 rows.
+    an int32 rank (M <= 2^28, `PermArray`).
     """
     n, M, k = pa.n, pa.M, len(reps)
     cols = np.ascontiguousarray(pa.rows.T)
     dtype = row_dtype(n)
     limit = n + 1 - claimed
-    rank = np.full(M, M, np.int32 if M < 1 << 31 else np.intp)
+    rank = np.full(M, M, np.int32)
     rank[reps] = np.arange(k)
     # The rows below `lead` are representatives, so the first row of rank
     # above a is the lesser of lead and reps[a] + 1.
     lead = int(np.count_nonzero(reps == np.arange(k)))
-    width = min(_TILE_ROWS * _TILE_COLS // min(k, _TILE_ROWS), M)
+    width = min(parallel.TILE_CELLS // min(k, _TILE_ROWS), M)
     tiles = [
         (band, a, j0)
         for band, a in enumerate(range(0, k, _TILE_ROWS))
@@ -349,10 +339,10 @@ def _orbit_representatives(pa: PermArray) -> np.ndarray:
     """
     M = pa.M
     hashes = _row_hashes(pa.rows)
-    order = np.argsort(hashes).astype(np.int32 if M < 1 << 31 else np.intp)
+    order = np.argsort(hashes).astype(np.int32)
     hashes = hashes[order]
     # A small first block rejects most failing candidates at once.
-    starts = [0, *range(min(_TILE_ROWS, M), M, max(1, _BLOCK_CELLS // pa.n)), M]
+    starts = [0, *range(min(_TILE_ROWS, M), M, max(1, parallel.BLOCK_CELLS // pa.n)), M]
     maps, label = [], np.arange(M)
     for image_of in _candidate_isometries(pa):
         index = np.empty(M, np.intp)
@@ -420,7 +410,7 @@ def min_distance(
     FULL is a proof (`_full_scan`, with FULL_PAIR_CAP read at call time);
     see `VerifyReport` for its pairs_checked.  SAMPLED reports the first
     closest of `sample_pairs` seeded draws: besides the rows it holds one
-    chunk of 2^17 int32 draws and one step of _BLOCK_CELLS cells of
+    chunk of 2^17 int32 draws and one step of BLOCK_CELLS cells of
     gathered rows at any M."""
     M = pa.M
     if M < 2:
@@ -446,18 +436,17 @@ def min_distance(
         # Agreements, not distances, counted along the rows of each pair,
         # gathered a step at a time: distinct rows agree in at most n - 2
         # points, which row_dtype(n) holds, and the first most agreeing pair
-        # is the first closest.  Below 2^31 rows int32 draws take the values,
-        # and leave the state, that int64 draws do.
-        draw = np.int32 if M < 1 << 31 else np.int64
+        # is the first closest.  int32 draws (M <= 2^28, `PermArray`) take the
+        # values, and leave the state, that int64 draws do.
         chunk = min(sample_pairs, 1 << 17)
-        step = min(chunk, max(1, _BLOCK_CELLS // pa.n))
+        step = min(chunk, max(1, parallel.BLOCK_CELLS // pa.n))
         left, right = (np.empty((step, pa.n), pa.rows.dtype) for _ in "lr")
         same, agree = np.empty((step, pa.n), bool), np.empty(chunk, pa.rows.dtype)
         remaining = sample_pairs
         while remaining > 0:
             chunk = min(remaining, 1 << 17)
-            i = rng.integers(0, M, size=chunk, dtype=draw)
-            j = rng.integers(0, M - 1, size=chunk, dtype=draw)
+            i = rng.integers(0, M, size=chunk, dtype=np.int32)
+            j = rng.integers(0, M - 1, size=chunk, dtype=np.int32)
             j += j >= i
             for lo in range(0, chunk, step):
                 h = min(step, chunk - lo)
@@ -558,7 +547,7 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
     the first column's, the middle's and the last's (text "%d ", "%d ",
     "%d\\n"; JSON ", [%d, ", "%d, ", "%d]", with the first row's leading
     ", " dropped).  The tokens of a block are gathered from tables
-    NUL-padded to 4, 8 or 16 bytes, _BLOCK_CELLS/4 bytes of them at a time,
+    NUL-padded to 4, 8 or 16 bytes, BLOCK_CELLS/4 bytes of them at a time,
     into one reused buffer, and dropping the padding leaves their text.  The
     buffer and the gather's int64 indices are made once; each piece's bytes
     and text, 64 KiB unless one row takes more, stay below the size at
@@ -580,7 +569,7 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
     longest = max(len(form % (n - 1)) for form in forms)
     width = f"S{next(w for w in (4, 8, 16) if longest <= w)}"
     first, middle, last = (np.array([form % v for v in range(n)], dtype=width) for form in forms)
-    step = max(1, _BLOCK_CELLS // 4 // middle.nbytes)
+    step = max(1, parallel.BLOCK_CELLS // 4 // middle.nbytes)
     tokens, index = np.empty((step, n), width), np.empty((step, n), np.intp)
     skip = len(joint)
     for block in blocks:
@@ -597,8 +586,8 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
 
 
 def _as_blocks(pa: PermArray) -> tuple[dict, Iterator[np.ndarray]]:
-    """pa's header fields and its rows in blocks of _BLOCK_CELLS cells."""
-    step = max(1, _BLOCK_CELLS // pa.n)
+    """pa's header fields and its rows in blocks of BLOCK_CELLS cells."""
+    step = max(1, parallel.BLOCK_CELLS // pa.n)
     fields = header_fields(pa.n, pa.M, pa.claimed_distance, pa.provenance, pa.infinity)
     return fields, (pa.rows[lo : lo + step] for lo in range(0, pa.M, step))
 
@@ -652,10 +641,10 @@ def read_pa(path: Union[str, Path]) -> PermArray:
     be missing), so a header M that the body cannot hold is refused before
     the buffer is allocated or any row is read, and so is an array over
     EMIT_CELL_CAP cells.  The body is parsed in blocks of whole lines of
-    about _BLOCK_CELLS characters, so the lines and the int64 parse of one
+    about BLOCK_CELLS characters, so the lines and the int64 parse of one
     block are the only other copies of any row; blocks of blank lines are
     skipped (loadtxt warns on them).  The JSON mirror's rows are narrowed
-    from the parsed lists _BLOCK_CELLS cells at a time.  A file that starts
+    from the parsed lists BLOCK_CELLS cells at a time.  A file that starts
     with whitespace or a brace is read whole, since the JSON mirror is
     parsed as one document, and so is a pipe, whose size is known only at
     its end."""
@@ -682,7 +671,7 @@ def read_pa(path: Union[str, Path]) -> PermArray:
                 raise ValueError("rows must be a list")
             if len(listed) != m:
                 raise ValueError(f"{len(listed)} rows, header says {m}")
-            step = max(1, _BLOCK_CELLS // max(n, 1))
+            step = max(1, parallel.BLOCK_CELLS // max(n, 1))
             blocks = (np.asarray(listed[lo : lo + step]) for lo in range(0, m, step))
         else:
             fh = io.TextIOWrapper(io.BytesIO(data) if whole else raw, "latin-1", newline="")
@@ -700,7 +689,7 @@ def read_pa(path: Union[str, Path]) -> PermArray:
             # Blank as bytes are: str.isspace also takes \x1c-\x1f, \x85 and \xa0.
             blocks = (
                 np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-                for lines in iter(lambda: fh.readlines(_BLOCK_CELLS), [])
+                for lines in iter(lambda: fh.readlines(parallel.BLOCK_CELLS), [])
                 if not all(line.encode("latin-1").isspace() for line in lines)
             )
         if m * n > EMIT_CELL_CAP:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import sfp
+from . import parallel, sfp
 from .pa import PermArray, _filled
 from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
 
@@ -24,11 +24,11 @@ def _complete_rows(
 ) -> np.ndarray:
     """The completions (see the module docstring) of the value rows
     values(lo, hi) of rows 0..m-1, in one row_dtype(n) buffer (`_filled`),
-    completed in blocks of rows that fit one scan buffer of cells, so that
+    completed in blocks of rows that fit one tile of TILE_CELLS cells, so that
     besides the result nothing larger than a block is held and each block's
     columns stay in cache.  `_filled` range-checks each block before the
     narrowing cast: a hole left at -1 must not wrap to a valid point."""
-    step = max(1, sfp._CELL_BUDGET // q)
+    step = max(1, parallel.TILE_CELLS // q)
     blocks = (_complete_block(q, n, values(lo, min(lo + step, m))) for lo in range(0, m, step))
     return _filled(blocks, n, m)
 

@@ -17,6 +17,12 @@ ENV_THREADS = "PA_FORGE_THREADS"
 
 #: Most worker threads: `map_blocks` may start one per block up to this.
 MAX_WORKERS = 256
+#: Cells (rows x points) per block of rows checked, gathered or written:
+#: small, since it bounds a streamed emit's scratch at any degree.
+BLOCK_CELLS = 1 << 18
+#: Cells per compute tile (sfp scans and completion, FULL verification):
+#: twice a block, since each tile pays a fixed cost per column or row.
+TILE_CELLS = 1 << 19
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:

@@ -34,6 +34,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import parallel
 from .field import DENSE_TABLE_CAP, Field, field_for_order, poly_gcd, prime_power
 from .parallel import map_blocks, resolve_workers
 
@@ -42,10 +43,6 @@ from .parallel import map_blocks, resolve_workers
 #: hold.  `check_field_range` declares both.
 MAX_Q = int(np.iinfo(np.int16).max)
 MAX_EXT_Q = DENSE_TABLE_CAP
-#: Cells (value rows x q points) in one scan buffer: a pair-scan tile's
-#: ratios, or one int64 product of `_eval_rows` (4 MB).  At q = 19 a tile
-#: holds 27,594 pairs, so every block with more splits across workers.
-_CELL_BUDGET = 1 << 19
 
 #: Offset pairs admitted by the length-(q+1) maximization, in tie-break order.
 OFFSET_CHOICES = ((0, 0), (1, -1), (-1, 1))
@@ -258,7 +255,7 @@ def _eval_rows(field: Field, coeffs: np.ndarray) -> np.ndarray:
         for i in range(1, d):
             vand[i] = vand[i - 1] * np.arange(q) % p
         vals = np.empty((coeffs.shape[0], q), dtype=np.int16)
-        step = max(1, _CELL_BUDGET // q)
+        step = max(1, parallel.TILE_CELLS // q)
         for lo in range(0, len(coeffs), step):
             prod = coeffs[lo : lo + step].astype(np.int64) @ vand
             vals[lo : lo + len(prod)] = np.remainder(prod, p, out=prod)
@@ -477,10 +474,10 @@ def _scan_block(
     those that take a survivor to its key are one coset of it, and the
     orbit holds (q-1) q(q-1)/|Stab| fractions.
 
-    The pair scan runs in tiles of at most `_CELL_BUDGET` ratio cells, near
-    square when both ranges are long; each tile evaluates its own value
-    rows and keys its own survivors.  v counts the distinct ratios, the
-    pole sentinel q left out.
+    The pair scan runs in tiles of at most TILE_CELLS ratio cells (27,594
+    pairs at q = 19), near square when both ranges are long; each tile
+    evaluates its own value rows and keys its own survivors.  v counts the
+    distinct ratios, the pole sentinel q left out.
     """
     q, p = field.q, field.p
     ffree = s2 - 1 if s2 % p else s2
@@ -493,12 +490,12 @@ def _scan_block(
     gblock = np.concatenate([gmonic, _canonical_rows(field, t2, gfree)])
     ng = len(gmonic)
     rects = [(1, len(fblock), 0, ng), (0, 1, ng, len(gblock))]  # row ranges
-    side = max(1, isqrt(_CELL_BUDGET // q))
+    side = max(1, isqrt(parallel.TILE_CELLS // q))
     tiles = []
     for f0, f1, g0, g1 in rects:
         if f1 > f0:
-            fstep = min(f1 - f0, max(side, _CELL_BUDGET // (q * (g1 - g0))))
-            gstep = min(g1 - g0, max(1, _CELL_BUDGET // (q * fstep)))
+            fstep = min(f1 - f0, max(side, parallel.TILE_CELLS // (q * (g1 - g0))))
+            gstep = min(g1 - g0, max(1, parallel.TILE_CELLS // (q * fstep)))
             tiles += [
                 ((f, min(f + fstep, f1)), (g, min(g + gstep, g1)))
                 for f in range(f0, f1, fstep)
@@ -518,7 +515,7 @@ def _scan_block(
 
     # a block whose pairs fit one scan buffer is not worth a thread pool
     cells = q * sum((f1 - f0) * (g1 - g0) for f0, f1, g0, g1 in rects if f1 > f0)
-    parts = map_blocks(scan_tile, tiles, workers if cells > _CELL_BUDGET else 1)
+    parts = map_blocks(scan_tile, tiles, workers if cells > parallel.TILE_CELLS else 1)
     least, stab, m, pole = map(np.concatenate, zip(*parts))
     kept = _first_rows(least)
     if s2 > 0 and t2 > 0:

@@ -209,7 +209,7 @@ class FracPoly:
         """f(a)/g(a) at each point a of GF(q), with q at the poles."""
         F = self.field
         out = []
-        for alpha in F.elements():
+        for alpha in range(F.q):
             gv = self.den.eval(alpha)
             out.append(F.mul(self.num.eval(alpha), F.inv(gv)) if gv else F.q)
         return out
@@ -305,11 +305,11 @@ def orbit(phi: FracPoly) -> list[FracPoly]:
     by a unit keeps it in lowest terms, so its scaled copies are not."""
     F = phi.field
     seen: dict[tuple, FracPoly] = {}
-    for beta in F.elements():
+    for beta in range(F.q):
         shifted = transform(phi, 1, beta)
-        for gamma in F.units():
+        for gamma in range(1, F.q):
             base = transform(shifted, 1, 0, gamma)
-            for alpha in F.units():
+            for alpha in range(1, F.q):
                 img = object.__new__(FracPoly)
                 img.__dict__.update(num=base.num.scale(alpha), den=base.den)
                 seen.setdefault(img.sort_key(), img)
@@ -368,7 +368,7 @@ def enumerate_oracle(query: SfpQuery) -> SfpResult:
     work = q ** (fmax + gmax + 2)
     if work > ORACLE_PAIR_CAP:
         raise ValueError(f"oracle space {work} exceeds cap {ORACLE_PAIR_CAP}")
-    points = list(F.elements())
+    points = list(range(F.q))
     fs = [(f, [f.eval(a) for a in points]) for f in _all_polys(F, fmax, False)]
     found = []
     one = Poly.one(F)

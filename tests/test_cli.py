@@ -1,6 +1,7 @@
 """Command-line behaviors: manifests, emission, verification exit codes,
 reproduction table, determinism across thread counts."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -782,13 +783,35 @@ def test_every_block_constant_small_changes_no_output(tmp_path, monkeypatch):
 
     want = outputs(tmp_path / "default")
     for module, name, value in (
-        (pa_module, "_BLOCK_CELLS", 64),
+        (parallel, "BLOCK_CELLS", 64),
+        (parallel, "TILE_CELLS", 3 * 5),
         (pa_module, "_TILE_ROWS", 3),
-        (pa_module, "_TILE_COLS", 5),
-        (sfp, "_CELL_BUDGET", 100),
     ):
         monkeypatch.setattr(module, name, value)
     assert outputs(tmp_path / "small") == want
+
+
+def test_block_and_tile_budgets_are_declared_only_in_parallel():
+    # One declaration each, so the test above patches every budget: no other
+    # module names a module-level *_CELLS or *_BUDGET, and the FULL tiles
+    # take their columns from TILE_CELLS.
+    src = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "_TILE_COLS" not in text, name
+        if name == "parallel.py":
+            continue
+        stored = {
+            node.id
+            for statement in ast.parse(text).body
+            if isinstance(statement, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert not {v for v in stored if v.endswith(("_CELLS", "_BUDGET"))}, name
 
 
 def test_outputs_independent_of_threads(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 from conftest import traced_peak
 from paforge import groups as groups_module
 from paforge import pa as pa_module
+from paforge import parallel
 from paforge.groups import (
     DEFAULT_TRIALS,
     PermGroup,
@@ -198,7 +199,7 @@ def test_streamed_emit_writes_the_in_memory_bytes(tmp_path, monkeypatch, make, r
     grp = make()
     oracle = tmp_path / f"oracle{suffix}"
     write_pa(group_to_pa(grp), oracle)
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", rows * grp.degree)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", rows * grp.degree)
     path = tmp_path / f"streamed{suffix}"
     assert group_to_pa(grp, path=path) is None
     assert path.read_bytes() == oracle.read_bytes()
@@ -270,7 +271,7 @@ def test_chain_membership():
 
 def test_element_chunks_enumerate_exactly_once(monkeypatch):
     grp = make_named("sym_pairs", m=5)
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 16 * grp.degree)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 16 * grp.degree)
     chain = StabilizerChain(grp.degree, grp.generators)
     blocks = [block.copy() for block in chain.element_chunks()]  # views of reused buffers
     assert len(blocks) > 1 and max(map(len, blocks)) <= 16
@@ -293,7 +294,7 @@ def assert_scan_listing_keeps_its_sequence(monkeypatch, grp):
         oracle = chain.transversal_product(depth)
         assert len(oracle) == chain.order(depth)
         for rows in (1, 2, 1 << 20):
-            monkeypatch.setattr(pa_module, "_BLOCK_CELLS", rows * grp.degree)
+            monkeypatch.setattr(parallel, "BLOCK_CELLS", rows * grp.degree)
             blocks = [block.copy() for block in chain.element_chunks(depth)]
             assert max(map(len, blocks)) <= rows
             assert np.array_equal(np.concatenate(blocks), oracle)
@@ -314,7 +315,7 @@ def test_exact_scan_holds_blocks_bounded_in_cells():
     # sym_pairs(11) scans 8! * 9 elements of 55 points at its scan depth;
     # blocks of 2^20 rows held 119.8 MiB (traced).  The listing takes one
     # stage per level and holds, besides its two block buffers, a copy of
-    # at most _BLOCK_CELLS cells at each of the 7 levels before the last:
+    # at most BLOCK_CELLS cells at each of the 7 levels before the last:
     # 2.02 MiB measured (0.25 when a block was one walk over the deepest
     # levels).
     grp = make_named("sym_pairs", m=11)
@@ -323,7 +324,7 @@ def test_exact_scan_holds_blocks_bounded_in_cells():
     assert facts.minimal_degree == 18
     assert peak < 4 << 20, peak
     # M23 scans the 48 elements of its 4-point stabilizer: 0.52 MiB with
-    # block buffers of _BLOCK_CELLS cells, 17 KiB with buffers capped at the
+    # block buffers of BLOCK_CELLS cells, 17 KiB with buffers capped at the
     # listing's rows (traced).
     grp = make_named("mathieu23")
     grp.chain.order()
@@ -387,9 +388,9 @@ def test_sampled_walk_matches_composition_oracle():
     ]
     # More than one scan segment, not a multiple of the block length.
     for grp in (make_named("sym", m=5), make_named("agl1", q=7)):
-        segment = pa_module._BLOCK_CELLS // (grp.degree + 32)
+        segment = parallel.BLOCK_CELLS // (grp.degree + 32)
         cases += [(grp, seed, segment + 3) for seed in (0, 7)]
-    cases += [(make_named("sym", m=2), 5, 2 * (pa_module._BLOCK_CELLS // 34) + 1)]
+    cases += [(make_named("sym", m=2), 5, 2 * (parallel.BLOCK_CELLS // 34) + 1)]
     for grp, seed, trials in cases:
         facts = minimal_degree(grp, "sampled", trials=trials, seed=seed)
         assert facts.minimal_degree == sampled_walk_oracle(grp, trials, seed)
@@ -397,7 +398,7 @@ def test_sampled_walk_matches_composition_oracle():
 
 
 def test_sampled_scan_memory_does_not_grow_with_trials():
-    # Segments of _BLOCK_CELLS / (n + 32) steps: the M24 walk at the default
+    # Segments of BLOCK_CELLS / (n + 32) steps: the M24 walk at the default
     # trials peaked at 0.39 MiB traced, and four times as many trials at
     # the same (4.58 MiB in segments of 2^22 cells, drawn one at a time).
     # agl1(4096) walks segments of 63 steps: 0.98 MiB at 1000 and 4000 trials.
@@ -429,7 +430,7 @@ def test_walk_draws_the_words_of_rng_choice(seed, monkeypatch):
         grp = PermGroup(6, tuple(tuple(shuffle.sample(range(6), 6)) for _ in range(g)))
         assert grp.chain.order() > 1
         with monkeypatch.context() as patch:
-            patch.setattr(pa_module, "_BLOCK_CELLS", 3 * (6 + 32))
+            patch.setattr(parallel, "BLOCK_CELLS", 3 * (6 + 32))
             for trials in (1, 2, 3, 3 * 4 + 2):
                 words.clear()
                 minimal_degree(grp, "sampled", trials=trials, seed=seed)

@@ -10,6 +10,7 @@ import pytest
 
 from paforge import groups as groups_module
 from paforge import pa as pa_module
+from paforge import parallel
 from paforge.field import field_for_order
 from paforge.groups import group_to_pa, make_named
 from paforge.pa import PermArray, min_distance, read_pa, write_pa
@@ -132,7 +133,7 @@ def test_planted_close_pair_outside_the_first_orbit(n, value_shift, monkeypatch)
     rows, orbits = _planted_array(n, value_shift, seed=n)
     for claimed, tile_rows, tile_cols in ((2, 64, 8192), (3, 64, 8192), (3, 2, 16)):
         monkeypatch.setattr(pa_module, "_TILE_ROWS", tile_rows)
-        monkeypatch.setattr(pa_module, "_TILE_COLS", tile_cols)
+        monkeypatch.setattr(parallel, "TILE_CELLS", tile_rows * tile_cols)
         pa = PermArray(rows, claimed, provenance=f"sfp:q={n},variant=q,s=1,t=1")
         assert len(pa_module._orbit_representatives(pa)) == orbits
         expected = _oracle(rows, claimed)
@@ -173,10 +174,10 @@ def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
     full = PermArray(rows, 2)
     assert len(pa_module._orbit_representatives(full)) == 4
     # The check reads a first block of _TILE_ROWS rows, then blocks of
-    # _BLOCK_CELLS cells (8 rows of n points in the second round).
-    for first, cells in ((pa_module._TILE_ROWS, pa_module._BLOCK_CELLS), (4, 8 * n)):
+    # BLOCK_CELLS cells (8 rows of n points in the second round).
+    for first, cells in ((pa_module._TILE_ROWS, parallel.BLOCK_CELLS), (4, 8 * n)):
         monkeypatch.setattr(pa_module, "_TILE_ROWS", first)
-        monkeypatch.setattr(pa_module, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(parallel, "BLOCK_CELLS", cells)
         for gone in (0, 17, len(rows) - 1):
             kept = rows[:gone] + rows[gone + 1 :]
             pa = PermArray(kept, 2)
@@ -255,7 +256,7 @@ def test_rows_with_half_to_all_representatives_scan_fewer_pairs(conjugate, monke
         expected = _oracle(rows, claimed)
         for tile_rows, tile_cols in ((64, 8192), (2, 16)):
             monkeypatch.setattr(pa_module, "_TILE_ROWS", tile_rows)
-            monkeypatch.setattr(pa_module, "_TILE_COLS", tile_cols)
+            monkeypatch.setattr(parallel, "TILE_CELLS", tile_rows * tile_cols)
             for workers in (1, 2, 5):
                 assert _proven(pa, monkeypatch, workers) == (expected, least)
     monkeypatch.setattr(pa_module, "FULL_PAIR_CAP", scanned - 1)
@@ -274,7 +275,7 @@ def test_rows_with_half_to_all_representatives_scan_fewer_pairs(conjugate, monke
 
     monkeypatch.setattr(pa_module, "map_blocks", mapped)
     monkeypatch.setattr(pa_module, "_TILE_ROWS", 1)
-    monkeypatch.setattr(pa_module, "_TILE_COLS", 1)
+    monkeypatch.setattr(parallel, "TILE_CELLS", 1)
     assert exact_min_distance(pa, 1) == least
     later = {(r, j) for a, r in enumerate(reps) for j in range(M) if j not in reps[: a + 1]}
     assert {(i, j) for _, top, i, j in cells if top} == later
@@ -348,7 +349,7 @@ def test_field_maps_come_from_the_shape_not_the_provenance(name):
     fixed = list(range(F.q, pa.n))
     shift = [F.add(x, 1) for x in range(F.q)] + fixed
     scale = [F.mul(F.primitive, x) for x in range(F.q)] + fixed
-    rows = [pa.row(i) for i in (M // 3, 2 * M // 3, M - 1)]
+    rows = [pa.rows[i].tolist() for i in (M // 3, 2 * M // 3, M - 1)]
     expected = [list(r) for r in rows] + [shift, scale, scale, shift]
     assert _images_of_identity(bare) == _images_of_identity(pa) == expected
     reps = pa_module._orbit_representatives(pa)

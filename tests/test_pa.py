@@ -14,6 +14,7 @@ import pytest
 
 from conftest import traced_peak
 from paforge import pa as pa_module
+from paforge import parallel
 from paforge import sfp as sfp_module
 from paforge.pa import MAX_DEGREE, PermArray, identity, min_distance, read_pa, write_pa
 from paforge.groups import group_to_pa, make_named
@@ -120,14 +121,14 @@ def test_full_matches_bruteforce_reference(monkeypatch):
     assert report.min_observed == brute
     assert report.pairs_checked == 120 * 119 // 2
     i, j = report.witness
-    assert hamming_distance(pa.row(i), pa.row(j)) == brute
+    assert hamming_distance(pa.rows[i].tolist(), pa.rows[j].tolist()) == brute
     # Cyclic shifts: every distance is n, and no masked pair (j <= i) may
     # become the witness.  n = 256 is the top of the uint8 accumulator (a
     # distance-2 pair agrees in 254 points); n = 300 needs uint16.  The
     # small tiles put many diagonal and partial tiles on the same arrays.
-    for tiles in ((pa_module._TILE_ROWS, pa_module._TILE_COLS), (16, 40)):
+    for tiles in ((pa_module._TILE_ROWS, parallel.TILE_CELLS), (16, 16 * 40)):
         monkeypatch.setattr(pa_module, "_TILE_ROWS", tiles[0])
-        monkeypatch.setattr(pa_module, "_TILE_COLS", tiles[1])
+        monkeypatch.setattr(parallel, "TILE_CELLS", tiles[1])
         for n in (5, 256, 300):
             shifts = PermArray(_shifts(n), claimed_distance=n)
             assert _report(shifts) == (n, (0, 1), n * (n - 1) // 2, True)
@@ -203,16 +204,16 @@ def test_checks_writer_and_reader_bounded_in_cells_at_a_wide_degree(tmp_path):
 
 def test_check_and_formatter_scratch_on_one_block():
     # One block of 2^18 cells, rows of 22 points as in M22: the permutation
-    # check scatters _BLOCK_CELLS/8 cells at a time and the formatter
+    # check scatters BLOCK_CELLS/8 cells at a time and the formatter
     # gathers 64 KiB of tokens at a time, so neither holds scratch for the
     # whole block.  Measured (traced): 0.42 MiB for the check, 0.31 and
     # 0.25 MiB for the text and JSON pieces; on the whole block at once
     # 2.47, 3.0 and 6.0.
     n = 22
     rng = np.random.default_rng(5)
-    block = np.argsort(rng.random((pa_module._BLOCK_CELLS // n, n)), axis=1).astype(np.uint8)
+    block = np.argsort(rng.random((parallel.BLOCK_CELLS // n, n)), axis=1).astype(np.uint8)
     fields = pa_module.header_fields(n, len(block), 2)
-    ok, peak = traced_peak(lambda: pa_module._all_permutations(block))
+    ok, peak = traced_peak(lambda: pa_module._permutation_check(n, len(block))(block))
     assert ok and peak < 0.5 * 2**20, peak
     for mirror in (False, True):
         size, peak = traced_peak(lambda: sum(map(len, pa_module._pieces(fields, [block], mirror))))
@@ -226,7 +227,7 @@ def test_rise_check_of_a_byte_block_takes_no_block_scratch():
     # two int64 arrays a row, 40 bytes a row, fresh for every block.
     n = 23
     rng = np.random.default_rng(n)
-    perms = np.argsort(rng.random((pa_module._BLOCK_CELLS // n, n)), axis=1)
+    perms = np.argsort(rng.random((parallel.BLOCK_CELLS // n, n)), axis=1)
     rows = np.unique(perms.astype(np.uint8), axis=0)
     _, peak = traced_peak(lambda: pa_module._check_rising(rows[1:], rows[:-1]))
     assert peak < 4 * len(rows), peak / len(rows)
@@ -257,7 +258,7 @@ def block_spanning_rows(n):
 
 @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (300, np.uint16)])
 def test_bad_rows_rejected_past_the_first_block(n, dtype, monkeypatch):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * n)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 2**14 * n)
     rows = block_spanning_rows(n)
     assert PermArray(rows, claimed_distance=2).rows.dtype == dtype
     for index in (2**14, 2**15 - 1, len(rows) - 1):
@@ -273,7 +274,7 @@ def test_bad_rows_rejected_past_the_first_block(n, dtype, monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 300])
 def test_sorted_rows_checked_against_their_neighbours(n, monkeypatch):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * n)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 2**14 * n)
     rows = block_spanning_rows(n)  # lexicographically sorted
     hash_calls = []
     row_hashes = pa_module._row_hashes
@@ -330,7 +331,7 @@ def test_permutation_check_matches_sorted_rows():
             if rng.random() < 0.5:
                 rows[rng.integers(m), rng.integers(n)] = rng.integers(n)
             is_perm = bool((np.sort(rows, axis=1) == np.arange(n)).all())
-            assert pa_module._all_permutations(rows.astype(np.uint8)) == is_perm
+            assert pa_module._permutation_check(n, len(rows))(rows.astype(np.uint8)) == is_perm
 
 
 def test_full_failure_reports_first_witness():
@@ -395,8 +396,8 @@ def test_sampled_mode_matches_rowwise_reference(m, n, monkeypatch):
     rows = np.array(_random_rows(m, n, seed=n))[np.random.default_rng(n).permutation(m)]
     pa = PermArray(rows, claimed_distance=n)
     later = 0
-    for cells in (pa_module._BLOCK_CELLS, 7 * n):
-        monkeypatch.setattr(pa_module, "_BLOCK_CELLS", cells)
+    for cells in (parallel.BLOCK_CELLS, 7 * n):
+        monkeypatch.setattr(parallel, "BLOCK_CELLS", cells)
         for seed in range(3):
             for samples in (1, 1000, (1 << 17) + 5):
                 report = min_distance(pa, "sampled", sample_pairs=samples, seed=seed)
@@ -447,7 +448,8 @@ def _tiled_rows(seed):
     """Shuffled random rows of 16 points over three row bands and two column
     blocks of the FULL scan, with rows j made from rows i by one swap (a
     distance-2 pair) at the planted (i, j), lex-first first."""
-    B, C = pa_module._TILE_ROWS, pa_module._TILE_COLS
+    B = pa_module._TILE_ROWS
+    C = parallel.TILE_CELLS // B  # the columns of a full band
     rows = _random_rows(C + 3 * B, 16, seed=seed)
     random.Random(seed).shuffle(rows)
     planted = [(5, C + 100), (B - 10, B + 10), (2 * B + 3, 2 * B + 10)]
@@ -470,7 +472,8 @@ def test_workers_do_not_change_result():
     for workers in (1, 2, 5):
         assert _report(pa, workers) == expected
         assert exact_min_distance(pa, workers) == 2
-    shuffled = _random_rows(pa_module._TILE_COLS + 3 * pa_module._TILE_ROWS, 10, seed=8)
+    B = pa_module._TILE_ROWS
+    shuffled = _random_rows(parallel.TILE_CELLS // B + 3 * B, 10, seed=8)
     random.Random(8).shuffle(shuffled)
     pa = PermArray(shuffled, claimed_distance=1)
     expected = _oracle(shuffled, 1)
@@ -506,7 +509,7 @@ def test_row_order_matches_first_occurrences(dtype, m, presorted, monkeypatch):
     # columns; one repeat is planted at the far end.  Blocks of 2^14 rows:
     # m = 2^14 + 1 spans two.  sfp keeps the first occurrences in
     # lexicographic order, and the distinct-rows check agrees with them.
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2**14 * 4)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 2**14 * 4)
     info = np.iinfo(dtype)
     rng = np.random.default_rng(m)
     extremes = [info.min, info.min + 1, info.max]
@@ -601,7 +604,7 @@ _B = 1 << 14
     ],
 )
 def test_writer_matches_row_by_row_formatter(tmp_path, monkeypatch, n, m):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", _B * n)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", _B * n)
     rows = distinct_rows(n, m, seed=n + m)
     body = reference_body(rows)
     for infinity in (False, True):
@@ -642,7 +645,7 @@ def mirror_oracle(pa):
 def test_json_mirror_is_json_dumps(tmp_path, monkeypatch, provenance, n, m):
     # Blocks of 2 rows, so rows are joined within and across blocks; the
     # tokens of n = 1001 and 65536 take 8 and 16 bytes.
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 2 * n)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 2 * n)
     pa = PermArray(distinct_rows(n, m, seed=n), 1, provenance=provenance, infinity=n % 2 == 1)
     expected = mirror_oracle(pa)
     assert pa_to_json(pa) == expected
@@ -724,7 +727,7 @@ def untidy_text(rows, end):
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("n", [12, 300])
 def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_bytes, end, n):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", block_bytes)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", block_bytes)
     path = tmp_path / "untidy.txt"
     path.write_bytes(untidy_text(distinct_rows(n, 40, seed=n), end))
     back = read_pa(path)
@@ -746,7 +749,7 @@ def test_block_reader_matches_line_reader(tmp_path, monkeypatch, block_bytes, en
 def test_block_reader_rejects_rows_in_later_blocks(
     tmp_path, monkeypatch, block_bytes, body, message
 ):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", block_bytes)
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", block_bytes)
     path = tmp_path / "bad.txt"
     path.write_text("PA n=3 M=3 d=2 inf=none provenance=x\n" + body)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -789,8 +792,24 @@ def test_arrays_over_the_cell_cap_are_refused_unallocated(tmp_path, monkeypatch,
         read_pa(path)
 
 
+@pytest.mark.parametrize("n", [2, 22, 256])
+def test_permarray_over_the_cell_cap_is_refused_uncopied(n):
+    # Every array holds at most EMIT_CELL_CAP cells, so its rows fit the
+    # int32 indices of verification.  A broadcast view one row over the cap
+    # is refused before it is narrowed or copied (a copy takes 256 MiB).
+    cap = pa_module.EMIT_CELL_CAP
+    rows = np.broadcast_to(np.arange(n, dtype=np.uint8), (cap // n + 1, n))
+
+    def refused():
+        with pytest.raises(ValueError, match=f"rows of {n} points exceed the cell cap {cap}$"):
+            PermArray(rows, 2)
+
+    _, peak = traced_peak(refused)
+    assert peak < 2**20, peak
+
+
 def test_surplus_row_refused_before_later_blocks_are_read(tmp_path, monkeypatch):
-    monkeypatch.setattr(pa_module, "_BLOCK_CELLS", 1)  # one line a block
+    monkeypatch.setattr(parallel, "BLOCK_CELLS", 1)  # one line a block
     path = tmp_path / "long.txt"
     path.write_text("PA n=3 M=2 d=2 inf=none provenance=x\n0 1 2\n1 2 0\n2 0 1\nnot a row\n")
     with pytest.raises(ValueError, match="a row past the header's M=2"):
@@ -831,7 +850,7 @@ def test_read_peak_does_not_grow_with_the_text(tmp_path):
     assert path.stat().st_size >= 5 * text
     back, peak = traced_peak(lambda: read_pa(path))
     assert np.array_equal(back.rows, rows)
-    assert peak <= 2.5 * rows.size + pa_module._BLOCK_CELLS, peak / rows.size
+    assert peak <= 2.5 * rows.size + parallel.BLOCK_CELLS, peak / rows.size
 
 
 def test_malformed_files_rejected(tmp_path):

@@ -10,7 +10,7 @@ from conftest import traced_peak
 from paforge.field import Field
 from paforge.groups import group_order, group_to_pa, make_named
 from paforge.pa import min_distance, row_dtype
-from paforge import pam, sfp
+from paforge import pam, parallel, sfp
 from paforge.pam import build_pa
 from paforge.sfp import (
     OFFSET_CHOICES,
@@ -93,7 +93,7 @@ def test_batched_build_matches_single_builders():
         assert np.array_equal(result.gather(), _member_values(query, result.rows))
         pa = build_pa(query, result=result)
         for idx, phi in enumerate(members(result)):
-            assert pa.row(idx) == _complete(query.q, query.length(), phi.values())
+            assert tuple(pa.rows[idx].tolist()) == _complete(query.q, query.length(), phi.values())
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_batched_build_at_row_dtype_edge(q, variant):
     pa = build_pa(query, result=sample)
     assert pa.rows.dtype == row_dtype(query.length())
     for idx, phi in enumerate(members(sample)):
-        assert pa.row(idx) == _complete(q, query.length(), phi.values())
+        assert tuple(pa.rows[idx].tolist()) == _complete(q, query.length(), phi.values())
 
 
 def _scalar_rows(q, n, vals):
@@ -141,7 +141,7 @@ def test_bulk_completion_matches_scalar_reference(q, monkeypatch):
         want = _scalar_rows(q, n, vals)
         assert _complete_rows(q, n, vals).tolist() == want
         with monkeypatch.context() as m:
-            m.setattr(sfp, "_CELL_BUDGET", 7 * q)
+            m.setattr(parallel, "TILE_CELLS", 7 * q)
             assert _complete_rows(q, n, vals).tolist() == want
 
 
@@ -162,7 +162,7 @@ def test_completion_range_checks_each_block_before_narrowing(q, n, monkeypatch):
         return images
 
     monkeypatch.setattr(pam, "_complete_block", leaves_a_hole)
-    monkeypatch.setattr(sfp, "_CELL_BUDGET", 7 * q)  # the hole in a later block
+    monkeypatch.setattr(parallel, "TILE_CELLS", 7 * q)  # the hole in a later block
     with pytest.raises(ValueError, match="points must be integers"):
         _complete_rows(q, n, vals)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from paforge import sfp
+from paforge import parallel, sfp
 from paforge.field import Field
 from paforge.sfp import (
     OFFSET_CHOICES,
@@ -144,7 +144,7 @@ def test_oracle_fast_equivalence_length_q(q, monkeypatch):
         tiles.append(blocks)
         return map_blocks(fn, blocks, workers)
 
-    monkeypatch.setattr(sfp, "_CELL_BUDGET", 4 * q)
+    monkeypatch.setattr(parallel, "TILE_CELLS", 4 * q)
     monkeypatch.setattr(sfp, "map_blocks", recorded)
     for query, want in zip(queries, rows):
         oracle = enumerate_oracle(query)
@@ -228,7 +228,7 @@ def test_ratio_rows_match_field_division(q):
         f[:50], g[50:100] = 0, 0
     got = sfp._ratio_rows(F, f.astype(np.int16), g.astype(np.int16))
     pairs = zip(f.ravel().tolist(), g.ravel().tolist())
-    want = [F.div(a, b) if b else q for a, b in pairs]
+    want = [F.mul(a, F.inv(b)) if b else q for a, b in pairs]
     assert got.dtype == np.int16
     assert got.ravel().tolist() == want
 
@@ -403,7 +403,7 @@ def test_scanned_blocks_reach_every_orbit(q, s2, t2, monkeypatch):
 
     reduced = orbit_table()
     with monkeypatch.context() as patch:
-        patch.setattr(sfp, "_CELL_BUDGET", 4 * q)
+        patch.setattr(parallel, "TILE_CELLS", 4 * q)
         tiled = orbit_table()
     monic_rows = sfp._monic_rows
     monkeypatch.setattr(
