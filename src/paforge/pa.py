@@ -22,11 +22,11 @@ Permutation = tuple[int, ...]
 #: Largest supported degree: every point of a row fits in a uint16.
 MAX_DEGREE = 1 << 16
 #: Most rows x points cells that one emit lists, and that `read_pa` reads.
-#: An `sfp` emit holds its rows, about 2.2 bytes a cell at its peak (q =
-#: 509, k = 1: 131.6M cells, 295 MB); a group emit streams them, so its peak
-#: does not grow with the array (sym(10): 36.3M cells, 32.9 MB; M23: 234.6M
-#: cells, 33.3 MB).  31 MB of each is the import.  The cap admits the M23
-#: array of the published bounds.
+#: Both emits stream their rows, so their peaks do not grow with the array:
+#: an `sfp` emit keeps one 8-byte hash a row (q = 509, k = 1: 131.6M cells,
+#: 44.9 MB), a group emit only its last row (sym(10): 36.3M cells, 32.9
+#: MB; M23: 234.6M cells, 33.3 MB).  31 MB of each is the import.  The cap
+#: admits the M23 array of the published bounds.
 EMIT_CELL_CAP = 1 << 28
 FULL_PAIR_CAP = 10**10
 DEFAULT_SAMPLE_PAIRS = 10**6
@@ -129,12 +129,19 @@ def _distinct(arr: np.ndarray) -> bool:
     rise = next((r for r in (_compare_rows(b[1:], b[:-1]) for b in blocks) if r < 1), 1)
     if rise >= 0:  # the rows rise, or two neighbours are equal
         return bool(rise)
-    hashes = _row_hashes(arr)
+    return _hashes_distinct(_row_hashes(arr), [arr])
+
+
+def _hashes_distinct(hashes: np.ndarray, blocks: Iterable[np.ndarray]) -> bool:
+    """Whether the rows that blocks lists, whose hashes (`_row_hashes`) are
+    `hashes`, are pairwise distinct.  The hashes are sorted in place: equal
+    rows hash alike, so only rows that share a hash are compared in full,
+    and blocks is iterated only when some do."""
     hashes.sort()
     shared = hashes[1:][hashes[1:] == hashes[:-1]]
     if not len(shared):
         return True
-    tied = arr[np.isin(_row_hashes(arr), shared)]
+    tied = np.concatenate([block[np.isin(_row_hashes(block), shared)] for block in blocks])
     return len(np.unique(tied, axis=0)) == len(tied)
 
 
@@ -148,6 +155,12 @@ class PermArray:
     An input that already has that dtype in C order is kept, not copied:
     `rows` is a read-only view of it, so the caller's array stays writable
     and must not be written after.  Any other input is checked and copied.
+
+    An array made by `streamed` holds no rows until `rows` is first read,
+    which fills one buffer from its producer (`_filled`) and checks it as
+    above; `write_pa` of it writes the producer's blocks as they are checked
+    (`_checked_stream`).  `rows` must be read before any worker thread
+    reads it.
     """
 
     def __init__(
@@ -160,26 +173,53 @@ class PermArray:
         arr = np.asarray(rows)
         if arr.ndim != 2:
             raise ValueError("rows must form a 2-D array")
-        m, n = arr.shape
+        self._start(*arr.shape, claimed_distance, provenance, infinity)
+        self._blocks, self._rows = None, self._checked(_narrowed(arr, self.n))
+
+    @classmethod
+    def streamed(
+        cls,
+        blocks: Callable[[], Iterable[np.ndarray]],
+        m: int,
+        n: int,
+        claimed_distance: int,
+        provenance: str = "",
+        infinity: bool = False,
+    ) -> PermArray:
+        """The array of the m rows of n points that blocks() lists in
+        blocks, the same rows at every call.  It is called when `rows` is
+        first read, for each write before that, and once more by a write
+        whose rows share a hash (`_checked_stream`)."""
+        pa = cls.__new__(cls)
+        pa._start(m, n, claimed_distance, provenance, infinity)
+        pa._blocks, pa._rows = blocks, None
+        return pa
+
+    def _start(self, m: int, n: int, d: int, provenance: str, infinity: bool) -> None:
         if m * n > EMIT_CELL_CAP:
             raise ValueError(f"{m} rows of {n} points exceed the cell cap {EMIT_CELL_CAP}")
-        arr = _narrowed(arr, n).view()
+        if not (1 <= d <= n):
+            raise ValueError(f"claimed distance {d} not in [1, {n}]")
+        self.M, self.n, self.claimed_distance = m, n, d
+        self.provenance, self.infinity = provenance, infinity
+
+    def _checked(self, arr: np.ndarray) -> np.ndarray:
+        """arr, the rows narrowed (`_narrowed`), as a read-only view once
+        they are checked to be distinct permutations."""
+        arr = arr.view()
         arr.setflags(write=False)
-        if not (1 <= claimed_distance <= n):
-            raise ValueError(f"claimed distance {claimed_distance} not in [1, {n}]")
-        if not _permutation_check(n, m)(arr):
+        if not _permutation_check(self.n, self.M)(arr):
             raise ValueError("some row is not a permutation")
         if not _distinct(arr):
             raise ValueError("rows must be pairwise distinct")
-        self.rows = arr
-        self.n = n
-        self.claimed_distance = claimed_distance
-        self.provenance = provenance
-        self.infinity = infinity
+        return arr
 
     @property
-    def M(self) -> int:
-        return int(self.rows.shape[0])
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = self._checked(_filled(self._blocks(), self.n, self.M))
+            self._blocks = None
+        return self._rows
 
     def __len__(self) -> int:
         return self.M
@@ -538,6 +578,25 @@ def ordered_blocks(fields: dict, blocks: Iterable[np.ndarray]) -> Iterator[np.nd
         yield block
 
 
+def _checked_stream(pa: PermArray) -> Iterator[np.ndarray]:
+    """The blocks of a streamed pa's producer, each checked as `PermArray`
+    checks rows before it is passed on: rows of n points in range
+    (`_counted`), and permutations.  Only each row's hash (`_row_hashes`)
+    is kept; after the last block the hashes prove the rows distinct
+    (`_hashes_distinct`), and the producer lists the rows again only when
+    some share a hash."""
+    n, m = pa.n, pa.M
+    hashes, filled, permutations = np.empty(m, np.uint64), 0, _permutation_check(n, m)
+    for block in _counted(pa._blocks(), n, m):
+        if not permutations(block):
+            raise ValueError("some row is not a permutation")
+        hashes[filled : filled + len(block)] = _row_hashes(block)
+        filled += len(block)
+        yield block
+    if not _hashes_distinct(hashes, _counted(pa._blocks(), n, m)):
+        raise ValueError("rows must be pairwise distinct")
+
+
 def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterator[bytes]:
     """An array file in pieces: the header from `fields`, then one piece
     per block of rows, in the text format or, with `mirror`, as the bytes
@@ -586,9 +645,13 @@ def _pieces(fields: dict, blocks: Iterable[np.ndarray], mirror: bool) -> Iterato
 
 
 def _as_blocks(pa: PermArray) -> tuple[dict, Iterator[np.ndarray]]:
-    """pa's header fields and its rows in blocks of BLOCK_CELLS cells."""
-    step = max(1, parallel.BLOCK_CELLS // pa.n)
+    """pa's header fields and its rows: rows not yet read as the producer
+    makes them (`_checked_stream`), held rows in blocks of BLOCK_CELLS
+    cells."""
     fields = header_fields(pa.n, pa.M, pa.claimed_distance, pa.provenance, pa.infinity)
+    if pa._rows is None:
+        return fields, _checked_stream(pa)
+    step = max(1, parallel.BLOCK_CELLS // pa.n)
     return fields, (pa.rows[lo : lo + step] for lo in range(0, pa.M, step))
 
 
@@ -609,7 +672,9 @@ def write_blocks(path: Union[str, Path], fields: dict, blocks: Iterable[np.ndarr
 
 
 def write_pa(pa: PermArray, path: Union[str, Path]) -> None:
-    """Write text format, or the JSON mirror for a .json suffix."""
+    """Write text format, or the JSON mirror for a .json suffix; the rows
+    of a streamed pa not yet read are written a block at a time as they are
+    made and checked, and are not kept."""
     write_blocks(path, *_as_blocks(pa))
 
 
@@ -627,6 +692,18 @@ def _parse_header(line: str) -> dict[str, str]:
         raise ValueError("malformed PA header: missing provenance")
     fields["provenance"] = rest[len("provenance="):]
     return fields
+
+
+def _listed(rows: list, n: int) -> np.ndarray:
+    """A slice of a JSON mirror's rows as one 2-D array, refused unless
+    each row is a list of n scalars."""
+    try:
+        block = np.asarray(rows)
+    except ValueError:  # ragged or nested rows
+        block = None
+    if block is None or block.ndim != 2 or block.shape[1] != n:
+        raise ValueError(f"each row must be a list of {n} integers")
+    return block
 
 
 def read_pa(path: Union[str, Path]) -> PermArray:
@@ -658,6 +735,9 @@ def read_pa(path: Union[str, Path]) -> PermArray:
             del data  # not held while the document is parsed
             payload = json.loads(text)
             del text
+            missing = [key for key in ("n", "M", "d", "rows") if key not in payload]
+            if missing:
+                raise ValueError(f"missing key {missing[0]!r}")
             n, m, d = payload["n"], payload["M"], payload["d"]
             if not all(type(v) is int for v in (n, m, d)):
                 raise ValueError("n, M and d must be integers")
@@ -672,7 +752,7 @@ def read_pa(path: Union[str, Path]) -> PermArray:
             if len(listed) != m:
                 raise ValueError(f"{len(listed)} rows, header says {m}")
             step = max(1, parallel.BLOCK_CELLS // max(n, 1))
-            blocks = (np.asarray(listed[lo : lo + step]) for lo in range(0, m, step))
+            blocks = (_listed(listed[lo : lo + step], n) for lo in range(0, m, step))
         else:
             fh = io.TextIOWrapper(io.BytesIO(data) if whole else raw, "latin-1", newline="")
             header = fh.readline()

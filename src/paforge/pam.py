@@ -10,31 +10,31 @@ no root, and otherwise the smallest root is sent to the extra point.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import parallel, sfp
-from .pa import PermArray, _filled
+from .pa import PermArray
 from .sfp import SfpQuery, SfpResult, Variant, enumerate_fast
 
 
-def _complete_rows(
+def _completed(
     q: int, n: int, m: int, values: Callable[[int, int], np.ndarray]
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """The completions (see the module docstring) of the value rows
-    values(lo, hi) of rows 0..m-1, in one row_dtype(n) buffer (`_filled`),
-    completed in blocks of rows that fit one tile of TILE_CELLS cells, so that
-    besides the result nothing larger than a block is held and each block's
-    columns stay in cache.  `_filled` range-checks each block before the
-    narrowing cast: a hole left at -1 must not wrap to a valid point."""
+    values(lo, hi) of rows 0..m-1, in int16 blocks of rows that fit one tile
+    of TILE_CELLS cells, so that nothing larger than a block is made and
+    each block's columns stay in cache.  A reader range-checks each block
+    before any narrowing cast (`pa._counted`): a hole left at -1 must not
+    wrap to a valid point."""
     step = max(1, parallel.TILE_CELLS // q)
-    blocks = (_complete_block(q, n, values(lo, min(lo + step, m))) for lo in range(0, m, step))
-    return _filled(blocks, n, m)
+    for lo in range(0, m, step):
+        yield _complete_block(q, n, values(lo, min(lo + step, m)))
 
 
 def _complete_block(q: int, n: int, vals: np.ndarray) -> np.ndarray:
-    """`_complete_rows` on one block, one column at a time."""
+    """`_completed` on one block, one column at a time."""
     N = len(vals)
     # first[r, v]: the first preimage of v in row r, n when v is unattained.
     # The columns are written last to first, so the least beta stays.
@@ -63,21 +63,26 @@ def build_pa(
     result: Optional[SfpResult] = None,
     workers: Optional[int] = None,
 ) -> PermArray:
-    """Assemble the permutation array of one enumeration cell.
+    """Assemble the permutation array of one enumeration cell, streamed
+    (`PermArray.streamed`): its rows are completed (`_completed`) only when
+    they are read or written.
 
     Rows follow the canonical member order; the claimed distance is the
     cell's guarantee.  Each block of members' values is gathered from the
     result's `images` and `source` when its rows are completed (`_gather`),
     so no value array of the whole cell is held.  Only those two are kept:
     a result that build_pa enumerates itself frees its member coefficient
-    rows before completion.
+    rows at once.
     """
     if result is None:
         result = enumerate_fast(query, workers=workers)
-    m, values = result.count, partial(sfp._gather, query.field, result.images, result.source)
+    m, n = result.count, query.length()
+    values = partial(sfp._gather, query.field, result.images, result.source)
     del result  # only images and source are kept, so the member rows can go
-    return PermArray(
-        _complete_rows(query.q, query.length(), m, values),
+    return PermArray.streamed(
+        partial(_completed, query.q, n, m, values),
+        m,
+        n,
         claimed_distance=query.distance(),
         provenance=f"sfp:{query.describe()}",
         infinity=query.variant is Variant.Q_PLUS_1,

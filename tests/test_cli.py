@@ -277,6 +277,30 @@ def test_verify_rejects_malformed_json(tmp_path, payload):
     assert err.startswith("malformed input:")
 
 
+ROW_FAULT = "each row must be a list of 3 integers"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 3, "M": 2, "d": 3}, "missing key 'rows'"),
+        ({"M": 2, "d": 3, "rows": [[0, 1, 2], [1, 2, 0]]}, "missing key 'n'"),
+        ({"n": 3, "d": 3, "rows": [[0, 1, 2], [1, 2, 0]]}, "missing key 'M'"),
+        ({"n": 3, "M": 2, "rows": [[0, 1, 2], [1, 2, 0]]}, "missing key 'd'"),
+        ({"n": 3, "M": 2, "d": 3, "rows": [[0, 1, 2], [1, 2]]}, ROW_FAULT),
+        ({"n": 3, "M": 2, "d": 3, "rows": [[0, 1, 2, 0], [1, 2, 0, 1]]}, ROW_FAULT),
+        ({"n": 3, "M": 2, "d": 3, "rows": [[0, 1, [2]], [1, 2, 0]]}, ROW_FAULT),
+        ({"n": 3, "M": 2, "d": 3, "rows": [[[0], [1], [2]], [[1], [2], [0]]]}, ROW_FAULT),
+        ({"n": 3, "M": 2, "d": 3, "rows": [0, 1]}, ROW_FAULT),
+    ],
+)
+def test_verify_names_the_fault_in_a_json_mirror(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli("verify", "--in", str(path))
+    assert (code, out, err) == (2, "", f"malformed input: {message}\n")
+
+
 @pytest.mark.parametrize("suffix", [".txt", ".json"])
 def test_emitted_empty_array_round_trips(tmp_path, suffix):
     path = tmp_path / f"empty{suffix}"
@@ -578,6 +602,77 @@ def test_streamed_group_emit_refuses_a_bad_block_unwritten(
     header = expected[: 1 + expected.index(b"\n" if suffix == ".txt" else b"[")]
     body = left[str(path)][len(header) :]
     written = rows[: min(fault[1] // 4 * 4, len(rows))].tolist()
+    assert left[str(path)].startswith(header)
+    if suffix == ".txt":
+        assert [list(map(int, line.split())) for line in body.splitlines()] == written
+    else:
+        assert json.loads(b"[" + body + b"]") == written
+
+
+SFP_CELL = ("--q", "7", "--variant", "q+1", "--s", "2", "--t", "1", "--a", "1", "--b", "-1")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("a repeated point", "some row is not a permutation"),
+        ("a point past n", "points must be integers in [0, 8)"),
+        ("an earlier block's row", "rows must be pairwise distinct"),
+    ],
+)
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_streamed_sfp_emit_refuses_a_bad_block_unwritten(
+    tmp_path, monkeypatch, fault, message, suffix
+):
+    # The 336 rows of 8 points of one q7 q+1 cell, completed in blocks of 40
+    # rows, with row 100 (the third block's) faulted by `_complete_block`
+    # whenever it is made.  A repeated row is found with every row's hash
+    # alike.  The command exits 2 with the check's message, and the file it
+    # created is removed; read at its removal, the file holds the blocks
+    # before the bad one, or every row when only the distinctness check
+    # after the last block refuses.
+    query = sfp.SfpQuery(sfp.field_for_order(7), sfp.Variant.Q_PLUS_1, 2, 1, 1, -1)
+    good, result = pam.build_pa(query).rows, sfp.enumerate_fast(query)
+    bad, first = result.gather(100, 101), result.gather(0, 1)
+    whole = tmp_path / f"good{suffix}"
+    assert run_cli("sfp", *SFP_CELL, "--emit", str(whole))[0] == 0
+    complete_block = pam._complete_block
+
+    def faulted(q, n, vals):
+        images = complete_block(q, n, vals)
+        hit = (vals == bad).all(axis=1)
+        if fault == "a repeated point":
+            images[hit, 1] = images[hit, 0]
+        elif fault == "a point past n":
+            images[hit, 0] = n
+        else:
+            images[hit] = complete_block(q, n, first)
+        return images
+
+    monkeypatch.setattr(parallel, "TILE_CELLS", 7 * 40)
+    monkeypatch.setattr(pam, "_complete_block", faulted)
+    if fault == "an earlier block's row":
+        monkeypatch.setattr(pa_module, "_hash_weights", lambda n: np.ones(n, np.uint64))
+    left = {}
+    remove = os.remove
+
+    def kept(path):
+        left[str(path)] = open(path, "rb").read()
+        remove(path)
+
+    monkeypatch.setattr(pa_module.os, "remove", kept)
+    path = tmp_path / f"q7{suffix}"
+    code, out, err = run_cli("sfp", *SFP_CELL, "--emit", str(path))
+    assert code == 2 and json.loads(out)["count"] == 336
+    assert err == f"error: {message}\n"
+    assert not path.exists() and list(left) == [str(path)]
+    expected = whole.read_bytes()
+    header = expected[: 1 + expected.index(b"\n" if suffix == ".txt" else b"[")]
+    body = left[str(path)][len(header) :]
+    written = good[:80].tolist()
+    if fault == "an earlier block's row":
+        written = good.tolist()
+        written[100] = written[0]
     assert left[str(path)].startswith(header)
     if suffix == ".txt":
         assert [list(map(int, line.split())) for line in body.splitlines()] == written

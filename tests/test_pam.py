@@ -9,7 +9,7 @@ import pytest
 from conftest import traced_peak
 from paforge.field import Field
 from paforge.groups import group_order, group_to_pa, make_named
-from paforge.pa import min_distance, row_dtype
+from paforge.pa import _filled, min_distance, row_dtype, write_pa
 from paforge import pam, parallel, sfp
 from paforge.pam import build_pa
 from paforge.sfp import (
@@ -17,6 +17,7 @@ from paforge.sfp import (
     SfpQuery,
     Variant,
     best_cell,
+    best_count,
     enumerate_fast,
     field_for_order,
 )
@@ -118,8 +119,9 @@ def _scalar_rows(q, n, vals):
 
 
 def _complete_rows(q, n, vals):
-    """`pam._complete_rows` over the rows of one value array."""
-    return pam._complete_rows(q, n, len(vals), lambda lo, hi: vals[lo:hi])
+    """`pam._completed` over the rows of one value array, filled into one
+    buffer (`pa._filled`) as reading a built array's rows fills it."""
+    return _filled(pam._completed(q, n, len(vals), lambda lo, hi: vals[lo:hi]), n, len(vals))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 19, 25, 256])
@@ -183,10 +185,11 @@ def test_build_pa_peaks_under_4_5_bytes_a_cell():
     # points.  With an (M, q) value array and its sorted copy, build_pa
     # peaked at 5.8 bytes a cell (traced); gathering each block's values
     # from the image rows at completion, at about 4.0.
+    # build_pa completes nothing: the rows are completed when read.
     query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
-    pa, peak = traced_peak(lambda: build_pa(query))
-    assert pa.M == 123804
-    assert peak <= 4.5 * pa.rows.size, peak / pa.rows.size
+    rows, peak = traced_peak(lambda: build_pa(query).rows)
+    assert len(rows) == 123804
+    assert peak <= 4.5 * rows.size, peak / rows.size
 
 
 def test_build_pa_frees_the_member_rows_before_completion():
@@ -194,16 +197,80 @@ def test_build_pa_frees_the_member_rows_before_completion():
     # and int32 source: 3.0 bytes a cell (traced) on the q19 k5 q+1 cell,
     # where holding the whole result, int64 source and member rows, took 4.0.
     query = SfpQuery(field_for_order(19), Variant.Q_PLUS_1, 2, 3, 1, -1)
-    pa, peak = traced_peak(lambda: build_pa(query))
-    assert peak <= 3.2 * pa.rows.size, peak / pa.rows.size
+    rows, peak = traced_peak(lambda: build_pa(query).rows)
+    assert peak <= 3.2 * rows.size, peak / rows.size
 
 
 def test_kept_indices_are_int32():
     query = SfpQuery(F7, Variant.Q_PLUS_1, 2, 1, 1, -1)
     fast, oracle = enumerate_fast(query), enumerate_oracle(query)
     assert fast.source.dtype == oracle.source.dtype == np.int32
+    # Until its rows are read the array keeps only the result's images and
+    # int32 source, and then only the rows: no row index or row order.
     pa = build_pa(query, result=fast)
-    assert set(vars(pa)) == {"rows", "n", "claimed_distance", "provenance", "infinity"}
+    kept = {"M", "n", "claimed_distance", "provenance", "infinity", "_rows", "_blocks"}
+    assert set(vars(pa)) == kept and pa._rows is None
+    arrays = [a for a in pa._blocks.args[-1].args if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2 and arrays[0] is fast.images and arrays[1] is fast.source
+    assert not [a for a in pa._blocks.args if isinstance(a, np.ndarray)]
+    pa.rows
+    assert set(vars(pa)) == kept and pa._blocks is None
+    assert [k for k, v in vars(pa).items() if isinstance(v, np.ndarray)] == ["_rows"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        (7, Variant.Q, 0, 0, 0, 0),  # no members
+        (25, Variant.Q_PLUS_1, 2, 1, 1, -1),  # the best k = 3 cells
+        (19, Variant.Q, 1, 2, 0, 0),
+    ],
+)
+def test_streamed_write_equals_the_held_write(tmp_path, monkeypatch, cell, workers):
+    # build_pa completes no block until its rows are read or written.  The
+    # streamed file equals write_pa of the same array once its rows are
+    # read, and the rows read after a streamed write equal those read
+    # before any.
+    q, variant, s, t, a, b = cell
+    query = SfpQuery(field_for_order(q), variant, s, t, a, b)
+    before = build_pa(query, workers=workers).rows
+    calls, complete_block = [], pam._complete_block
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return complete_block(*args)
+
+    monkeypatch.setattr(pam, "_complete_block", counted)
+    for suffix in (".txt", ".json"):
+        pa = build_pa(query, workers=workers)
+        assert not calls and pa._rows is None and len(pa) == len(before)
+        streamed, held = tmp_path / f"streamed{suffix}", tmp_path / f"held{suffix}"
+        write_pa(pa, streamed)
+        assert sum(calls) == len(before) and pa._rows is None
+        rows = pa.rows
+        assert rows.dtype == before.dtype and np.array_equal(rows, before)
+        write_pa(pa, held)
+        assert streamed.read_bytes() == held.read_bytes()
+        calls.clear()
+
+
+def _written(pa, path):
+    write_pa(pa, path)
+    return pa
+
+
+def test_sfp_emit_streams_under_half_a_byte_a_cell(tmp_path):
+    # sfp --q 251 --k 1: 62,750 rows of 251 points.  Enumerating, then
+    # completing, checking and writing a block at a time, the emit peaked at
+    # 0.36 bytes a cell (traced, 5.7 MB); holding the completed rows first,
+    # it peaked at 1.27.
+    query = best_count(251, 1, Variant.Q).query
+    path = tmp_path / "q251.txt"
+    pa, peak = traced_peak(lambda: _written(build_pa(query), path))
+    assert (pa.M, pa.n) == (62750, 251) and pa._rows is None
+    assert path.read_bytes().startswith(b"PA n=251 M=62750 d=250 ")
+    assert peak <= 0.5 * pa.M * pa.n, peak / (pa.M * pa.n)
 
 
 @pytest.mark.parametrize(
