@@ -4,6 +4,7 @@ format."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import stat
@@ -364,49 +365,116 @@ def _candidate_isometries(pa: PermArray) -> Iterator:
     yield from (lambda rows, p=p: p[rows] for p in reversed(gens))
 
 
+def _pair_isometries(pa: PermArray, hashes: np.ndarray) -> Iterator:
+    """Maps of a block of rows to their images under Hamming isometries
+    that carry row 0, a, onto a later row b: right composition with a^-1 b
+    (a column map), then left composition with b a^-1 (a value map), for
+    each b of the BLOCK_CELLS // 4n rows after a, in order.  A map is made
+    only when it sends each of four probe rows spread over the array to a
+    row's hash (`_row_hashes`, `hashes` sorted).  The probes are mapped
+    BLOCK_CELLS/8 cells a side at a time, or one b's 4n cells when wider,
+    and only one step's maps are held while they are asked for."""
+    rows, M, n = pa.rows, pa.M, pa.n
+    inverse = np.empty(n, rows.dtype)
+    inverse[rows[0]] = np.arange(n)
+    probes = rows[np.arange(1, 5) * (M - 1) // 4]
+
+    def seen(images: np.ndarray) -> np.ndarray:
+        needles = _row_hashes(images.reshape(-1, n))
+        return hashes[np.minimum(np.searchsorted(hashes, needles), M - 1)] == needles
+
+    step = max(1, parallel.BLOCK_CELLS // 8 // probes.size)
+    end = 1 + max(1, parallel.BLOCK_CELLS // probes.size)
+    for lo in range(1, min(end, M), step):
+        later = rows[lo : min(lo + step, end)]
+        right, left = inverse[later], later[:, inverse]
+        by_right = seen(probes[:, right]).reshape(len(probes), -1).all(axis=0)
+        by_left = seen(left[:, probes]).reshape(-1, len(probes)).all(axis=1)
+        for b in np.flatnonzero(by_right | by_left):
+            if by_right[b]:
+                yield lambda block, p=right[b]: block[:, p]
+            if by_left[b]:
+                yield lambda block, g=left[b]: g[block]
+
+
+def _index_map(
+    pa: PermArray, image_of: Callable, hashes: np.ndarray, order: np.ndarray
+) -> Optional[np.ndarray]:
+    """The row index of each row's image under image_of, or None when some
+    image is not a row.  An image is found by its hash (`_row_hashes`) in
+    the sorted `hashes`, whose row indices `order` lists, and taken only
+    when it equals that row, so a collision can only refuse a map."""
+    M = pa.M
+    # A small first block rejects most failing maps at once.
+    starts = [0, *range(min(_TILE_ROWS, M), M, max(1, parallel.BLOCK_CELLS // pa.n)), M]
+    index = np.empty(M, np.intp)
+    for lo, hi in zip(starts, starts[1:]):
+        image = image_of(pa.rows[lo:hi])
+        needles = _row_hashes(image)
+        rank = np.argsort(needles)  # sorted needles search faster: each lands near the last
+        at = order[np.minimum(np.searchsorted(hashes, needles[rank]), M - 1)]
+        if not (pa.rows[at] == image[rank]).all():
+            return None
+        index[lo + rank] = at
+    return index
+
+
+def _joined(root: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each row's least index in its component under earlier maps and the
+    index map, from `root`, each row's least index in its component under
+    the earlier maps alone, so no earlier map is kept.  Each round lowers
+    the label of each row's root to that of its image's root, and the
+    reverse, then jumps labels to their labels, until no label moves; every
+    label is a root throughout."""
+    image, label = root[index], root
+    while True:
+        lower = label.copy()
+        np.minimum.at(lower, root, label[image])
+        np.minimum.at(lower, image, label[root])
+        lower = lower[lower]
+        if (lower == label).all():
+            return label[root]
+        label = lower
+
+
 def _orbit_representatives(pa: PermArray) -> np.ndarray:
     """The least row index of each orbit of the group H generated by the
     candidate isometries that map every row onto a row.
 
-    A candidate is kept only when each image equals the row that its hash
-    (`_row_hashes`) finds, so a collision can only drop it; it is then
-    injective on a finite set, so it permutes the rows.  The orbits are the
-    connected components of the kept index maps: each round pulls and
-    pushes the least label along every map and jumps labels to their
-    labels, until no label moves.  This runs after each kept candidate, from
-    the labels so far, and once they leave one orbit no further candidate is
-    made or checked.
+    A candidate is kept only when `_index_map` finds every image among the
+    rows; it is then injective on a finite set, so it permutes the rows.
+    The orbits are the connected components of the kept index maps
+    (`_joined`), joined after each kept candidate.  The fixed candidates
+    (`_candidate_isometries`) stop once they leave one orbit.  When they
+    leave more than one band of _TILE_ROWS representatives, the maps that
+    carry row 0 onto a later row (`_pair_isometries`) follow, until the
+    representatives fit one band, one of them fails its check (an almost
+    symmetric array, where more would only fail), or they run out.
     """
     M = pa.M
     hashes = _row_hashes(pa.rows)
     order = np.argsort(hashes).astype(np.int32)
     hashes = hashes[order]
-    # A small first block rejects most failing candidates at once.
-    starts = [0, *range(min(_TILE_ROWS, M), M, max(1, parallel.BLOCK_CELLS // pa.n)), M]
-    maps, label = [], np.arange(M)
+    label = np.arange(M)
+
+    def representatives() -> np.ndarray:
+        return np.flatnonzero(label == np.arange(M))
+
     for image_of in _candidate_isometries(pa):
-        index = np.empty(M, np.intp)
-        for lo, hi in zip(starts, starts[1:]):
-            image = image_of(pa.rows[lo:hi])
-            needles = _row_hashes(image)
-            rank = np.argsort(needles)  # sorted needles search faster: each lands near the last
-            at = order[np.minimum(np.searchsorted(hashes, needles[rank]), M - 1)]
-            if not (pa.rows[at] == image[rank]).all():
-                break
-            index[lo + rank] = at
-        else:
-            maps.append(index)
-            while True:
-                before = label
-                for index in maps:
-                    label = np.minimum(label, label[index])
-                    label[index] = np.minimum(label[index], label)
-                label = label[label]
-                if (label == before).all():
-                    break
+        index = _index_map(pa, image_of, hashes, order)
+        if index is not None:
+            label = _joined(label, index)
             if not label.any():  # one orbit: no further map can change it
                 break
-    return np.flatnonzero(label == np.arange(M))
+    if len(representatives()) > _TILE_ROWS:
+        for image_of in _pair_isometries(pa, hashes):
+            index = _index_map(pa, image_of, hashes, order)
+            if index is None:
+                break
+            label = _joined(label, index)
+            if len(representatives()) <= _TILE_ROWS:
+                break
+    return representatives()
 
 
 def _full_scan(
@@ -493,7 +561,9 @@ def min_distance(
                 # draws are in range; mode="raise" would buffer the output
                 a = pa.rows.take(i[lo : lo + h], axis=0, out=left[:h], mode="clip")
                 b = pa.rows.take(j[lo : lo + h], axis=0, out=right[:h], mode="clip")
-                np.equal(a, b, out=same[:h]).sum(axis=1, dtype=agree.dtype, out=agree[lo : lo + h])
+                np.equal(a, b, out=same[:h])
+                # einsum sums short rows several times faster than sum does
+                np.einsum("ij->i", same[:h].view(np.uint8), dtype=agree.dtype, out=agree[lo : lo + h])
             k = int(agree[:chunk].argmax())
             if pa.n - int(agree[k]) < best:
                 best = pa.n - int(agree[k])
@@ -694,14 +764,17 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
-def _listed(rows: list, n: int) -> np.ndarray:
+def _listed(rows: list, n: int, booleans: bool) -> np.ndarray:
     """A slice of a JSON mirror's rows as one 2-D array, refused unless
-    each row is a list of n scalars."""
+    each row is a list of n scalars, none of them a bool when the document
+    has a bool literal (`booleans`): numpy reads true as 1 among ints."""
     try:
         block = np.asarray(rows)
     except ValueError:  # ragged or nested rows
         block = None
-    if block is None or block.ndim != 2 or block.shape[1] != n:
+    if block is None or block.ndim != 2 or block.shape[1] != n or (
+        booleans and bool in set(map(type, itertools.chain.from_iterable(rows)))
+    ):
         raise ValueError(f"each row must be a list of {n} integers")
     return block
 
@@ -734,6 +807,7 @@ def read_pa(path: Union[str, Path]) -> PermArray:
             text = data.decode("utf-8")
             del data  # not held while the document is parsed
             payload = json.loads(text)
+            booleans = "true" in text or "false" in text
             del text
             missing = [key for key in ("n", "M", "d", "rows") if key not in payload]
             if missing:
@@ -752,7 +826,7 @@ def read_pa(path: Union[str, Path]) -> PermArray:
             if len(listed) != m:
                 raise ValueError(f"{len(listed)} rows, header says {m}")
             step = max(1, parallel.BLOCK_CELLS // max(n, 1))
-            blocks = (_listed(listed[lo : lo + step], n) for lo in range(0, m, step))
+            blocks = (_listed(listed[lo : lo + step], n, booleans) for lo in range(0, m, step))
         else:
             fh = io.TextIOWrapper(io.BytesIO(data) if whole else raw, "latin-1", newline="")
             header = fh.readline()

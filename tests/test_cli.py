@@ -292,6 +292,9 @@ ROW_FAULT = "each row must be a list of 3 integers"
         ({"n": 3, "M": 2, "d": 3, "rows": [[0, 1, [2]], [1, 2, 0]]}, ROW_FAULT),
         ({"n": 3, "M": 2, "d": 3, "rows": [[[0], [1], [2]], [[1], [2], [0]]]}, ROW_FAULT),
         ({"n": 3, "M": 2, "d": 3, "rows": [0, 1]}, ROW_FAULT),
+        # numpy reads true as 1 among ints, so a bool is refused by type.
+        ({"n": 2, "M": 2, "d": 2, "rows": [[0, True], [True, 0]]}, ROW_FAULT.replace("3", "2")),
+        ({"n": 2, "M": 2, "d": 2, "rows": [[False, True], [True, False]]}, ROW_FAULT.replace("3", "2")),
     ],
 )
 def test_verify_names_the_fault_in_a_json_mirror(tmp_path, payload, message):
@@ -299,6 +302,15 @@ def test_verify_names_the_fault_in_a_json_mirror(tmp_path, payload, message):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli("verify", "--in", str(path))
     assert (code, out, err) == (2, "", f"malformed input: {message}\n")
+
+
+def test_bool_literals_outside_the_rows_refuse_nothing(tmp_path):
+    # A bool literal anywhere in the document makes the reader check every
+    # point's type; integer rows still pass.
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({"n": 3, "M": 3, "d": 2, "provenance": "true", "rows": CYCLIC3, "x": False}))
+    code, out, _ = run_cli("verify", "--in", str(path))
+    assert code == 0 and json.loads(out)["min_observed"] == 3
 
 
 @pytest.mark.parametrize("suffix", [".txt", ".json"])
@@ -790,6 +802,26 @@ def test_verify_full_proves_the_m22_file_past_the_pair_cap(tmp_path):
     report = json.loads(out)
     assert (report["mode"], report["min_observed"], report["pass"]) == ("FULL", 16, True)
     assert report["pairs_checked"] == 443520 * 443519 // 2
+
+
+def test_verify_full_proves_a_relabeled_m22_file(tmp_path):
+    # Permuted columns, renamed symbols and shuffled rows: no row map or
+    # field map permutes the rows, and 9.8e10 pairs are over the cap.  The
+    # maps that carry row 0 onto later rows, the conjugated group, leave one
+    # orbit, so the lex-first closest pair is row 0's first partner at 16.
+    rows = group_to_pa(make_named("mathieu22")).rows
+    rng = np.random.default_rng(22)
+    symbols = rng.permutation(22).astype(rows.dtype)
+    rows = symbols[rows[rng.permutation(len(rows))][:, rng.permutation(22)]]
+    path = tmp_path / "m22.txt"
+    write_pa(pa_module.PermArray(rows, 16), path)
+    code, out, _ = run_cli("verify", "--in", str(path), "--mode", "full", "--threads", "2")
+    assert code == 0
+    partner = int(np.flatnonzero((rows != rows[0]).sum(axis=1) == 16)[0])
+    assert json.loads(out) == {
+        "mode": "FULL", "pairs_checked": 443520 * 443519 // 2, "min_observed": 16,
+        "witness": [0, partner], "pass": True, "claimed_distance": 16,
+    }
 
 
 def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from paforge.groups import group_to_pa, make_named
 from paforge.pa import PermArray, min_distance, read_pa, write_pa
 from paforge.pam import build_pa
 from paforge.sfp import SfpQuery, Variant
+from conftest import traced_peak
 from reference import exact_min_distance
 
 from test_pa import _oracle, _swap
@@ -185,29 +186,134 @@ def test_a_candidate_that_maps_one_row_outside_is_rejected(monkeypatch):
             assert _full(pa) == _oracle(kept, 2)
 
 
-def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
+def _relabeled(rows, seed):
+    """rows with permuted columns, renamed symbols and shuffled rows, which
+    keeps every distance."""
+    rng = np.random.default_rng(seed)
+    m, n = rows.shape
+    symbols = rng.permutation(n).astype(rows.dtype)
+    return symbols[rows[rng.permutation(m)][:, rng.permutation(n)]]
+
+
+def test_relabeled_fraction_array_is_proven_through_pair_maps(monkeypatch):
     # Permuted columns, renamed symbols and shuffled rows keep every
-    # distance, but not the field maps that the width 19 offers: no candidate
-    # passes, so every row is its own representative and the scan of every
-    # pair gives the oracle's report.
+    # distance, but not the maps fixed in advance: alone they leave every
+    # row its own representative.  The maps that carry row 0 onto later
+    # rows include the relabeled field maps, and leave one band.
     pa = build_pa(SfpQuery(field_for_order(19), Variant.Q, 1, 2))
-    rng = np.random.default_rng(3)
-    rows = rng.permutation(19)[pa.rows[rng.permutation(pa.M)][:, rng.permutation(19)]]
+    rows = _relabeled(pa.rows, 3)
     relabeled = PermArray(rows, pa.claimed_distance, provenance=pa.provenance)
+    assert len(pa_module._orbit_representatives(relabeled)) <= pa_module._TILE_ROWS
+    with monkeypatch.context() as m:
+        m.setattr(pa_module, "_pair_isometries", lambda pa, hashes: iter(()))
+        assert len(pa_module._orbit_representatives(relabeled)) == relabeled.M
+    expected = _oracle(rows, pa.claimed_distance)
+    assert expected[0] == min_distance(pa).min_observed
+    for workers in (1, 2):
+        assert _proven(relabeled, monkeypatch, workers) == (expected, expected[0])
+
+
+def test_relabeled_fraction_array_falls_back_to_the_tiled_scan(monkeypatch):
+    # One row of a relabeled array replaced by another row with two points
+    # swapped: no map permutes the rows.  The first pair map that passes
+    # the probe screen fails its full check and no other is made, so every
+    # row is its own representative and the scan of every pair gives the
+    # oracle's report, here a violation by the swapped row.
+    pa = build_pa(SfpQuery(field_for_order(19), Variant.Q, 1, 2))
+    rows = _relabeled(pa.rows, 3)
+    rows[40] = _swap(rows[500], 2, 7)
+    relabeled = PermArray(rows, pa.claimed_distance, provenance=pa.provenance)
+    made, failed = [], []
+    pairs, index_map = pa_module._pair_isometries, pa_module._index_map
+
+    def counted(pa, hashes):
+        for image_of in pairs(pa, hashes):
+            made.append(image_of)
+            yield image_of
+
+    def checked(pa, image_of, hashes, order):
+        index = index_map(pa, image_of, hashes, order)
+        if index is None and image_of in made:
+            failed.append(image_of)
+        return index
+
+    monkeypatch.setattr(pa_module, "_pair_isometries", counted)
+    monkeypatch.setattr(pa_module, "_index_map", checked)
     assert len(pa_module._orbit_representatives(relabeled)) == relabeled.M
+    assert len(made) == len(failed) == 1
     calls = []
     scan = pa_module._scan_pairs
 
-    def counted(pa, claimed, reps, workers):
+    def handed(pa, claimed, reps, workers):
         calls.append((claimed, reps.tolist()))
         return scan(pa, claimed, reps, workers)
 
     expected = _oracle(rows, pa.claimed_distance)
-    assert expected[0] == min_distance(pa).min_observed
-    monkeypatch.setattr(pa_module, "_scan_pairs", counted)
+    assert not expected[3]
+    monkeypatch.setattr(pa_module, "_scan_pairs", handed)
     for workers in (1, 2):
         assert _full(relabeled, workers) == expected
     assert calls == [(pa.claimed_distance, list(range(relabeled.M)))] * 2
+
+
+@pytest.mark.parametrize("name,params", [("pgl2", {"q": 7}), ("agl1", {"q": 8}), ("sym", {"m": 5})])
+def test_relabeled_group_arrays_are_proven(name, params):
+    # A relabeled group array is closed under right composition with the
+    # conjugated group, which carries row 0 onto every row.  agl1(8) has
+    # 56 rows, one band, so the pair maps are not made for it.
+    pa = group_to_pa(make_named(name, **params))
+    rows = _relabeled(pa.rows, 5)
+    relabeled = PermArray(rows, pa.claimed_distance)
+    assert len(pa_module._orbit_representatives(relabeled)) <= pa_module._TILE_ROWS
+    expected = _oracle(rows, pa.claimed_distance)
+    for workers in (1, 2):
+        assert _full(relabeled, workers) == expected
+
+
+def test_pair_map_screen_scratch_is_one_step():
+    # The screen maps four probes by the maps of one step of rows at a
+    # time, BLOCK_CELLS/8 cells a side: on the relabeled q17 k3 q+1 array
+    # (9,520 rows of 18 points) making the 198 maps of the block peaks at
+    # 0.36 MiB (traced), where mapping the probes by the whole block at
+    # once peaked at 1.00.
+    pa = PermArray(_relabeled(_fraction_array("q17-k3-q+1").rows, 1), 14)
+    hashes = np.sort(pa_module._row_hashes(pa.rows))
+    made, peak = traced_peak(lambda: sum(1 for _ in pa_module._pair_isometries(pa, hashes)))
+    assert made > 0
+    assert peak < 0.45 * 2**20, peak / 2**20
+
+
+def _components(m, maps):
+    """Each point's least point in its component under the maps, by a
+    union-find over every edge."""
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for index in maps:
+        for x, y in enumerate(index.tolist()):
+            a, b = sorted((find(x), find(y)))
+            parent[b] = a
+    return [find(x) for x in range(m)]
+
+
+def test_joined_labels_are_the_components_of_every_map_so_far():
+    # Maps with short cycles, joined one at a time from labels alone, give
+    # the components of all the maps together.
+    rng = np.random.default_rng(4)
+    m = 300
+    label = np.arange(m)
+    maps = []
+    for size in (2, 3, 2, 5, 2):
+        index = np.arange(m)
+        for cycle in np.array_split(rng.permutation(m)[: m // 3], m // 3 // size):
+            index[cycle] = np.roll(cycle, 1)
+        maps.append(index)
+        label = pa_module._joined(label, index)
+        assert label.tolist() == _components(m, maps)
 
 
 def _involution_closed(n, conjugate, seed):

@@ -392,7 +392,8 @@ def test_sampled_mode_matches_rowwise_reference(m, n, monkeypatch):
     # Many pairs tie at the minimum, so the witness tells the first closest
     # pair from any other; n = 300 counts agreements in uint16.  Steps of 7
     # rows split a chunk of draws into many, and the witness must be found
-    # in a later step as well as in the first.
+    # in a later step as well as in the first.  Both widths give the
+    # reference's report to the byte.
     rows = np.array(_random_rows(m, n, seed=n))[np.random.default_rng(n).permutation(m)]
     pa = PermArray(rows, claimed_distance=n)
     later = 0
@@ -403,6 +404,9 @@ def test_sampled_mode_matches_rowwise_reference(m, n, monkeypatch):
                 report = min_distance(pa, "sampled", sample_pairs=samples, seed=seed)
                 best, witness, at = _sampled_reference(rows, samples, seed)
                 assert (report.min_observed, report.witness) == (best, witness)
+                assert report.to_json() == pa_module.VerifyReport(
+                    "SAMPLED", samples, best, witness, best >= n, n, note=pa_module.SAMPLED_NOTE
+                ).to_json()
                 later += cells == 7 * n and at % (1 << 17) >= 7
     assert later
 
